@@ -272,10 +272,6 @@ def vec_scale(f: Vec, c: int, p: int, counters: Optional[OpCounters] = None) -> 
     return {mm: (c * v) % p for mm, v in f.items()}
 
 
-def vec_neg(f: Vec, p: int) -> Vec:
-    return {mm: p - v for mm, v in f.items()}
-
-
 def leading_term(f: Vec, key: Callable[[ModMono], tuple],
                  counters: Optional[OpCounters] = None):
     """The maximal term of f under the ordering realized by `key`.
@@ -320,30 +316,6 @@ def is_homogeneous(f: Vec, twists=None) -> bool:
 
 # ---------------------------------------------------------------------------
 # plain polynomials (used by minimization and the CLI)
-
-
-def poly_add(a: Poly, b: Poly, p: int) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        v = (out.get(m, 0) + c) % p
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_mul(a: Poly, b: Poly, p: int) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = mono_mul(m1, m2)
-            v = (out.get(m, 0) + c1 * c2) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return out
 
 
 def vec_component(f: Vec, comp: int) -> Poly:

@@ -266,11 +266,12 @@ def serialize_resolution(res: Resolution) -> str:
     for k in range(1, res.length + 1):
         lines.append(f"differential {k}")
         for j, col in enumerate(res.diffs[k - 1]):
-            for comp in range(res.modules[k - 1].rank):
-                entry = vec_component(col, comp)
-                if entry:
-                    lines.append(f"{comp + 1} {j + 1} "
-                                 + poly_to_string(entry, ring, base))
+            entries: dict = {}
+            for (m, comp), c in col.items():
+                entries.setdefault(comp, {})[m] = c
+            for comp in sorted(entries):
+                lines.append(f"{comp + 1} {j + 1} "
+                             + poly_to_string(entries[comp], ring, base))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

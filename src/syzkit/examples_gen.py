@@ -8,6 +8,13 @@ by the multinomial coefficient).  In these coordinates the degree-e
 catalecticant is Cat_e[gamma, alpha] = u_{alpha+gamma}; its kernel is the
 degree-e piece of the annihilator ideal, and the ideal is generated in
 degrees <= d+1.
+
+Minimal generators come degree by degree, for e = 1..d+1.  One matrix holds
+the shifts x_v * Ann_{e-1} (spanning R_1 * Ann_{e-1}) followed by the
+canonical kernel basis of Cat_e, and is brought to echelon form once; the
+kernel vectors that enlarge the span of the rows above them are the new
+generators.  In degree d+1 every form annihilates, and the new generators are
+the monomials at the non-pivot columns of the shifted rows.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import DomainError, Ring, Vec, is_prime, mono_mul
+from . import linalg
 from .orderings import BaseOrdering
 from .groebner import monomials_of_degree
 
@@ -51,61 +59,6 @@ class AgrIdeal:
     hilbert: list             # h_e = rank of Cat_e for e = 0..d
     forms: list               # coefficient rows of the linear forms
     contraction: dict         # divided-power coordinates u_beta, |beta| <= d
-
-
-def _kernel_basis(A: np.ndarray, p: int):
-    """Kernel basis of A over F_p via reduced row echelon; canonical: one
-    vector per free column with unit there and pivot back-substitutions."""
-    a = A % p
-    rows, cols = a.shape
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = None
-        for rr in range(r, rows):
-            if a[rr, c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for c in range(cols):
-        if c in pivot_cols:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[c] = 1
-        for r0, c0 in pivots:
-            if a[r0, c]:
-                v[c0] = (-a[r0, c]) % p
-        basis.append(v)
-    return basis, len(pivots)
-
-
-def _row_space_insert(rows: list, pivcols: dict, row: np.ndarray, p: int) -> bool:
-    while True:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        r = pivcols.get(c)
-        if r is None:
-            row = (row * pow(int(row[c]), p - 2, p)) % p
-            pivcols[c] = len(rows)
-            rows.append(row)
-            return True
-        row = (row - row[c] * rows[r]) % p
 
 
 def gen_agr(spec: AgrSpec, max_retries: int = 5) -> AgrIdeal:
@@ -143,65 +96,34 @@ def gen_agr(spec: AgrSpec, max_retries: int = 5) -> AgrIdeal:
 
     generators: list = []
     hilbert = [1]
-    kernel_prev: list = []  # kernel vectors of the previous degree
-    for e in range(1, spec.d + 1):
+    kernel_prev = np.zeros((0, 1), dtype=np.int64)  # Ann_0 = 0
+    for e in range(1, spec.d + 2):
         cols = monos[e]
-        rows = monos[spec.d - e]
         index = {m: i for i, m in enumerate(cols)}
-        cat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for ri, g in enumerate(rows):
-            for ci, a in enumerate(cols):
-                cat[ri, ci] = u[mono_mul(a, g)]
-        kernel, rank = _kernel_basis(cat, p)
-        hilbert.append(rank)
-        # span of R_1 * Ann_{e-1} inside degree e
-        span_rows: list = []
-        span_piv: dict = {}
-        if kernel_prev:
-            prev_cols = monos[e - 1]
-            for v in range(nv):
-                if len(span_piv) == len(cols):
-                    break
-                shift = np.empty(len(prev_cols), dtype=np.int64)
-                for ci, m in enumerate(prev_cols):
-                    exps = list(m[1:])
-                    exps[v] += 1
-                    shift[ci] = index[(m[0] + 1,) + tuple(exps)]
-                for kv in kernel_prev:
-                    if len(span_piv) == len(cols):
-                        break
-                    row = np.zeros(len(cols), dtype=np.int64)
-                    row[shift] = kv
-                    _row_space_insert(span_rows, span_piv, row, p)
-        for kv in kernel:
-            if _row_space_insert(span_rows, span_piv, kv.copy(), p):
-                generators.append(_vec_from_row(kv, cols))
+        kernel = np.zeros((0, len(cols)), dtype=np.int64)
+        if e <= spec.d:
+            rows = monos[spec.d - e]
+            cat = np.array([[u[mono_mul(a, g)] for a in cols] for g in rows],
+                           dtype=np.int64)
+            kernel, rank = linalg.kernel_basis(cat, p)
+            hilbert.append(rank)
+        # rows: R_1 * Ann_{e-1} shifted into degree e, then Ann_e's kernel basis
+        k = len(kernel_prev)
+        span = np.zeros((nv * k + len(kernel), len(cols)), dtype=np.int64)
+        for v in range(nv):
+            shift = [index[(m[0] + 1,) + m[1:1 + v] + (m[1 + v] + 1,) + m[2 + v:]]
+                     for m in monos[e - 1]]
+            span[v * k:(v + 1) * k, shift] = kernel_prev
+        span[nv * k:] = kernel
+        if e <= spec.d:
+            generators += [_vec_from_row(kernel[r - nv * k], cols)
+                           for r in linalg.span_rows(span, p) if r >= nv * k]
+        else:
+            # everything annihilates: new generators complement R_1 * Ann_d
+            pivcols = {c for _, c in linalg.echelon(span, p)}
+            generators += [{(m, 0): 1} for ci, m in enumerate(cols)
+                           if ci not in pivcols]
         kernel_prev = kernel
-    # degree d+1: everything annihilates; new generators complement R_1*Ann_d
-    cols = monos[spec.d + 1]
-    index = {m: i for i, m in enumerate(cols)}
-    span_rows, span_piv = [], {}
-    prev_cols = monos[spec.d]
-    for v in range(nv):
-        if len(span_piv) == len(cols):
-            break
-        shift = np.empty(len(prev_cols), dtype=np.int64)
-        for ci, m in enumerate(prev_cols):
-            exps = list(m[1:])
-            exps[v] += 1
-            shift[ci] = index[(m[0] + 1,) + tuple(exps)]
-        for kv in kernel_prev:
-            if len(span_piv) == len(cols):
-                break
-            row = np.zeros(len(cols), dtype=np.int64)
-            row[shift] = kv
-            _row_space_insert(span_rows, span_piv, row, p)
-    for ci, m in enumerate(cols):
-        if ci not in span_piv:
-            row = np.zeros(len(cols), dtype=np.int64)
-            row[ci] = 1
-            if _row_space_insert(span_rows, span_piv, row, p):
-                generators.append({(m, 0): 1})
     return AgrIdeal(spec, ring, generators, hilbert, forms, u)
 
 

@@ -38,6 +38,7 @@ from .orderings import (
     REORDER_MODES,
     reorder_permutation,
 )
+from .linalg import rank as block_rank
 from .groebner import GroebnerBasis, buchberger
 from .frame import lead_syz
 from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_terms
@@ -294,34 +295,6 @@ def constant_block(res: Resolution, k: int, j: int) -> np.ndarray:
     return mat
 
 
-def block_rank(mat: np.ndarray, p: int) -> int:
-    """Rank over F_p by Gaussian elimination."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        piv = None
-        for r in range(rank, rows):
-            if a[r, c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = a[rank + 1:, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz]
-                                - np.outer(below[nz], a[rank])) % p
-        rank += 1
-    return rank
-
-
 def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
     """Minimal Betti numbers from the constant strands: beta^min_{k,j} =
     beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}."""
@@ -454,8 +427,9 @@ def hilbert_numerator(lead_monomials, nvars: int,
     if len(twists0) < rank:
         raise DomainError("twist list shorter than the component range")
     out: dict = {}
+    memo: dict = {}
     for comp in range(len(twists0)):
-        n = _hilbert_ideal(tuple(sorted(by_comp.get(comp, []))), nvars)
+        n = _hilbert_ideal(tuple(sorted(by_comp.get(comp, []))), nvars, memo)
         shift = twists0[comp]
         for d, c in n.items():
             out[d + shift] = out.get(d + shift, 0) + c
@@ -479,13 +453,11 @@ def _poly1_mul(a: dict, b: dict) -> dict:
     return {d: c for d, c in out.items() if c}
 
 
-_hilb_memo: dict = {}
-
-
-def _hilbert_ideal(gens: tuple, nvars: int) -> dict:
+def _hilbert_ideal(gens: tuple, nvars: int, memo: dict) -> dict:
+    """Numerator for the monomial ideal <gens>; ``memo`` is shared by the
+    recursive calls of one :func:`hilbert_numerator` call."""
     gens = _minimalize(gens)
-    memo_key = (gens, nvars)
-    cached = _hilb_memo.get(memo_key)
+    cached = memo.get(gens)
     if cached is not None:
         return dict(cached)
     if not gens:
@@ -506,17 +478,17 @@ def _hilbert_ideal(gens: tuple, nvars: int) -> dict:
         out = {0: 1}
         for g in gens:
             out = _poly1_mul(out, {0: 1, mono_deg(g): -1})
-        _hilb_memo[memo_key] = dict(out)
+        memo[gens] = dict(out)
         return out
     x = (1,) + tuple(1 if i == pivot_var else 0 for i in range(nvars))
-    plus = _hilbert_ideal(gens + (x,), nvars)
+    plus = _hilbert_ideal(gens + (x,), nvars, memo)
     quot = _hilbert_ideal(tuple(
         (g[0] - 1,) + g[1:1 + pivot_var] + (g[1 + pivot_var] - 1,) + g[2 + pivot_var:]
         if g[1 + pivot_var] else g
-        for g in gens), nvars)
+        for g in gens), nvars, memo)
     out = dict(plus)
     for d, c in quot.items():
         out[d + 1] = out.get(d + 1, 0) + c
     out = {d: c for d, c in out.items() if c}
-    _hilb_memo[memo_key] = dict(out)
+    memo[gens] = dict(out)
     return out

@@ -14,7 +14,9 @@ from syzkit.cli import (
     stats_report,
 )
 from syzkit.algebra import OpCounters, vec_component
-from syzkit.resolution import resolve
+from syzkit.resolution import minimize, resolve
+
+from conftest import make_corpus_entry
 
 SEC5 = """ring 32003 w,x,y,z lp
 w*x+w*z+x^2+2*x*z-z^2
@@ -91,6 +93,36 @@ def test_resolution_roundtrip_ungraded():
     res2 = parse_resolution(text)
     assert serialize_resolution(res2) == text
     assert res2.diffs == res.diffs
+
+
+def serialize_per_component(res):
+    """The former serializer: one vec_component scan per component."""
+    ring, base = res.ring, res.base
+    lines = [f"resolution ring {ring.p} {','.join(ring.names)} {base.kind}"]
+    lines.append(f"graded {'true' if res.graded else 'false'}")
+    lines.append(f"minimal {'true' if res.minimal else 'false'}")
+    for k, mod in enumerate(res.modules):
+        tw = ",".join(str(t) for t in mod.twists) if mod.twists is not None else "-"
+        lines.append(f"module {k} rank {mod.rank} twists {tw}")
+    for k in range(1, res.length + 1):
+        lines.append(f"differential {k}")
+        for j, col in enumerate(res.diffs[k - 1]):
+            for comp in range(res.modules[k - 1].rank):
+                entry = vec_component(col, comp)
+                if entry:
+                    lines.append(f"{comp + 1} {j + 1} "
+                                 + poly_to_string(entry, ring, base))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_resolution_matches_per_component_loop(sec5):
+    res = resolve(sec5.gens, sec5.ring, sec5.base)
+    resolutions = [res, minimize(res)]
+    for seed in (1, 2, 3, 4, 6, 11, 17):
+        resolutions += make_corpus_entry(seed).resolutions.values()
+    for res in resolutions:
+        assert serialize_resolution(res) == serialize_per_component(res)
 
 
 def test_main_print_resolution(tmp_path, capsys):

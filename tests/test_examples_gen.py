@@ -1,8 +1,10 @@
+import hashlib
 from math import comb
 
 import pytest
 
 from syzkit.algebra import DomainError
+from syzkit.cli import InputDocument, serialize_input
 from syzkit.orderings import BaseOrdering
 from syzkit.examples_gen import (
     AgrSpec,
@@ -86,3 +88,24 @@ def test_gen_random_homogeneous():
     assert gens == gens2
     _, gens3 = gen_random_homogeneous(4, [2, 2, 2], 32003, 4)
     assert gens != gens3
+
+
+@pytest.mark.parametrize("n,d,s,p,seed,digest", [
+    (5, 4, 12, 10007, 0,
+     "5f37aa7cdad3c8d15d4fb81efac73c0c51bac81eec611c76625f95b1db42fdcd"),
+    (6, 5, 18, 10007, 0,
+     "399aa3e95158bf922c1ebc3131996bb11a41780e4b1c024c206c17849b877e01"),
+    (6, 5, 42, 10007, 0,
+     "dbf5a3bb1a1964f3a255fbb38653b9810d15f2098223474c262ab76ebfa33298"),
+    (3, 3, 5, 2147483647, 2,
+     "bf4d047ac435170829a0434ab9e44513c9a3413cbdc30e42ed474b5f16cd4194"),
+    (4, 4, 9, 2147483647, 1,
+     "74fd32b9545e47b38bbe79ac486b111f00c7f13b7a444a722eafb3a4128116b8"),
+])
+def test_gen_agr_golden(n, d, s, p, seed, digest):
+    # digests of the serialized generators as produced by the row-by-row
+    # elimination that preceded syzkit.linalg: same ideals, same term order
+    ideal = gen_agr(AgrSpec(n, d, s, p, seed))
+    text = serialize_input(InputDocument(ideal.ring, BaseOrdering("dp", n + 1),
+                                         ideal.generators))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -21,6 +21,7 @@ from syzkit.resolution import (
     resolve,
 )
 from syzkit.cli import parse_input
+from syzkit import resolution
 
 
 def test_resolve_sec5(sec5):
@@ -183,6 +184,20 @@ def test_hilbert_numerator_examples(sec5):
     r2 = Ring(7, ("x", "y"))
     lead2 = [(r2.mono([2, 0]), 0), (r2.mono([1, 1]), 0), (r2.mono([0, 2]), 0)]
     assert hilbert_numerator(lead2, 2) == {0: 1, 2: -3, 3: 2}
+
+
+def test_hilbert_numerator_keeps_no_module_state(sec5):
+    def containers():
+        return {k: len(v) for k, v in vars(resolution).items()
+                if isinstance(v, (dict, list, set))}
+    ring = Ring(7, ("x", "y", "z"))
+    cases = [(sec5.gb.lms, 4),
+             ([(ring.mono(e), 0) for e in ([2, 0, 0], [1, 1, 0], [0, 1, 2])], 3)]
+    before = containers()
+    first = [hilbert_numerator(lead, n) for lead, n in cases]
+    assert containers() == before
+    assert [hilbert_numerator(lead, n) for lead, n in cases] == first
+    assert containers() == before
 
 
 def test_hilbert_numerator_series_oracle(corpus):

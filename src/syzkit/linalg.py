@@ -49,18 +49,14 @@ def echelon(a: np.ndarray, p: int, reduced: bool = False) -> list:
         used[r] = True
         pivots.append((r, c))
         # entries left of c are zero in every row not yet used as a pivot,
-        # so only the pivot row's nonzero columns change; a slice is
-        # cheaper than fancy indexing once they are most of the row
+        # so only the pivot row's nonzero columns change
         support = c + np.flatnonzero(a[r, c:])
-        dense = 2 * support.size > cols - c
-        if dense:
-            support = slice(c, None)
         a[r, support] = a[r, support] * pow(int(a[r, c]), p - 2, p) % p
         pivot_row = a[r, support]
         others = nz[nz != r] if reduced else free[1:]
         for i in range(0, others.size, CHUNK):
             o = others[i:i + CHUNK]
-            block = (o, support) if dense else np.ix_(o, support)
+            block = np.ix_(o, support)
             sub = a[block]
             a[block] = (sub - sub[:, :1] * pivot_row) % p
     return pivots

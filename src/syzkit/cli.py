@@ -414,9 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write the serialized resolution to PATH")
     rp.add_argument("--print-resolution", action="store_true",
                     help="print the serialized resolution to stdout")
-    rp.add_argument("--seed", type=int, default=None,
-                    help="accepted for reproducibility bookkeeping; the "
-                         "resolve pipeline is deterministic")
     rp.add_argument("--threads", type=int, default=1)
 
     gp = sub.add_parser("gen", help="generate benchmark ideals")
@@ -507,6 +504,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RuntimeError as e:
+        print(f"error: internal: {e}", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,15 @@
 """Division with remainder, S-vectors and reduced Groebner bases.
 
-Two engines back :func:`buchberger`: the classic pair-processing loop (any
-rank, any input) and a degree-by-degree linear-algebra engine for homogeneous
-ideals (rank 1), which row-reduces the graded pieces of the ideal with numpy
-and reads the reduced basis off the staircase.  Both produce the same
-canonical object: the reduced Groebner basis, monic, sorted by ascending
-leading-monomial degree with descending base-ordering tiebreak.
+Two engines back :func:`buchberger`.  Homogeneous ideals (rank 1) go to an
+F4-style engine (Faugere 1999): degree by degree, it takes the S-pairs of
+that degree that survive the product and chain criteria, adds reducer rows
+by symbolic preprocessing, and brings them to reduced echelon form with
+:func:`syzkit.linalg.echelon`; the pivots that no earlier leading monomial
+divides are the new reduced basis elements.  Everything else (inhomogeneous
+input, modules of rank > 1) goes through the classic pair loop.  Both
+produce the same canonical object: the reduced Groebner basis, monic,
+sorted by ascending leading-monomial degree with descending base-ordering
+tiebreak.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .algebra import (
     DomainError,
     ModMono,
@@ -28,6 +33,7 @@ from .algebra import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
     term_times_vector,
     vec_iadd_scaled,
     vec_normalized,
@@ -232,7 +238,7 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
                keep_input_order: bool = False) -> GroebnerBasis:
     """Reduced monic Groebner basis of the span of `gens` in R^rank.
 
-    Homogeneous rank-1 input is handled by the graded linear-algebra engine;
+    Homogeneous rank-1 input is handled by the graded F4-style engine;
     everything else goes through the classic pair loop.  The output generator
     order is canonical unless keep_input_order is set, in which case the
     engine's natural production order is kept.
@@ -249,7 +255,7 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
                              reduced=True)
     if rank == 1 and (twists is None or set(twists) == {0}) and \
             all(is_homogeneous(g) for g in cleaned):
-        out = _gb_homogeneous_linear(cleaned, ring, base)
+        out = _gb_homogeneous_f4(cleaned, ring, base)
     else:
         out = _gb_classic(cleaned, ring, base, rank)
     if not keep_input_order:
@@ -262,7 +268,9 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
 
 def _gb_classic(gens, ring: Ring, base: BaseOrdering, rank: int):
     """Plain Buchberger with product (rank 1) and chain criteria, top
-    reduction in the loop and a final interreduction."""
+    reduction in the loop and a final interreduction.  Serves inhomogeneous
+    and rank > 1 input; the divisor lookup is rebuilt only when the basis
+    grows."""
     chain = OrderingChain(base)
     scratch = OpCounters()
 
@@ -305,7 +313,6 @@ def _gb_classic(gens, ring: Ring, base: BaseOrdering, rank: int):
                     break
         if skip:
             continue
-        G = make_basis(basis)
         s = s_vector(G, i, j, scratch)
         _, rem = divide_with_remainder(s, G, scratch)
         if rem:
@@ -314,6 +321,7 @@ def _gb_classic(gens, ring: Ring, base: BaseOrdering, rank: int):
             rem = vec_scale(rem, ring.inv(c), ring.p)
             basis.append(rem)
             lms.append(mm)
+            G = make_basis(basis)
             new = len(basis) - 1
             for k in range(new):
                 if lms[k][1] == mm[1]:
@@ -352,7 +360,7 @@ def _gb_classic(gens, ring: Ring, base: BaseOrdering, rank: int):
 
 
 # ---------------------------------------------------------------------------
-# homogeneous linear-algebra engine (rank 1)
+# graded pieces and the homogeneous F4-style engine (rank 1)
 
 
 def monomials_of_degree(nvars: int, deg: int, base: BaseOrdering):
@@ -370,98 +378,82 @@ def monomials_of_degree(nvars: int, deg: int, base: BaseOrdering):
     return out
 
 
-def _modp_insert(rows: list, pivcols: dict, row: np.ndarray, p: int) -> bool:
-    """Insert a row into an echelon basis (pivots normalized to 1)."""
-    while True:
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        r = pivcols.get(c)
-        if r is None:
-            inv = pow(int(row[c]), p - 2, p)
-            row = (row * inv) % p
-            pivcols[c] = len(rows)
-            rows.append(row)
-            return True
-        row = (row - row[c] * rows[r]) % p
+def _gb_homogeneous_f4(gens, ring: Ring, base: BaseOrdering):
+    """Reduced Groebner basis of a homogeneous ideal, one degree at a time.
 
-
-def _gb_homogeneous_linear(gens, ring: Ring, base: BaseOrdering):
-    """Reduced Groebner basis of a homogeneous ideal, degree by degree.
-
-    The graded piece I_e equals R_1 * I_{e-1} + (input generators of degree
-    e), so row-reducing those spans gives the exact staircase; pivot rows
-    whose pivot monomial is not divisible by an earlier staircase generator
-    are, after full reduction, exactly the reduced Groebner basis elements.
-    Stops once all pair-lcm degrees are covered, or immediately after a
-    graded piece fills up (Artinian shortcut).
+    Degree e takes the S-pairs whose lcm has degree e and the input
+    generators of degree e.  A pair is dropped when its leads are coprime
+    (product criterion), or when some lead lm_k divides L = lcm(i, j) and
+    lcm(i, k), lcm(j, k) both divide L strictly, so that both pairs had
+    lower degree and are done (chain criterion).  Each remaining pair gives
+    the rows (L/lm_i) g_i and (L/lm_j) g_j; symbolic preprocessing then
+    adds one reducer (t/lm_k) g_k for every column monomial t that a lead
+    lm_k divides, until the columns close.  One reduced echelon form of
+    these rows over their columns, in descending monomial order, finishes
+    the degree: a pivot that no earlier lead divides is a new reduced basis
+    element, since every column an earlier lead divides is a pivot column,
+    and homogeneity keeps the earlier elements reduced.  Stops when no pair
+    and no input degree is left.
     """
     p = ring.p
-    n = ring.nvars
-    by_deg: dict = {}
+    key = base.key_func()
+    inputs: dict = {}
     for g in gens:
-        d = next(iter(g))[0][0]
-        by_deg.setdefault(d, []).append(g)
-    max_gen_deg = max(by_deg)
+        inputs.setdefault(next(iter(g))[0][0], []).append(
+            {mm[0]: c for mm, c in g.items()})
+    basis: list = []  # monic polys {mono: coeff}, leading term first
+    lms: list = []
+    pairs: dict = {}  # lcm degree -> [(i, j)]
 
-    stair: list = []  # minimal staircase monomials (packed)
-    gb_rows: list = []  # (mono list, coeff row) snapshots as dict polys
+    def times(k, t):
+        return {mono_mul(t, m): c for m, c in basis[k].items()}
 
-    def pair_bound():
-        best = max_gen_deg
-        for a, b in itertools.combinations(stair, 2):
-            best = max(best, mono_deg(mono_lcm(a, b)))
-        return best
-
-    e = min(by_deg)
-    prev_rows: list = []
-    prev_pivs: dict = {}
-    prev_monos: list = []
-    stop = pair_bound()
-    while e <= stop:
-        monos = monomials_of_degree(n, e, base)
-        index = {m: i for i, m in enumerate(monos)}
-        dim = len(monos)
-        rows: list = []
-        pivcols: dict = {}
-        # products x_v * (echelon basis of the previous degree)
-        if prev_rows:
-            for v in range(n):
-                if len(pivcols) == dim:
+    while pairs or inputs:
+        e = min(itertools.chain(pairs, inputs))
+        mults: dict = {}  # (k, t) for the rows t * g_k, deduplicated
+        for i, j in pairs.pop(e, ()):
+            lcm = mono_lcm(lms[i], lms[j])
+            if any(mono_divides(lm, lcm)
+                   and mono_deg(mono_lcm(lms[i], lm)) < e
+                   and mono_deg(mono_lcm(lms[j], lm)) < e for lm in lms):
+                continue  # chain criterion
+            mults[(i, mono_div(lcm, lms[i]))] = None
+            mults[(j, mono_div(lcm, lms[j]))] = None
+        rows = [times(k, t) for k, t in mults]
+        # columns that an earlier lead divides, each the lead of some row
+        known = {mono_mul(t, lms[k]) for k, t in mults}
+        rows.extend(inputs.pop(e, ()))
+        # symbolic preprocessing: one reducer per such column, to closure
+        cols: set = set()
+        todo = [m for row in rows for m in row]
+        while todo:
+            m = todo.pop()
+            if m in cols:
+                continue
+            cols.add(m)
+            if m in known:
+                continue
+            for k, lm in enumerate(lms):
+                if mono_divides(lm, m):
+                    known.add(m)
+                    rows.append(times(k, mono_div(m, lm)))
+                    todo.extend(rows[-1])
                     break
-                shift = np.empty(len(prev_monos), dtype=np.int64)
-                for ci, m in enumerate(prev_monos):
-                    exps = list(m[1:])
-                    exps[v] += 1
-                    shift[ci] = index[(m[0] + 1,) + tuple(exps)]
-                for row in prev_rows:
-                    if len(pivcols) == dim:
-                        break
-                    new = np.zeros(dim, dtype=np.int64)
-                    new[shift] = row
-                    _modp_insert(rows, pivcols, new, p)
-        for g in by_deg.get(e, ()):
-            new = np.zeros(dim, dtype=np.int64)
-            for mm, c in g.items():
-                new[index[mm[0]]] = c
-            _modp_insert(rows, pivcols, new, p)
-        full = len(pivcols) == dim
-        # new staircase generators at this degree
-        new_stair = [m for c, m in ((c, monos[c]) for c in sorted(pivcols))
-                     if not any(mono_divides(s, m) for s in stair)]
-        for m in new_stair:
-            row = rows[pivcols[index[m]]].copy()
-            for c in sorted(pivcols):
-                if c != index[m] and row[c]:
-                    row = (row - row[c] * rows[pivcols[c]]) % p
-            poly = {monos[ci]: int(row[ci]) for ci in np.nonzero(row)[0]}
-            gb_rows.append(poly)
-        stair.extend(new_stair)
-        if new_stair:
-            stop = pair_bound()
-        if full and e >= max_gen_deg:
-            break  # Artinian: all later graded pieces are full
-        prev_rows, prev_monos = rows, monos
-        e += 1
-    return [{(m, 0): c for m, c in poly.items()} for poly in gb_rows]
+        order = sorted(cols, key=key, reverse=True)
+        index = {m: c for c, m in enumerate(order)}
+        a = np.zeros((len(rows), len(order)), dtype=np.int64)
+        for r, row in enumerate(rows):
+            for m, c in row.items():
+                a[r, index[m]] = c
+        for r, c in linalg.echelon(a, p, reduced=True):
+            if order[c] in known:
+                continue  # an earlier lead divides the pivot
+            new = len(basis)
+            basis.append({order[ci]: int(a[r, ci])
+                          for ci in np.flatnonzero(a[r])})
+            lms.append(order[c])
+            for k in range(new):
+                lcm = mono_lcm(lms[k], lms[new])
+                if mono_deg(lcm) < mono_deg(lms[k]) + mono_deg(lms[new]):
+                    pairs.setdefault(mono_deg(lcm), []).append((k, new))
+    return [{(m, 0): c for m, c in g.items()} for g in basis]

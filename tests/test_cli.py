@@ -184,6 +184,19 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("lifting lost its leading term")
+
+    monkeypatch.setattr("syzkit.cli.resolve", broken)
+    inp = tmp_path / "in.txt"
+    inp.write_text(SEC5)
+    assert main(["resolve", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: internal: lifting lost its leading term\n"
+    assert "Traceback" not in err
+
+
 def test_main_gen_resolve_pipeline(tmp_path, capsys):
     ideal_file = tmp_path / "agr.txt"
     assert main(["gen", "agr", "--n", "2", "--d", "2", "--s", "2",

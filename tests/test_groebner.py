@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from syzkit.algebra import DomainError, OpCounters, Ring, Vec, vec_iadd_scaled, term_times_vector
@@ -12,7 +14,8 @@ from syzkit.groebner import (
     monomials_of_degree,
     _gb_classic,
 )
-from syzkit.cli import parse_input, parse_polynomial
+from syzkit.cli import InputDocument, parse_input, parse_polynomial, serialize_input
+from syzkit.examples_gen import AgrSpec, gen_agr
 
 
 def test_m_coeff_sec5(sec5):
@@ -138,8 +141,8 @@ def _divides(a, b):
 
 
 def test_engines_agree(corpus):
-    # classic pair loop and graded linear algebra produce the same reduced GB
-    for entry in corpus[:12]:
+    # classic pair loop and the graded F4 engine produce the same reduced GB
+    for entry in corpus:
         raw = _gb_classic([dict(g) for g in entry.gens], entry.ring,
                           entry.base, 1)
         G2 = GroebnerBasis(entry.ring, OrderingChain(entry.base), raw)
@@ -147,6 +150,44 @@ def test_engines_agree(corpus):
         assert lead_set == set(entry.gb.lms)
         canon = {frozenset(g.items()) for g in G2.gens}
         assert canon == {frozenset(g.items()) for g in entry.gb.gens}
+
+
+def _gb_digest(ring, base, gens, keep_input_order):
+    gb = buchberger(gens, ring, base, keep_input_order=keep_input_order)
+    text = serialize_input(InputDocument(ring, base, list(gb.gens)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case, digest", [
+    pytest.param("corpus", "3ff32a3101cf861cef20a705d8d954c0a40c9bf3a6a8d4db752f7d451ba5a30f",
+                 id="corpus"),
+    pytest.param(102, "076c278eb116f94687cbe95c1c72b2bb89f37ae0382f5dda33e794ebb058f450",
+                 id="corpus-seed102"),
+    pytest.param((5, 4, 12), "a300180e33f288606abc676a75837f8f12a19654505eae9fbb58eb2fea8f4fa5",
+                 id="agr-5-4-12"),
+    pytest.param((6, 5, 18), "f59704eab9d687088bf26dd007b1cc14a39f0389133d8fe645d05a39a0a064d7",
+                 id="agr-6-5-18"),
+    pytest.param((6, 5, 42), "0d22f385656132c630b72f46295acb4fcebf9e81d2cede52e3592231ab80a682",
+                 id="agr-6-5-42"),
+])
+@pytest.mark.parametrize("keep_input_order", [False, True])
+def test_reduced_gb_golden(request, case, digest, keep_input_order):
+    # digests of the serialized reduced bases as produced by the graded
+    # engine that preceded the F4 one, which filled whole graded pieces:
+    # the whole corpus (its per-ideal digests concatenated in seed order),
+    # corpus seed 102 alone, and AGR ideals (n, d, s) with p=10007, seed 0
+    if isinstance(case, tuple):
+        ideal = gen_agr(AgrSpec(*case, p=10007, seed=0))
+        base = BaseOrdering("dp", ideal.ring.nvars)
+        got = _gb_digest(ideal.ring, base, ideal.generators, keep_input_order)
+    else:
+        corpus = request.getfixturevalue("corpus")
+        entries = corpus if case == "corpus" else [corpus[case]]
+        got = "".join(_gb_digest(e.ring, e.base, e.gens, keep_input_order)
+                      for e in entries)
+        if case == "corpus":
+            got = hashlib.sha256(got.encode()).hexdigest()
+    assert got == digest
 
 
 def test_module_groebner_basis():

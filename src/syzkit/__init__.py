@@ -36,7 +36,6 @@ from .lift import (
     lot,
     psi,
     syz_lift,
-    syz_schreyer,
 )
 from .resolution import (
     BettiTable,
@@ -48,7 +47,6 @@ from .resolution import (
     constant_block,
     hilbert_numerator,
     minimize,
-    reorder_generators,
     resolve,
 )
 from .examples_gen import AgrIdeal, AgrSpec, gen_agr, gen_random_homogeneous

@@ -102,9 +102,7 @@ class OpCounters:
 
     ``n_canc <= n_add`` always holds: a cancellation is an addition whose
     result is zero.  ``n_terms`` is filled in once per resolution (terms of
-    all differentials except the first).  Instances are not thread-safe;
-    parallel code keeps one instance per worker and merges at the end, which
-    satisfies the no-lost-updates contract.
+    all differentials except the first).
     """
 
     __slots__ = ("n_terms", "n_mult", "n_add", "n_canc", "n_monomial_cmp")

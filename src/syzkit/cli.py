@@ -414,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="write the serialized resolution to PATH")
     rp.add_argument("--print-resolution", action="store_true",
                     help="print the serialized resolution to stdout")
-    rp.add_argument("--threads", type=int, default=1)
 
     gp = sub.add_parser("gen", help="generate benchmark ideals")
     gsub = gp.add_subparsers(dest="family", required=True)
@@ -439,7 +438,7 @@ def cmd_resolve(args) -> int:
     t0 = time.perf_counter()
     res = resolve(doc.generators, doc.ring, doc.ordering, alg=args.alg,
                   max_length=args.max_length, reorder=args.reorder,
-                  threads=args.threads, counters=counters)
+                  counters=counters)
     elapsed = time.perf_counter() - t0
     shape = " <- ".join(f"F{k}(rank {m.rank})" for k, m in enumerate(res.modules))
     print(f"resolution length {res.length}: {shape}")

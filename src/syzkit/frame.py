@@ -100,9 +100,10 @@ def build_frame(G: GroebnerBasis, max_length: Optional[int] = None,
                 reorder: str = "negdegrevlex") -> SchreyerFrame:
     """The Schreyer frame of G, built inductively from leading terms alone.
 
-    Applies the same between-level reordering the resolution driver uses, so
-    frame levels match the generator order of the computed resolution
-    column-for-column.
+    Each level is reordered with ``reorder`` before the next one is computed;
+    :func:`~syzkit.resolution.resolve` lifts these levels as they stand, so
+    frame level k is column for column the generator order of F_{k+2}.
+    Raises RuntimeError if the frame outgrows the Hilbert syzygy bound.
     """
     if not G.gens:
         return SchreyerFrame([], G.chain)
@@ -115,6 +116,9 @@ def build_frame(G: GroebnerBasis, max_length: Optional[int] = None,
         level = lead_syz(lms, base, degrees)
         if not level.terms:
             break
+        if len(frame.levels) > G.ring.nvars + G.rank:
+            raise RuntimeError("resolution exceeds the Hilbert syzygy bound; "
+                               "internal inconsistency")
         perm = reorder_permutation(level.terms, chain, len(chain), reorder)
         level = level.permuted(perm)
         frame.levels.append(level)

@@ -48,8 +48,7 @@ class GroebnerBasis:
     `level` is the module level of the elements (0 for vectors of F_0 = R^s);
     `chain` carries exactly `level` induced-ordering levels.  The divisor
     lookup (smallest generator index whose leading monomial divides a given
-    module monomial) is memoized; results are deterministic, so concurrent
-    duplicated inserts are benign.
+    module monomial) is memoized.
     """
 
     def __init__(self, ring: Ring, chain: OrderingChain, gens: Sequence[Vec],

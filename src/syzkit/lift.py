@@ -12,13 +12,12 @@ Three interchangeable lifting strategies plus the driver:
   image independently, recursing into subtree liftings whose results are
   cached under coefficient-normalized keys and rescaled on reuse.
 
-``syz_schreyer`` is the classical algorithm, retained as the baseline: it is
-the same computation as the driver with the reduce strategy.
+``lift_reduce`` is the classical step of Schreyer's algorithm and serves as
+the baseline the other two are measured against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -32,10 +31,10 @@ from .algebra import (
     vec_iadd_scaled,
 )
 from .orderings import OrderingChain
-from .frame import lead_syz
+from .frame import build_frame
 from .groebner import GroebnerBasis
 
-LIFT_ALGORITHMS = ("schreyer", "reduce", "hybrid", "tree")
+LIFT_ALGORITHMS = ("reduce", "hybrid", "tree")
 
 
 def _sub_term(dst: Vec, mm: ModMono, c: int, p: int,
@@ -61,9 +60,9 @@ class SubtreeCache:
     monomials.
 
     Values are complete subtree liftings with leading coefficient 1; lookups
-    scale by the requested coefficient.  ``store`` has first-write-wins
-    semantics, so racing duplicate inserts from parallel lifts are benign.
-    ``expansions`` counts computed subtrees (cache misses that led to work).
+    scale by the requested coefficient.  ``store`` keeps the first value
+    stored under a key.  ``expansions`` counts computed subtrees (cache
+    misses that led to work).
     """
 
     __slots__ = ("data", "hits", "expansions")
@@ -283,54 +282,29 @@ def lift_tree(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     return sbar
 
 
-def _lift_one(alg: str, s: ModMono, G: GroebnerBasis, chain: OrderingChain,
-              cache: Optional[SubtreeCache], counters: OpCounters) -> Vec:
-    if alg in ("schreyer", "reduce"):
-        return lift_reduce(s, G, chain, counters)
-    if alg == "hybrid":
-        return lift_hybrid(s, G, chain, counters)
-    if alg == "tree":
-        return lift_tree(s, G, chain, cache, counters)
-    raise DomainError(f"unknown lifting algorithm {alg!r}")
-
-
 def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
                      chain: OrderingChain, alg: str = "tree",
                      counters: Optional[OpCounters] = None,
-                     cache: Optional[SubtreeCache] = None,
-                     threads: int = 1) -> list:
-    """Lift the given frame terms in order; with threads > 1, distinct terms
-    are lifted concurrently with per-worker counters merged at the end."""
-    if alg not in LIFT_ALGORITHMS:
-        raise DomainError(f"unknown lifting algorithm {alg!r}")
+                     cache: Optional[SubtreeCache] = None) -> list:
+    """Lift the given frame terms in order with strategy ``alg``; tree
+    liftings share ``cache`` (a fresh one when None)."""
     chain = _check_chain(G, chain)
-    if cache is None and alg == "tree":
-        cache = SubtreeCache()
-    if counters is None:
-        counters = OpCounters()
-    if threads <= 1 or len(terms) <= 1:
-        return [_lift_one(alg, s, G, chain, cache, counters) for s in terms]
-    locals_ = [OpCounters() for _ in terms]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_lift_one, alg, s, G, chain, cache, locals_[k])
-                   for k, s in enumerate(terms)]
-        out = [f.result() for f in futures]
-    for c in locals_:
-        counters.merge(c)
-    return out
+    if alg == "reduce":
+        return [lift_reduce(s, G, chain, counters) for s in terms]
+    if alg == "hybrid":
+        return [lift_hybrid(s, G, chain, counters) for s in terms]
+    if alg == "tree":
+        if cache is None:
+            cache = SubtreeCache()
+        return [lift_tree(s, G, chain, cache, counters) for s in terms]
+    raise DomainError(f"unknown lifting algorithm {alg!r}")
 
 
 def syz_lift(G: GroebnerBasis, chain: Optional[OrderingChain] = None,
              alg: str = "tree", counters: Optional[OpCounters] = None,
-             cache: Optional[SubtreeCache] = None, threads: int = 1) -> list:
+             cache: Optional[SubtreeCache] = None) -> list:
     """Groebner basis of the syzygy module of G w.r.t. the induced ordering:
     one lifting per minimal leading syzygy term, in canonical frame order."""
-    chain = _check_chain(G, chain)
-    level = lead_syz(G.lms, chain.base, G.degrees)
-    return lift_frame_terms(level.terms, G, chain, alg, counters, cache, threads)
-
-
-def syz_schreyer(G: GroebnerBasis, chain: Optional[OrderingChain] = None,
-                 counters: Optional[OpCounters] = None) -> list:
-    """Classical Schreyer syzygies: the driver with the reduce strategy."""
-    return syz_lift(G, chain, alg="reduce", counters=counters)
+    frame = build_frame(G, 1, reorder="none")
+    terms = frame.levels[0].terms if frame.levels else []
+    return lift_frame_terms(terms, G, chain, alg, counters, cache)

@@ -32,16 +32,11 @@ from .algebra import (
     vec_iadd_scaled,
     vec_normalized,
 )
-from .orderings import (
-    BaseOrdering,
-    OrderingChain,
-    REORDER_MODES,
-    reorder_permutation,
-)
+from .orderings import BaseOrdering, OrderingChain, REORDER_MODES
 from .linalg import rank as block_rank
 from .groebner import GroebnerBasis, buchberger
-from .frame import lead_syz
-from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_terms
+from .frame import build_frame
+from .lift import LIFT_ALGORITHMS, lift_frame_terms
 
 
 @dataclass(frozen=True)
@@ -179,16 +174,18 @@ class Resolution:
 
 def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
             alg: str = "tree", max_length: Optional[int] = None,
-            reorder: str = "negdegrevlex", threads: int = 1,
+            reorder: str = "negdegrevlex",
             counters: Optional[OpCounters] = None, rank0: int = 1,
             twists0: Optional[Sequence[int]] = None,
             gb: Optional[GroebnerBasis] = None) -> Resolution:
-    """Free resolution of R^rank0 / <gens> by iterated syzygy lifting.
+    """Free resolution of R^rank0 / <gens> by lifting its Schreyer frame.
 
-    Computes the reduced Groebner basis of the input, then repeatedly lifts
-    the minimal leading syzygy terms level by level, reordering each new
-    generator set and extending the chain of induced orderings.  ``n_terms``
-    in the returned stats excludes the first differential.
+    Computes the reduced Groebner basis of the input, then its Schreyer
+    frame (:func:`~syzkit.frame.build_frame`), which fixes the leading
+    terms, their order and the chain of induced orderings of every level
+    before any lifting starts.  Each frame level is then lifted against the
+    Groebner basis formed by the level before it.  ``n_terms`` in the
+    returned stats excludes the first differential.
     """
     if alg not in LIFT_ALGORITHMS:
         raise DomainError(f"unknown lifting algorithm {alg!r}")
@@ -206,62 +203,40 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     modules = [GradedFreeModule(rank0, twists0 if graded else None)]
     diffs: list = []
     level_times: list = []
-    chain = OrderingChain(base)
     if not gb.gens:
-        return Resolution(ring, base, chain, modules, diffs, counters, graded,
-                          minimal=True, level_times=level_times)
+        return Resolution(ring, base, OrderingChain(base), modules, diffs,
+                          counters, graded, minimal=True,
+                          level_times=level_times)
+    frame = build_frame(gb, None if max_length is None else max_length - 1,
+                        reorder)
     G = gb
     modules.append(GradedFreeModule(len(G.gens), G.degrees if graded else None))
     diffs.append(list(G.gens))
-    sanity_cap = ring.nvars + rank0 + 2
-    while max_length is None or len(diffs) < max_length:
+    for level, frame_level in enumerate(frame.levels, start=1):
         t0 = time.perf_counter()
-        level = len(diffs)  # syzygies about to be computed live in F_level
-        frame = lead_syz(G.lms, base, G.degrees)
-        if not frame.terms:
-            break
-        if level > sanity_cap:
-            raise RuntimeError("resolution exceeds the Hilbert syzygy bound; "
-                               "internal inconsistency")
         ext = G.chain.extend(G.lms)
-        lifted = lift_frame_terms(frame.terms, G, ext, alg, counters,
-                                  cache=SubtreeCache() if alg == "tree" else None,
-                                  threads=threads)
-        perm = reorder_permutation(frame.terms, ext, level, reorder)
-        frame = frame.permuted(perm)
-        lifted = [lifted[i] for i in perm]
+        lifted = lift_frame_terms(frame_level.terms, G, ext, alg, counters)
         key = ext.key_fn(level)
         cols = []
-        for s, v in zip(frame.terms, lifted):
+        for s, v in zip(frame_level.terms, lifted):
             v = vec_normalized(v, key)
             mm, c = first_term(v)
             if mm != s or c != 1:
                 raise RuntimeError("lifting lost its leading term")
             cols.append(v)
         diffs.append(cols)
-        modules.append(GradedFreeModule(len(cols),
-                                        tuple(frame.degrees) if graded else None))
+        modules.append(GradedFreeModule(
+            len(cols), tuple(frame_level.degrees) if graded else None))
         counters.n_terms += sum(len(v) for v in cols)
-        ambient = modules[level]
-        G = GroebnerBasis(ring, ext, cols, level=level, rank=ambient.rank,
-                          twists=ambient.twists or (0,) * ambient.rank)
+        if level < len(frame.levels):
+            ambient = modules[level]
+            G = GroebnerBasis(ring, ext, cols, level=level, rank=ambient.rank,
+                              twists=ambient.twists or (0,) * ambient.rank)
         level_times.append(time.perf_counter() - t0)
-    res = Resolution(ring, base, G.chain.extend(G.lms) if diffs else chain,
-                     modules, diffs, counters, graded,
+    res = Resolution(ring, base, frame.chain, modules, diffs, counters, graded,
                      level_times=level_times)
     res.minimal = not res.has_constant_entries()
     return res
-
-
-def reorder_generators(gens: Sequence[Vec], chain: OrderingChain,
-                       mode: str = "negdegrevlex"):
-    """Sort generators living at the chain's top level with the between-level
-    key; returns (sorted generators, permutation)."""
-    top = len(chain)
-    key = chain.key_fn(top)
-    lms = [max(g, key=key) for g in gens]
-    perm = reorder_permutation(lms, chain, top, mode)
-    return [gens[i] for i in perm], perm
 
 
 # ---------------------------------------------------------------------------

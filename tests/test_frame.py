@@ -1,13 +1,17 @@
 import itertools
 import random
 
+import pytest
+
 from syzkit.algebra import Ring, mono_div, mono_divides, mono_lcm
 from syzkit.orderings import BaseOrdering
 from syzkit.groebner import buchberger, monomials_of_degree
-from syzkit.frame import build_frame, frame_betti, lead_syz
-from syzkit.lift import syz_schreyer
+from syzkit.frame import FrameLevel, build_frame, frame_betti, lead_syz
+from syzkit.lift import syz_lift
 from syzkit.resolution import BettiTable
-from syzkit.cli import parse_input
+from syzkit.cli import main, parse_input
+
+from conftest import SEC5_TEXT
 
 
 def test_lead_syz_sec5(sec5):
@@ -90,12 +94,33 @@ def test_build_frame_single_gen():
 
 
 def test_build_frame_matches_resolution(corpus):
-    for entry in corpus[:30]:
+    for entry in corpus:
         frame = build_frame(entry.gb)
         res = entry.resolutions["tree"]
         assert len(frame.levels) == max(0, res.length - 1)
         for lv, cols in zip(frame.levels, res.diffs[1:]):
             assert lv.terms == [next(iter(col)) for col in cols]
+        assert len(res.chain) == len(frame.chain)
+        for a, b in zip(res.chain.levels, frame.chain.levels):
+            assert a.lms == b.lms
+
+
+def test_build_frame_hilbert_guard(sec5, monkeypatch, tmp_path, capsys):
+    # a leading syzygy module that never runs dry must stop the frame at
+    # the Hilbert syzygy bound, and main must report it as an internal error
+    def endless(lms, base, degrees=None):
+        return FrameLevel([(lms[0][0], 0)], [(0, 0)],
+                          None if degrees is None else [degrees[0]])
+
+    monkeypatch.setattr("syzkit.frame.lead_syz", endless)
+    with pytest.raises(RuntimeError, match="Hilbert syzygy bound"):
+        build_frame(sec5.gb)
+    inp = tmp_path / "in.txt"
+    inp.write_text(SEC5_TEXT)
+    assert main(["resolve", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal: ")
+    assert "Traceback" not in err
 
 
 def test_frame_betti_sec5(sec5):
@@ -106,7 +131,7 @@ def test_frame_betti_sec5(sec5):
 
 def test_frame_betti_equals_nonminimal(corpus):
     from syzkit.resolution import betti_nonminimal
-    for entry in corpus[:30]:
+    for entry in corpus:
         frame = build_frame(entry.gb)
         assert frame_betti(frame, entry.gb) == betti_nonminimal(
             entry.resolutions["tree"])
@@ -133,5 +158,5 @@ def test_frame_lead_matches_syzygy_groebner_basis():
         lv = lead_syz(G.lms, base, G.degrees)
         ext = G.chain.extend(G.lms)
         key = ext.key_fn(1)
-        syz_leads = {max(s, key=key) for s in syz_schreyer(G, ext)}
+        syz_leads = {max(s, key=key) for s in syz_lift(G, ext, alg="reduce")}
         assert set(lv.terms) == syz_leads

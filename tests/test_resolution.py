@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -17,11 +18,13 @@ from syzkit.resolution import (
     constant_block,
     hilbert_numerator,
     minimize,
-    reorder_generators,
     resolve,
 )
-from syzkit.cli import parse_input
+from syzkit.examples_gen import AgrSpec, gen_agr
+from syzkit.cli import parse_input, serialize_resolution
 from syzkit import resolution
+
+from conftest import SEC5_TEXT
 
 
 def test_resolve_sec5(sec5):
@@ -68,23 +71,6 @@ def test_resolve_ungraded_guards():
         betti_nonminimal(res)
     with pytest.raises(DomainError):
         minimize(res)
-
-
-def test_reorder_generators(sec5):
-    ext = sec5.ext
-    sorted_gens, perm = reorder_generators([sec5.syz1, sec5.syz2], ext)
-    assert perm == [0, 1] and sorted_gens == [sec5.syz1, sec5.syz2]
-    # mixed degrees sort ascending by leading-term image degree
-    ring, base = sec5.ring, sec5.base
-    chain = OrderingChain(base)
-    g1 = {(sec5.mono("x^2"), 0): 1}
-    g2 = {(sec5.mono("x"), 0): 1}
-    g3 = {(sec5.mono("x^3"), 0): 1}
-    out, perm = reorder_generators([g1, g2, g3], chain)
-    assert perm == [1, 0, 2] and out == [g2, g1, g3]
-    already = [g2, g1, g3]
-    out2, perm2 = reorder_generators(already, chain)
-    assert perm2 == [0, 1, 2] and out2 == already
 
 
 def _dup_generator_resolution():
@@ -262,3 +248,61 @@ def test_resolve_module_input():
 def test_q_sparse_sec5(sec5):
     res = resolve(sec5.gens, sec5.ring, sec5.base)
     assert res.q_sparse() == pytest.approx(11 / 6, abs=1e-9)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+CORPUS_RES_DIGEST = "3d6f3ee6651eb7bcb998f5bbcbe3576588298436cf8d66c72f99b427c015caee"
+AGR_5_4_12_RES_DIGEST = "35c458cb256df612037a39b2fd4b714279912eb2421f2e7fa6247603cf34bd03"
+
+
+@pytest.mark.parametrize("case, alg, digest, totals", [
+    pytest.param("corpus", "reduce", CORPUS_RES_DIGEST,
+                 (22633, 186630, 188599, 42772, 715382), id="corpus-reduce"),
+    pytest.param("corpus", "hybrid", CORPUS_RES_DIGEST,
+                 (22633, 66100, 66966, 25491, 0), id="corpus-hybrid"),
+    pytest.param("corpus", "tree", CORPUS_RES_DIGEST,
+                 (22633, 348273, 262486, 753, 0), id="corpus-tree"),
+    pytest.param("sec5", None,
+                 "98e1ff520d4c703c1e8e3ce2c77100f234111094f705349bbcf1eafd0d7ffcca",
+                 None, id="sec5"),
+    pytest.param((5, 4, 12), "reduce", AGR_5_4_12_RES_DIGEST,
+                 (21926, 596932, 591536, 74175, 2577083), id="agr-5-4-12-reduce"),
+    pytest.param((5, 4, 12), "hybrid", AGR_5_4_12_RES_DIGEST,
+                 (21926, 40649, 41340, 21963, 0), id="agr-5-4-12-hybrid"),
+    pytest.param((5, 4, 12), "tree", AGR_5_4_12_RES_DIGEST,
+                 (21926, 41051, 19991, 7, 0), id="agr-5-4-12-tree"),
+])
+def test_resolution_golden(request, case, alg, digest, totals):
+    # digests of serialize_resolution output and exact operation counts
+    # (n_terms, n_mult, n_add, n_canc, n_monomial_cmp) as produced by the
+    # level-by-level driver that preceded the frame-first one: the whole
+    # corpus (per-ideal digests concatenated in seed order, counters summed),
+    # the lex worked example under every reorder mode and strategy, and the
+    # AGR ideal (5, 4, 12) with p=10007, seed 0
+    counters = OpCounters()
+    if case == "corpus":
+        corpus = request.getfixturevalue("corpus")
+        got = _sha256("".join(_sha256(serialize_resolution(e.resolutions[alg]))
+                              for e in corpus))
+        for e in corpus:
+            counters.merge(e.counters[alg])
+    elif case == "sec5":
+        doc = parse_input(SEC5_TEXT)
+        got = _sha256("".join(
+            _sha256(serialize_resolution(resolve(
+                doc.generators, doc.ring, doc.ordering, alg=a, reorder=r)))
+            for r in ("negdegrevlex", "none", "input")
+            for a in ("reduce", "hybrid", "tree")))
+    else:
+        ideal = gen_agr(AgrSpec(*case, p=10007, seed=0))
+        base = BaseOrdering("dp", ideal.ring.nvars)
+        res = resolve(ideal.generators, ideal.ring, base, alg=alg,
+                      counters=counters)
+        got = _sha256(serialize_resolution(res))
+    assert got == digest
+    if totals is not None:
+        names = ("n_terms", "n_mult", "n_add", "n_canc", "n_monomial_cmp")
+        assert counters.as_dict() == dict(zip(names, totals))

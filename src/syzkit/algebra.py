@@ -101,8 +101,11 @@ class OpCounters:
     """Counters for ground-field operations and monomial comparisons.
 
     ``n_canc <= n_add`` always holds: a cancellation is an addition whose
-    result is zero.  ``n_terms`` is filled in once per resolution (terms of
-    all differentials except the first).
+    result is zero.  A counted product is a computed one: a coefficient
+    times a known unit head costs no product, and a cancellation known in
+    advance (the target term of a reduction step) is neither computed nor
+    counted.  ``n_terms`` is filled in once per resolution (terms of all
+    differentials except the first).
     """
 
     __slots__ = ("n_terms", "n_mult", "n_add", "n_canc", "n_monomial_cmp")

@@ -10,7 +10,13 @@ Three interchangeable lifting strategies plus the driver:
   insertion order, so no monomial comparisons are needed.
 * ``lift_tree`` / ``lift_subtree`` - treats each non-lower-order term of the
   image independently, recursing into subtree liftings whose results are
-  cached under coefficient-normalized keys and rescaled on reuse.
+  cached under coefficient-normalized keys and reused.
+
+Unit heads are known, not multiplied: a cached subtree lifting starts with
+its key at coefficient 1, so a reuse adds the coefficient to that head with
+no product and scales only the tail; a reducer m*f_i starts with the target
+term at coefficient 1, so reduce and hybrid drop the target (a known
+cancellation, not counted) and subtract the scaled tail.
 
 ``lift_reduce`` is the classical step of Schreyer's algorithm and serves as
 the baseline the other two are measured against.
@@ -18,6 +24,7 @@ the baseline the other two are measured against.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -55,12 +62,46 @@ def _sub_term(dst: Vec, mm: ModMono, c: int, p: int,
         del dst[mm]
 
 
+def _iadd_monic(dst: Vec, c: int, src: Vec, p: int,
+                counters: Optional[OpCounters] = None) -> None:
+    """dst += c*src for a src whose first term is its head at coefficient 1.
+
+    The head enters as c with no product, under src's own key object (so
+    every output shares the cache's key tuples), and only the tail is
+    scaled.  Counts as ``vec_iadd_scaled`` less the head's product.
+    """
+    items = iter(src.items())
+    head, _ = next(items)
+    _sub_term(dst, head, p - c, p, counters)
+    n_add = n_canc = 0
+    for mm, v in items:
+        w = (c * v) % p
+        old = dst.get(mm)
+        if old is None:
+            dst[mm] = w
+        else:
+            n_add += 1
+            nv = (old + w) % p
+            if nv:
+                dst[mm] = nv
+            else:
+                n_canc += 1
+                del dst[mm]
+    if counters is not None:
+        if c != 1 and c != p - 1:
+            counters.n_mult += len(src) - 1
+        counters.n_add += n_add
+        counters.n_canc += n_canc
+
+
 class SubtreeCache:
     """Cache of subtree liftings keyed by coefficient-normalized module
     monomials.
 
-    Values are complete subtree liftings with leading coefficient 1; lookups
-    scale by the requested coefficient.  ``store`` keeps the first value
+    Values are complete subtree liftings whose first term is their key at
+    coefficient 1 (children are strictly smaller, so nothing removes or
+    reorders that head); a reuse adds the requested coefficient to the head
+    with no product and scales only the tail.  ``store`` keeps the first value
     stored under a key.  ``expansions`` counts computed subtrees (cache
     misses that led to work).
     """
@@ -160,11 +201,11 @@ def lift_reduce(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
                 best, best_key = mm, k
         if counters is not None:
             counters.n_monomial_cmp += len(g) - 1
-        c = g[best]
+        c = g.pop(best)
         i, m = _root_divisor(best, G, s_key, key_up)
-        vec_iadd_scaled(g, p - c, term_times_vector(1, m, G.gens[i], p, None),
-                        p, counters)
-        assert best not in g
+        tail = term_times_vector(1, m, G.gens[i], p, None)
+        del tail[best]  # the head of m*f_i, at coefficient 1
+        vec_iadd_scaled(g, p - c, tail, p, counters)
         _sub_term(sbar, (m, i), c, p, counters)
     return sbar
 
@@ -182,17 +223,17 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     divisor = G.divisor
     while g:
         t_mm = next(iter(g))
-        c = g[t_mm]
+        c = g.pop(t_mm)
         i, m = _root_divisor(t_mm, G, s_key, key_up)
-        # reducer = m*f_i with its lower order terms left out; coefficient
-        # products are only performed (and counted) for the kept terms.
-        reducer: Vec = {}
-        for (fm, fc), fv in G.gens[i].items():
+        # tail of the reducer m*f_i (its head is t_mm at coefficient 1) with
+        # its lower order terms left out; coefficient products are only
+        # performed (and counted) for the kept terms.
+        tail: Vec = {}
+        for (fm, fc), fv in islice(G.gens[i].items(), 1, None):
             prod = (mono_mul(m, fm), fc)
             if divisor(prod) >= 0:
-                reducer[prod] = fv
-        vec_iadd_scaled(g, p - c, reducer, p, counters)
-        assert t_mm not in g
+                tail[prod] = fv
+        vec_iadd_scaled(g, p - c, tail, p, counters)
         _sub_term(sbar, (m, i), c, p, counters)
     return sbar
 
@@ -204,11 +245,52 @@ def _expand_subtree(key_mm: ModMono, G: GroebnerBasis):
     p = G.ring.p
     m, i = key_mm
     g = term_times_vector(1, m, G.gens[i], p, None)
-    head = next(iter(g))
-    assert g.pop(head) == 1, "generators must be monic"
+    head_c = g.pop(next(iter(g)))
+    assert head_c == 1, "generators must be monic"
     _, rest = lot_split(g, G)
     return {"key": key_mm, "shat": {key_mm: 1},
             "children": list(rest.items()), "next": 0}
+
+
+def _subtree(t: ModMono, G: GroebnerBasis, cache: SubtreeCache,
+             counters: Optional[OpCounters] = None) -> Vec:
+    """The cached subtree lifting of t (computed and stored on a miss).
+    Realized with an explicit work stack; no ordering condition is checked
+    below the root (it always holds there)."""
+    value = cache.get(t)
+    if value is not None:
+        cache.hits += 1
+        return value
+    p = G.ring.p
+    cache.expansions += 1
+    stack = [_expand_subtree(t, G)]
+    parents = [None]  # (frame index, coefficient into parent)
+    while stack:
+        fr = stack[-1]
+        if fr["next"] < len(fr["children"]):
+            child_mm, child_c = fr["children"][fr["next"]]
+            fr["next"] += 1
+            i = G.divisor(child_mm)
+            assert i >= 0
+            ck = (mono_div(child_mm[0], G.lms[i][0]), i)
+            v = cache.get(ck)
+            if v is None:
+                cache.expansions += 1
+                stack.append(_expand_subtree(ck, G))
+                parents.append((len(stack) - 2, child_c))
+            else:
+                cache.hits += 1
+                _iadd_monic(fr["shat"], p - child_c, v, p, counters)
+        else:
+            stack.pop()
+            link = parents.pop()
+            v = cache.store(fr["key"], fr["shat"])
+            if link is None:
+                value = v
+            else:
+                idx, c_in = link
+                _iadd_monic(stack[idx]["shat"], p - c_in, v, p, counters)
+    return value
 
 
 def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
@@ -216,49 +298,12 @@ def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
     """Subtree lifting of the term coeff*t: leading term coeff*t, and every
     term of the tail of its image is of lower order w.r.t. G.
 
-    Results are cached under the coefficient-normalized key and scaled by
-    the coefficient on a hit.  Realized with an explicit work stack; no
-    ordering condition is checked below the root (it always holds there).
+    Results are cached under the coefficient-normalized key; the returned
+    copy carries coeff on the head with no product and the tail scaled.
     """
     p = G.ring.p
-    value = cache.get(t)
-    if value is None:
-        cache.expansions += 1
-        stack = [_expand_subtree(t, G)]
-        parents = [None]  # (frame index, coefficient into parent)
-        value = None
-        while stack:
-            fr = stack[-1]
-            if fr["next"] < len(fr["children"]):
-                child_mm, child_c = fr["children"][fr["next"]]
-                fr["next"] += 1
-                i = G.divisor(child_mm)
-                assert i >= 0
-                ck = (mono_div(child_mm[0], G.lms[i][0]), i)
-                v = cache.get(ck)
-                if v is None:
-                    cache.expansions += 1
-                    stack.append(_expand_subtree(ck, G))
-                    parents.append((len(stack) - 2, child_c))
-                else:
-                    cache.hits += 1
-                    vec_iadd_scaled(fr["shat"], p - child_c, v, p, counters)
-            else:
-                stack.pop()
-                link = parents.pop()
-                v = cache.store(fr["key"], fr["shat"])
-                if link is None:
-                    value = v
-                else:
-                    idx, c_in = link
-                    vec_iadd_scaled(stack[idx]["shat"], p - c_in, v, p, counters)
-    else:
-        cache.hits += 1
-    if coeff == 1:
-        return dict(value)
-    out: Vec = {mm: (coeff * v) % p for mm, v in value.items()}
-    if counters is not None:
-        counters.n_mult += len(value)
+    out: Vec = {}
+    _iadd_monic(out, coeff % p, _subtree(t, G, cache, counters), p, counters)
     return out
 
 
@@ -277,8 +322,8 @@ def lift_tree(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     sbar: Vec = {s: 1}
     for t_mm, c in T.items():
         i, m = _root_divisor(t_mm, G, s_key, key_up)
-        sub = lift_subtree((m, i), 1, G, cache, counters)
-        vec_iadd_scaled(sbar, p - c, sub, p, counters)
+        _iadd_monic(sbar, p - c, _subtree((m, i), G, cache, counters), p,
+                    counters)
     return sbar
 
 

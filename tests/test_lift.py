@@ -1,11 +1,19 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
-from syzkit.algebra import DomainError, OpCounters
+import syzkit
+
+from syzkit.algebra import DomainError, OpCounters, Ring, vec_iadd_scaled
 from syzkit.orderings import OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger
 from syzkit.frame import lead_syz
 from syzkit.lift import (
     SubtreeCache,
+    _iadd_monic,
     lift_hybrid,
     lift_reduce,
     lift_subtree,
@@ -119,6 +127,75 @@ def test_subtree_cache_contract(sec5, corpus):
             if img:
                 img.pop(max(img, key=key_dn))
                 assert lot(img, G) == img
+
+
+def test_monic_merge_matches_vec_iadd_scaled():
+    # the merge of a head-1 vector equals vec_iadd_scaled term for term and
+    # in insertion order, with the same additions and cancellations and one
+    # product less unless c is +-1; head collisions and cancellations occur
+    p = 7
+    ring = Ring(p, ("x", "y"))
+    rng = random.Random(5)
+    mms = [(ring.mono([a, b]), comp)
+           for a in range(3) for b in range(3) for comp in range(2)]
+    seen = {"collision": 0, "cancellation": 0}
+    for _ in range(400):
+        head, *tail = rng.sample(mms, rng.randint(1, 8))
+        src = {head: 1}
+        src.update((mm, rng.randrange(1, p)) for mm in tail)
+        c = rng.randrange(1, p)
+        dst = {mm: rng.randrange(1, p) for mm in rng.sample(mms, rng.randint(0, 8))}
+        if rng.random() < 0.3:
+            dst[head] = p - c
+        if head in dst:
+            seen["collision"] += 1
+            seen["cancellation"] += dst[head] == p - c
+        want, got = dict(dst), dict(dst)
+        cw, cg = OpCounters(), OpCounters()
+        vec_iadd_scaled(want, c, src, p, cw)
+        _iadd_monic(got, c, src, p, cg)
+        assert list(got.items()) == list(want.items())
+        assert (cg.n_add, cg.n_canc) == (cw.n_add, cw.n_canc)
+        assert cg.n_mult == cw.n_mult - (c not in (1, p - 1))
+        if head in got and head not in dst:
+            assert next(mm for mm in got if mm == head) is head
+    assert seen["collision"] > 0 and seen["cancellation"] > 0
+
+
+def test_merged_heads_are_cache_key_objects(sec5, corpus):
+    # every term of every cached value and of every tree lifting is the
+    # cache's own key object, never an equal tuple built for a lookup
+    cases = [(sec5.gb, sec5.base)]
+    cases += [(e.gb, e.base) for e in corpus[:20] if len(e.gb.gens) >= 2]
+    hits = 0
+    for G, base in cases:
+        ext = G.chain.extend(G.lms)
+        cache = SubtreeCache()
+        frame = lead_syz(G.lms, base, G.degrees).terms
+        outs = [lift_tree(s, G, ext, cache, None) for s in frame]
+        hits += cache.hits
+        canon = {k: k for k in cache.data}
+        for k, v in cache.data.items():
+            assert next(iter(v)) is k
+            assert all(mm is canon[mm] for mm in v)
+        for s, out in zip(frame, outs):
+            assert all(mm is canon[mm] for mm in out if mm is not s)
+    assert hits > 0
+
+
+def test_lifting_runs_with_asserts_stripped():
+    # python -O drops assert statements, so none may carry work the lifting
+    # needs (popping the unit head of a subtree expansion once did, and the
+    # tree lifting then never finished)
+    code = ("from syzkit.cli import parse_input\n"
+            "from syzkit.resolution import resolve\n"
+            "d = parse_input('ring 32003 x,y,z,w dp\\nx*y-z*w\\nx^2-y*z\\ny^2-x*w\\n')\n"
+            "for a in ('reduce', 'hybrid', 'tree'):\n"
+            "    resolve(d.generators, d.ring, d.ordering, alg=a)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
+    subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
+                   timeout=60)
 
 
 def test_cache_purity_cold_vs_warm(sec5):

@@ -87,9 +87,6 @@ class Ring:
         exps[i] = 1
         return self.mono(exps)
 
-    def normalize(self, c: int) -> int:
-        return c % self.p
-
     def inv(self, c: int) -> int:
         c %= self.p
         if c == 0:
@@ -143,10 +140,6 @@ class OpCounters:
 
 def mono_deg(m: Mono) -> int:
     return m[0]
-
-
-def mono_exps(m: Mono) -> tuple:
-    return m[1:]
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -316,7 +309,7 @@ def is_homogeneous(f: Vec, twists=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# plain polynomials (used by minimization and the CLI)
+# plain polynomials (used by the CLI)
 
 
 def vec_component(f: Vec, comp: int) -> Poly:

@@ -238,14 +238,6 @@ def poly_to_string(poly: dict, ring: Ring, base: BaseOrdering) -> str:
     return s[1:] if s.startswith("+") else s
 
 
-def vector_to_string(vec: Vec, rank: int, ring: Ring, base: BaseOrdering) -> str:
-    """Components as bracketed polynomial entries, gen(1)..gen(rank)."""
-    parts = []
-    for comp in range(rank):
-        parts.append(poly_to_string(vec_component(vec, comp), ring, base))
-    return "[" + ", ".join(parts) + "]"
-
-
 def serialize_input(doc: InputDocument) -> str:
     lines = [f"ring {doc.p} {','.join(doc.names)} {doc.ordering.kind}"]
     for g in doc.generators:

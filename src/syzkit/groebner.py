@@ -39,7 +39,7 @@ from .algebra import (
     vec_normalized,
     vec_scale,
 )
-from .orderings import BaseOrdering, OrderingChain
+from .orderings import BaseOrdering, OrderingChain, reorder_permutation
 
 
 class GroebnerBasis:
@@ -53,13 +53,12 @@ class GroebnerBasis:
 
     def __init__(self, ring: Ring, chain: OrderingChain, gens: Sequence[Vec],
                  level: int = 0, rank: Optional[int] = None,
-                 twists: Optional[Sequence[int]] = None, reduced: bool = False):
+                 twists: Optional[Sequence[int]] = None):
         if len(chain) != level:
             raise DomainError(f"chain has {len(chain)} levels; expected {level}")
         self.ring = ring
         self.chain = chain
         self.level = level
-        self.reduced = reduced
         key = chain.key_fn(level)
         p = ring.p
         norm = []
@@ -221,17 +220,6 @@ def is_groebner(G: GroebnerBasis, counters: Optional[OpCounters] = None) -> bool
 # Buchberger / reduced Groebner basis construction
 
 
-def _canonical_sort(gens, lms, base: BaseOrdering):
-    """Ascending leading-monomial degree, descending base ordering, ascending
-    component: the same key the resolution uses to reorder generators."""
-    idxs = list(range(len(gens)))
-    bk = base.key_func()
-    idxs.sort(key=lambda i: lms[i][1])
-    idxs.sort(key=lambda i: bk(lms[i][0]), reverse=True)
-    idxs.sort(key=lambda i: mono_deg(lms[i][0]))
-    return [gens[i] for i in idxs]
-
-
 def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
                rank: int = 1, twists: Optional[Sequence[int]] = None,
                keep_input_order: bool = False) -> GroebnerBasis:
@@ -239,8 +227,10 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
 
     Homogeneous rank-1 input is handled by the graded F4-style engine;
     everything else goes through the classic pair loop.  The output generator
-    order is canonical unless keep_input_order is set, in which case the
-    engine's natural production order is kept.
+    order is canonical (the default order of
+    :func:`~syzkit.orderings.reorder_permutation` at level 0) unless
+    keep_input_order is set, in which case the engine's natural production
+    order is kept.
     """
     p = ring.p
     cleaned = []
@@ -250,8 +240,7 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
             cleaned.append(g)
     chain = OrderingChain(base)
     if not cleaned:
-        return GroebnerBasis(ring, chain, [], level=0, rank=rank, twists=twists,
-                             reduced=True)
+        return GroebnerBasis(ring, chain, [], level=0, rank=rank, twists=twists)
     if rank == 1 and (twists is None or set(twists) == {0}) and \
             all(is_homogeneous(g) for g in cleaned):
         out = _gb_homogeneous_f4(cleaned, ring, base)
@@ -260,9 +249,8 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     if not keep_input_order:
         key = chain.key_fn(0)
         lms = [max(g, key=key) for g in out]
-        out = _canonical_sort(out, lms, base)
-    return GroebnerBasis(ring, chain, out, level=0, rank=rank, twists=twists,
-                         reduced=True)
+        out = [out[i] for i in reorder_permutation(lms, chain, 0)]
+    return GroebnerBasis(ring, chain, out, level=0, rank=rank, twists=twists)
 
 
 def _gb_classic(gens, ring: Ring, base: BaseOrdering, rank: int):

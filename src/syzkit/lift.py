@@ -24,7 +24,6 @@ the baseline the other two are measured against.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -220,36 +219,38 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     s_key = key_up(s)
     _, g = lot_split(psi({s: 1}, G, counters), G)
     sbar: Vec = {s: 1}
-    divisor = G.divisor
     while g:
         t_mm = next(iter(g))
         c = g.pop(t_mm)
         i, m = _root_divisor(t_mm, G, s_key, key_up)
-        # tail of the reducer m*f_i (its head is t_mm at coefficient 1) with
-        # its lower order terms left out; coefficient products are only
-        # performed (and counted) for the kept terms.
-        tail: Vec = {}
-        for (fm, fc), fv in islice(G.gens[i].items(), 1, None):
-            prod = (mono_mul(m, fm), fc)
-            if divisor(prod) >= 0:
-                tail[prod] = fv
-        vec_iadd_scaled(g, p - c, tail, p, counters)
+        # coefficient products are only performed (and counted) for the
+        # kept terms of the reducer
+        vec_iadd_scaled(g, p - c, _reducer_tail(m, i, G), p, counters)
         _sub_term(sbar, (m, i), c, p, counters)
     return sbar
 
 
-def _expand_subtree(key_mm: ModMono, G: GroebnerBasis):
-    """Open one subtree node: image minus its head, split off lower order
-    terms, list the child terms.  The expansion is coefficient-normalized
-    (monic), so no field products are performed here."""
-    p = G.ring.p
-    m, i = key_mm
-    g = term_times_vector(1, m, G.gens[i], p, None)
-    head_c = g.pop(next(iter(g)))
+def _reducer_tail(m, i: int, G: GroebnerBasis) -> Vec:
+    """The non-lower-order tail of m*f_i: its terms after the head (which is
+    at coefficient 1) that some leading monomial of G divides, in order.
+    Only monomials are multiplied, so no field products are performed."""
+    items = iter(G.gens[i].items())
+    _, head_c = next(items)
     assert head_c == 1, "generators must be monic"
-    _, rest = lot_split(g, G)
+    divisor = G.divisor
+    tail: Vec = {}
+    for (fm, fc), fv in items:
+        prod = (mono_mul(m, fm), fc)
+        if divisor(prod) >= 0:
+            tail[prod] = fv
+    return tail
+
+
+def _expand_subtree(key_mm: ModMono, G: GroebnerBasis):
+    """Open one subtree node: its children are the terms of the reducer
+    tail of its key."""
     return {"key": key_mm, "shat": {key_mm: 1},
-            "children": list(rest.items()), "next": 0}
+            "children": list(_reducer_tail(*key_mm, G).items()), "next": 0}
 
 
 def _subtree(t: ModMono, G: GroebnerBasis, cache: SubtreeCache,

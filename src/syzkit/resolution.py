@@ -19,18 +19,14 @@ import numpy as np
 from .algebra import (
     DomainError,
     OpCounters,
-    Poly,
     Ring,
     Vec,
-    first_term,
     is_homogeneous,
     mono_deg,
     mono_divides,
     mono_mul,
     term_times_vector,
-    vec_component,
     vec_iadd_scaled,
-    vec_normalized,
 )
 from .orderings import BaseOrdering, OrderingChain, REORDER_MODES
 from .linalg import rank as block_rank
@@ -132,10 +128,6 @@ class Resolution:
     def length(self) -> int:
         return len(self.diffs)
 
-    def differential_entry(self, k: int, i: int, j: int) -> Poly:
-        """Entry (i, j) of phi_k as a polynomial of R (1-based level k)."""
-        return vec_component(self.diffs[k - 1][j], i)
-
     def term_count(self, k: int) -> int:
         return sum(len(col) for col in self.diffs[k - 1])
 
@@ -163,9 +155,6 @@ class Resolution:
                 if acc:
                     return False
         return True
-
-    def chain_prefix(self, level: int) -> OrderingChain:
-        return OrderingChain(self.base, self.chain.levels[:level])
 
     def has_constant_entries(self) -> bool:
         one = self.ring.one
@@ -215,23 +204,19 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     for level, frame_level in enumerate(frame.levels, start=1):
         t0 = time.perf_counter()
         ext = G.chain.extend(G.lms)
-        lifted = lift_frame_terms(frame_level.terms, G, ext, alg, counters)
-        key = ext.key_fn(level)
-        cols = []
-        for s, v in zip(frame_level.terms, lifted):
-            v = vec_normalized(v, key)
-            mm, c = first_term(v)
-            if mm != s or c != 1:
-                raise RuntimeError("lifting lost its leading term")
-            cols.append(v)
-        diffs.append(cols)
+        terms = frame_level.terms
+        lifted = lift_frame_terms(terms, G, ext, alg, counters)
+        ambient = modules[level]
+        # the basis sorts each lifting once; its generators are the columns
+        G = GroebnerBasis(ring, ext, lifted, level=level, rank=ambient.rank,
+                          twists=ambient.twists or (0,) * ambient.rank)
+        if G.lms != tuple(terms) or any(v.get(s) != 1
+                                        for s, v in zip(terms, lifted)):
+            raise RuntimeError("lifting lost its leading term")
+        diffs.append(list(G.gens))
         modules.append(GradedFreeModule(
-            len(cols), tuple(frame_level.degrees) if graded else None))
-        counters.n_terms += sum(len(v) for v in cols)
-        if level < len(frame.levels):
-            ambient = modules[level]
-            G = GroebnerBasis(ring, ext, cols, level=level, rank=ambient.rank,
-                              twists=ambient.twists or (0,) * ambient.rank)
+            len(G.gens), tuple(frame_level.degrees) if graded else None))
+        counters.n_terms += sum(len(v) for v in G.gens)
         level_times.append(time.perf_counter() - t0)
     res = Resolution(ring, base, frame.chain, modules, diffs, counters, graded,
                      level_times=level_times)
@@ -301,76 +286,79 @@ def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
 
 def minimize(res: Resolution) -> Resolution:
     """Remove all constant (degree-zero) entries by Gaussian elimination of
-    unit entries, one basis-element pair at a time."""
+    unit entries: one backward sweep per level, one renumbering at the end.
+
+    Level k (phi_k: F_k -> F_{k-1}) is swept from its last column to its
+    first.  A column j0 with a unit entry takes the one in its lowest row i0
+    as its pivot c: every other column j with an entry in row i0 (looked up
+    in a row -> columns index kept up to date on fill-in) becomes
+    col_j - q*col_{j0} with q = entry(i0, j)/c, which clears row i0 outside
+    j0.  Then e_{j0} of F_k and e_{i0} of F_{k-1} are dropped: in the new
+    basis of F_{k-1}, whose element phi_k(e_{j0}) replaces e_{i0}, column
+    i0 of phi_{k-1} is zero; and since row i0 of phi_k is now c at j0 alone,
+    phi_k o phi_{k+1} = 0 forces the e_{j0}-coordinates of phi_{k+1} to
+    vanish, so those entries are stripped when level k+1's sweep starts.
+
+    One sweep is enough.  By homogeneity deg q = deg e_j - deg e_{j0}, so
+    q*col_{j0} has a constant entry only when q is a constant, that is, only
+    when column j already had a constant in row i0.  A swept column without
+    a unit therefore never gains one, and the levels below only lose
+    columns.
+    """
     if not res.graded:
         raise DomainError("minimization requires a graded resolution")
-    ring = res.ring
-    p = ring.p
-    one = ring.one
+    p = res.ring.p
+    one = res.ring.one
     diffs = [[dict(col) for col in cols] for cols in res.diffs]
-    twists = [list(m.twists) for m in res.modules]
-
-    def find_unit():
-        for k in range(1, len(diffs) + 1):
-            for j, col in enumerate(diffs[k - 1]):
-                for (m, comp), v in col.items():
-                    if m == one:
-                        return k, comp, j, v
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, i0, j0, c = hit
-        cinv = ring.inv(c)
-        cols = diffs[k - 1]
-        pivot = cols[j0]
+    dropped = [set() for _ in res.modules]  # dropped basis elements of F_k
+    for k, cols in enumerate(diffs, start=1):
+        gone = dropped[k - 1]  # so far, the pivot columns of level k-1
+        rows: dict = {}  # row -> columns that may have an entry in it
         for j, col in enumerate(cols):
-            if j == j0:
+            if gone and any(i in gone for _, i in col):
+                cols[j] = col = {mm: v for mm, v in col.items()
+                                 if mm[1] not in gone}
+            for _, i in col:
+                rows.setdefault(i, set()).add(j)
+        for j0 in range(len(cols) - 1, -1, -1):
+            pivot = cols[j0]
+            units = [i for m, i in pivot if m == one]
+            if not units:
                 continue
-            e = vec_component(col, i0)
-            if not e:
-                continue
-            q = {m: (v * cinv) % p for m, v in e.items()}  # entry / c
-            for qm, qv in q.items():
-                for (pm, pcomp), pv in pivot.items():
-                    mm = (mono_mul(qm, pm), pcomp)
-                    w = (col.get(mm, 0) - qv * pv) % p
-                    if w:
-                        col[mm] = w
-                    else:
-                        col.pop(mm, None)
-        # row i0 is now zero outside column j0; drop the pair and reindex
-        del cols[j0]
-        for col in cols:
-            stale = [mm for mm in col if mm[1] == i0]
-            for mm in stale:
-                del col[mm]  # identically zero after the column operations
-            rekey = [(mm, v) for mm, v in col.items() if mm[1] > i0]
-            for mm, v in rekey:
-                del col[mm]
-            for (m, comp), v in rekey:
-                col[(m, comp - 1)] = v
-        if k < len(diffs):
-            for col in diffs[k]:
-                stale = [mm for mm in col if mm[1] == j0]
-                for mm in stale:
-                    del col[mm]  # coordinate vanishes in the new basis
-                rekey = [(mm, v) for mm, v in col.items() if mm[1] > j0]
-                for mm, v in rekey:
-                    del col[mm]
-                for (m, comp), v in rekey:
-                    col[(m, comp - 1)] = v
-        del twists[k][j0]
-        del twists[k - 1][i0]
-        if k >= 2:
-            del diffs[k - 2][i0]
-        while diffs and not diffs[-1]:
-            diffs.pop()
-            twists.pop()
+            i0 = min(units)
+            cinv = res.ring.inv(pivot[(one, i0)])
+            fill = {i for _, i in pivot if i != i0}
+            for j in rows.pop(i0):
+                if j == j0 or j in dropped[k]:
+                    continue
+                col = cols[j]
+                q = [(m, v * cinv % p) for (m, i), v in col.items() if i == i0]
+                for qm, qv in q:
+                    for (pm, pi), pv in pivot.items():
+                        mm = (mono_mul(qm, pm), pi)
+                        w = (col.get(mm, 0) - qv * pv) % p
+                        if w:
+                            col[mm] = w
+                        else:
+                            col.pop(mm, None)
+                if q:
+                    for i in fill:
+                        rows[i].add(j)
+            dropped[k].add(j0)
+            dropped[k - 1].add(i0)
+    renum = [{old: new for new, old in enumerate(
+        i for i in range(mod.rank) if i not in drop)}
+        for mod, drop in zip(res.modules, dropped)]
+    twists = [[t for i, t in enumerate(mod.twists) if i in ren]
+              for mod, ren in zip(res.modules, renum)]
+    out_diffs = [[{(m, ren[i]): v for (m, i), v in col.items()}
+                  for j, col in enumerate(cols) if j not in drop]
+                 for cols, ren, drop in zip(diffs, renum, dropped[1:])]
+    while out_diffs and not out_diffs[-1]:
+        out_diffs.pop()
+        twists.pop()
     modules = [GradedFreeModule(len(t), tuple(t)) for t in twists]
-    out = Resolution(ring, res.base, res.chain, modules, diffs,
+    out = Resolution(res.ring, res.base, res.chain, modules, out_diffs,
                      res.stats.copy(), graded=True, minimal=True,
                      level_times=list(res.level_times))
     assert not out.has_constant_entries()

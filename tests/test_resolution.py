@@ -245,6 +245,18 @@ def test_resolve_module_input():
     assert betti_nonminimal(res).euler() == num == {0: 2, 1: -3, 2: 1}
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda vs, p: [{mm: 2 * c % p for mm, c in v.items()} for v in vs],
+    lambda vs, p: vs[::-1],
+], ids=["head-not-monic", "heads-out-of-order"])
+def test_resolve_rejects_lost_leading_term(sec5, monkeypatch, corrupt):
+    lift = resolution.lift_frame_terms
+    monkeypatch.setattr(resolution, "lift_frame_terms",
+                        lambda *a: corrupt(lift(*a), sec5.ring.p))
+    with pytest.raises(RuntimeError, match="lifting lost its leading term"):
+        resolve(sec5.gens, sec5.ring, sec5.base)
+
+
 def test_q_sparse_sec5(sec5):
     res = resolve(sec5.gens, sec5.ring, sec5.base)
     assert res.q_sparse() == pytest.approx(11 / 6, abs=1e-9)
@@ -307,3 +319,36 @@ def test_resolution_golden(request, case, alg, digest, totals):
     if totals is not None:
         names = ("n_terms", "n_mult", "n_add", "n_canc", "n_monomial_cmp")
         assert counters.as_dict() == dict(zip(names, totals))
+
+
+CORPUS_MIN_DIGEST = "009a5cf1d13d8618865af22cb9efb406659e478cef55d69cfd3035273a67682b"
+AGR_5_4_12_MIN_DIGEST = "1457501c4932551ce89f4f1266e77168d11a0f5a8e29edde111453db3e49a4c2"
+
+
+@pytest.fixture(scope="module")
+def agr_5_4_12():
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    res = resolve(ideal.generators, ideal.ring,
+                  BaseOrdering("dp", ideal.ring.nvars))
+    return res, minimize(res)
+
+
+def test_minimize_golden(corpus, agr_5_4_12):
+    # digests of serialize_resolution(minimize(res)) as produced by the
+    # one-sweep-per-level minimization: the tree resolutions of the whole
+    # corpus (per-ideal digests concatenated in seed order) and the AGR ideal
+    # (5, 4, 12) with p=10007, seed 0
+    got = _sha256("".join(
+        _sha256(serialize_resolution(minimize(e.resolutions["tree"])))
+        for e in corpus))
+    assert got == CORPUS_MIN_DIGEST
+    assert _sha256(serialize_resolution(agr_5_4_12[1])) == AGR_5_4_12_MIN_DIGEST
+
+
+def test_minimize_agr_is_minimal_complex(agr_5_4_12):
+    res, mres = agr_5_4_12
+    assert betti_nonminimal(mres) == betti_minimal_from_nonminimal(res)
+    one = res.ring.one
+    assert not any(m == one for cols in mres.diffs for col in cols
+                   for m, _ in col)
+    assert mres.check_complex()

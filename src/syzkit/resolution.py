@@ -142,16 +142,21 @@ class Resolution:
         return terms / entries
 
     def check_complex(self, counters: Optional[OpCounters] = None) -> bool:
-        """phi_k o phi_{k+1} == 0, by sparse multiplication."""
+        """phi_k o phi_{k+1} == 0, by sparse multiplication; each shifted
+        column m*phi_k(e_i) is formed once per level."""
         p = self.ring.p
         for k in range(1, self.length):
             prev_cols = self.diffs[k - 1]
+            shifted: dict = {}
             for col in self.diffs[k]:
                 acc: Vec = {}
-                for (m, i), c in col.items():
-                    vec_iadd_scaled(acc, c,
-                                    term_times_vector(1, m, prev_cols[i], p, None),
-                                    p, counters)
+                for mm, c in col.items():
+                    img = shifted.get(mm)
+                    if img is None:
+                        m, i = mm
+                        img = shifted[mm] = term_times_vector(
+                            1, m, prev_cols[i], p, None)
+                    vec_iadd_scaled(acc, c, img, p, counters)
                 if acc:
                     return False
         return True

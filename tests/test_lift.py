@@ -10,10 +10,11 @@ import syzkit
 from syzkit.algebra import DomainError, OpCounters, Ring, vec_iadd_scaled
 from syzkit.orderings import OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger
-from syzkit.frame import lead_syz
+from syzkit.frame import build_frame, lead_syz
 from syzkit.lift import (
     SubtreeCache,
     _iadd_monic,
+    lift_frame_terms,
     lift_hybrid,
     lift_reduce,
     lift_subtree,
@@ -210,6 +211,32 @@ def test_cache_purity_cold_vs_warm(sec5):
     assert out_cold == out_warm
     assert warm.expansions == before  # fully served from cache
     assert warm.hits > 0
+
+
+def test_planned_tree_matches_unplanned(sec5, corpus):
+    # lift_frame_terms plans the level and stores only the subtrees two
+    # liftings reach; every lifting equals lift_tree's with a fresh unplanned
+    # cache, at no more products and additions, on every level of the frame
+    cases = [sec5.gb] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
+    for G in cases:
+        ring = G.ring
+        for level, fl in enumerate(build_frame(G).levels, start=1):
+            ext = G.chain.extend(G.lms)
+            planned, unplanned = OpCounters(), OpCounters()
+            cache = SubtreeCache()
+            outs = lift_frame_terms(fl.terms, G, ext, "tree", planned, cache)
+            full = SubtreeCache()
+            assert outs == [lift_tree(s, G, ext, SubtreeCache(), None)
+                            for s in fl.terms]
+            for s in fl.terms:
+                lift_tree(s, G, ext, full, unplanned)
+            assert set(cache.data) <= set(full.data)
+            assert cache.expansions == full.expansions
+            assert planned.n_mult <= unplanned.n_mult
+            assert planned.n_add <= unplanned.n_add
+            assert planned.n_monomial_cmp == 0
+            G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
+                              twists=G.degrees or (0,) * len(G.gens))
 
 
 def test_ordering_bound_on_outputs(sec5):

@@ -326,33 +326,25 @@ def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
     not stored yet, children first: each is its key at coefficient 1 plus
     its children's stored liftings, merged in child order."""
     data = cache.data
-    indeg: dict = {}
-    stack = []
-    for k in keys:
-        if k not in data and k not in indeg:
-            indeg[k] = 0
-            stack.append(k)
-    while stack:
-        for ck in _children(stack.pop(), G, cache):
-            if ck in indeg:
-                indeg[ck] += 1
-            elif ck not in data:
-                indeg[ck] = 1
-                stack.append(ck)
-    order = [k for k, d in indeg.items() if not d]
-    for k in order:  # Kahn order: parents before children
-        for ck in cache.children[k]:
-            if ck in indeg:
-                indeg[ck] -= 1
-                if not indeg[ck]:
-                    order.append(ck)
     p = G.ring.p
-    for k in reversed(order):
+    stack = [k for k in keys if k not in data]
+    while stack:
+        k = stack[-1]
+        if k in data:
+            stack.pop()
+            continue
+        kids = _children(k, G, cache)
+        missing = [ck for ck in kids if ck not in data]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
         v = {k: 1}
-        for ck, c in cache.children.pop(k).items():
+        for ck, c in kids.items():
             cache.hits += 1
             _iadd_monic(v, p - c, data[ck], p, counters)
         data[k] = v
+        del cache.children[k]
 
 
 def _propagate(out: Vec, roots: dict, single: dict, G: GroebnerBasis,
@@ -366,14 +358,12 @@ def _propagate(out: Vec, roots: dict, single: dict, G: GroebnerBasis,
     now if need be) is merged once with its summed weight.
     """
     p = G.ring.p
-    n_mult = n_add = n_canc = 0
     weight: dict = {}
     left: dict = {}
     bound: dict = {}
     ready = deque()
 
     def feed(k, w):
-        nonlocal n_add, n_canc
         if k in single:
             n = left.get(k, single[k]) - 1
             left[k] = n
@@ -382,19 +372,8 @@ def _propagate(out: Vec, roots: dict, single: dict, G: GroebnerBasis,
             acc = weight
         else:
             acc = bound
-        if not w:
-            return
-        old = acc.get(k)
-        if old is None:
-            acc[k] = w
-            return
-        n_add += 1
-        w = (old + w) % p
         if w:
-            acc[k] = w
-        else:
-            n_canc += 1
-            del acc[k]
+            _sub_term(acc, k, p - w, p, counters)
 
     for k, c in roots.items():
         feed(k, p - c)
@@ -404,14 +383,10 @@ def _propagate(out: Vec, roots: dict, single: dict, G: GroebnerBasis,
         kids = cache.children.pop(k)
         if w:
             out[k] = w
-            if w != 1 and w != p - 1:
-                n_mult += len(kids)
+            if counters is not None and w != 1 and w != p - 1:
+                counters.n_mult += len(kids)
         for ck, c in kids.items():
             feed(ck, w * (p - c) % p)
-    if counters is not None:
-        counters.n_mult += n_mult
-        counters.n_add += n_add
-        counters.n_canc += n_canc
     _store(bound, G, cache, counters)
     data = cache.data
     for k, w in bound.items():

@@ -274,19 +274,16 @@ def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
 
 
 def _roots(s: ModMono, G: GroebnerBasis, key_up, cache: SubtreeCache) -> dict:
-    """The subtree keys of the non-lower-order terms of the image m*f_i of
-    s = (m, i), with their coefficients.  A single-term image has no
-    cancellation, so only monomials are multiplied."""
-    m, i = s
+    """The subtree keys of the non-lower-order terms of the image of s, with
+    their coefficients.  A single-term image has no cancellation, so no
+    field operation is done."""
     s_key = key_up(s)
     canon = cache.canon
     roots = {}
-    for (fm, fc), c in G.gens[i].items():
-        t_mm = (mono_mul(m, fm), fc)
-        if G.divisor(t_mm) >= 0:
-            j, q = _root_divisor(t_mm, G, s_key, key_up)
-            k = (q, j)
-            roots[canon.setdefault(k, k)] = c
+    for t_mm, c in lot_split(psi({s: 1}, G), G)[1].items():
+        i, m = _root_divisor(t_mm, G, s_key, key_up)
+        k = (m, i)
+        roots[canon.setdefault(k, k)] = c
     return roots
 
 

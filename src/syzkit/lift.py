@@ -12,15 +12,19 @@ Three interchangeable lifting strategies plus the driver:
   image as the root of a subtree lifting, whose children are the subtree
   keys of its reducer tail.  ``lift_frame_terms`` first plans the level:
   it walks the DAG of subtree keys below the roots of all its liftings
-  (monomial operations only) and counts how many liftings reach each key.
-  Only the keys that at least two liftings reach are stored, once each,
-  under coefficient-normalized keys in a ``SubtreeCache``; weights are pushed
-  from the roots down the other keys in Kahn order, so each enters its
+  (monomial operations only), counts how many liftings reach each key, and
+  prices two choices in products: storing nothing, or storing the keys
+  that at least two liftings reach, once each, under coefficient-normalized
+  keys in a ``SubtreeCache``.  It keeps the cheaper.  Weights are pushed
+  from the roots down the keys not stored in Kahn order, so each enters its
   lifting once with its summed weight.  A cache that was never planned
   (direct ``lift_tree`` / ``lift_subtree`` calls) stores every subtree.  On
-  the 200-ideal test corpus this takes the tree lifting from 315,687 field
-  products (every subtree stored) to 51,349, below reduce's 168,765; on the
-  AGR ideal (6, 5, 42) from 157,284 to 151,392.
+  the 200-ideal test corpus this takes the tree lifting to 31,733 field
+  products (315,687 with every subtree stored, 51,349 with the shared keys
+  stored on every level), below hybrid's 43,790 and reduce's 168,765.  On
+  the AGR ideal (6, 5, 42) it does 151,392, as many as storing the shared
+  keys on every level, against 157,284 with every subtree stored and
+  174,852 (hybrid's count) with nothing stored.
 
 Unit heads are known, not multiplied: a cached subtree lifting starts with
 its key at coefficient 1, so a reuse adds the coefficient to that head with
@@ -113,7 +117,9 @@ class SubtreeCache:
     reorders that head); a reuse adds the requested coefficient to the head
     with no product and scales only the tail.  ``children`` holds the child
     lists not yet used up: each maps the keys of a key's reducer tail to
-    their coefficients, and is dropped once its key is stored or propagated.
+    their coefficients.  It is dropped once its key is stored, or once the
+    one lifting that reaches it has propagated it; when a planned level
+    stores nothing, the lists stay until the level ends.
     ``canon`` holds one object per key seen, so that equal keys share it.
     ``hits`` counts reads of stored liftings, ``expansions`` computed child
     lists.
@@ -243,13 +249,18 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
 def _reducer_tail(m, i: int, G: GroebnerBasis) -> Vec:
     """The non-lower-order tail of m*f_i: its terms after the head (which is
     at coefficient 1) that some leading monomial of G divides, in order.
-    Only monomials are multiplied, so no field products are performed."""
+    Terms in a component that holds no leading monomial are skipped before
+    any product.  Only monomials are multiplied, so no field products are
+    performed."""
     items = iter(G.gens[i].items())
     _, head_c = next(items)
     assert head_c == 1, "generators must be monic"
     divisor = G.divisor
+    comps = G._by_comp
     tail: Vec = {}
     for (fm, fc), fv in items:
+        if fc not in comps:
+            continue
         prod = (mono_mul(m, fm), fc)
         if divisor(prod) >= 0:
             tail[prod] = fv
@@ -287,34 +298,73 @@ def _roots(s: ModMono, G: GroebnerBasis, key_up, cache: SubtreeCache) -> dict:
     return roots
 
 
-def _plan(roots: Sequence[dict], G: GroebnerBasis, cache: SubtreeCache) -> dict:
-    """Walk the subtree DAG below the roots of a level's liftings and return
-    the in-degree (parent edges plus root occurrences) of every key that
-    exactly one lifting reaches.  The keys two liftings reach, and everything
-    below them, are the ones worth storing.  No field operation is done."""
+def _plan(roots: Sequence[dict], G: GroebnerBasis, cache: SubtreeCache) -> set:
+    """Choose the keys to store for a level whose liftings have the given
+    roots, pricing two candidates in products from the subtree DAG alone.
+
+    Storing nothing (pure weight propagation) costs sum r(k)*|kids(k)|, where
+    r(k) is the number of liftings that reach k.  Storing the keys that two
+    liftings reach (a downward-closed set) costs |kids(k)| for every other
+    key, plus n(ck) per child ck to build each stored key k, plus n(k) per
+    lifting that merges k (meets it as a root or as a child of a key only it
+    reaches), where n(k), the number of keys below k, stands for the length
+    of k's tail.  The cheaper set is returned (nothing on a tie).
+    No field operation is done.
+    """
     data = cache.data
-    reach: dict = {}
-    indeg: dict = {}
+    children = cache.children
+    post = []  # the keys below the roots, children before parents
+    seen = set()
     for rs in roots:
-        seen = set()
-        stack = list(rs)
+        for r in rs:
+            if r in seen or r in data:
+                continue
+            seen.add(r)
+            stack = [(r, iter(_children(r, G, cache)))]
+            while stack:
+                k, it = stack[-1]
+                for ck in it:
+                    if ck not in seen and ck not in data:
+                        seen.add(ck)
+                        stack.append((ck, iter(_children(ck, G, cache))))
+                        break
+                else:
+                    stack.pop()
+                    post.append(k)
+    # bitsets of liftings: those that reach a key, and those that merge it
+    reach: dict = {}
+    for i, rs in enumerate(roots):
         for k in rs:
-            indeg[k] = indeg.get(k, 0) + 1
-        while stack:
-            k = stack.pop()
-            if k in seen or k in data:
-                continue
-            seen.add(k)
-            r = reach.get(k, 0)
-            if r == 2:  # so is everything below it
-                continue
-            reach[k] = r + 1
-            kids = _children(k, G, cache)
-            if not r:
-                for ck in kids:
-                    indeg[ck] = indeg.get(ck, 0) + 1
-            stack.extend(kids)
-    return {k: indeg[k] for k, r in reach.items() if r == 1}
+            reach[k] = reach.get(k, 0) | 1 << i
+    merge = dict(reach)
+    shared = set()
+    price_none = price_shared = 0
+    for k in reversed(post):
+        rk = reach[k]
+        kids = children[k]
+        price_none += rk.bit_count() * len(kids)
+        if rk & (rk - 1):
+            shared.add(k)
+        else:
+            price_shared += len(kids)
+            for ck in kids:
+                merge[ck] = merge.get(ck, 0) | rk
+        for ck in kids:
+            reach[ck] = reach.get(ck, 0) | rk
+    # bitsets of the stored keys below each stored key, children first
+    below: dict = {}
+    n: dict = {}
+    for k in post:
+        if k in shared:
+            b = 0
+            for ck in children[k]:
+                if ck in shared:
+                    b |= below[ck]
+                    price_shared += n[ck]
+            n[k] = b.bit_count()
+            below[k] = b | 1 << len(below)
+            price_shared += n[k] * merge.get(k, 0).bit_count()
+    return shared if price_shared < price_none else set()
 
 
 def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
@@ -344,31 +394,63 @@ def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
         del cache.children[k]
 
 
-def _propagate(out: Vec, roots: dict, single: dict, G: GroebnerBasis,
+def _merge_stored(out: Vec, weights: dict, G: GroebnerBasis,
+                  cache: SubtreeCache,
+                  counters: Optional[OpCounters] = None) -> None:
+    """out += w * (stored subtree lifting of k) for every (k, w) in
+    ``weights``, storing first the liftings not stored yet."""
+    p = G.ring.p
+    _store(weights, G, cache, counters)
+    data = cache.data
+    for k, w in weights.items():
+        cache.hits += 1
+        _iadd_monic(out, w, data[k], p, counters)
+
+
+def _propagate(out: Vec, roots: dict, stored: set, G: GroebnerBasis,
                cache: SubtreeCache, counters: Optional[OpCounters] = None) -> None:
     """out -= c * (subtree lifting of k) for every root (k, c).
 
-    Weights are pushed from the roots down the keys in ``single`` (those
-    only this lifting reaches, with their in-degrees) in Kahn order, so each
-    such key enters out once with its summed weight, at one product per
-    edge.  Every other key reached is a boundary: its stored lifting (stored
-    now if need be) is merged once with its summed weight.
+    The keys in ``stored`` or in the cache's data are boundaries: each one
+    reached is merged once with its summed weight (stored now if need be).
+    Weights are pushed from the roots down every other key in Kahn order,
+    with in-degrees found by walking down from the roots to the boundaries,
+    so each such key enters out once with its summed weight, at one product
+    per edge.  When ``stored`` is empty, other liftings of the level walk the
+    same keys, so their child lists are kept; otherwise each is dropped once
+    used.
     """
     p = G.ring.p
-    weight: dict = {}
+    data = cache.data
     left: dict = {}
+    stack = []
+    for k in roots:
+        if k not in stored and k not in data:
+            left[k] = 1
+            stack.append(k)
+    while stack:
+        for ck in _children(stack.pop(), G, cache):
+            if ck in stored or ck in data:
+                continue
+            n = left.get(ck)
+            if n is None:
+                stack.append(ck)
+                n = 0
+            left[ck] = n + 1
+    take = cache.children.pop if stored else cache.children.__getitem__
+    weight: dict = {}
     bound: dict = {}
     ready = deque()
 
     def feed(k, w):
-        if k in single:
-            n = left.get(k, single[k]) - 1
-            left[k] = n
-            if not n:
+        n = left.get(k)
+        if n is None:
+            acc = bound
+        else:
+            left[k] = n - 1
+            if n == 1:
                 ready.append(k)
             acc = weight
-        else:
-            acc = bound
         if w:
             _sub_term(acc, k, p - w, p, counters)
 
@@ -377,18 +459,14 @@ def _propagate(out: Vec, roots: dict, single: dict, G: GroebnerBasis,
     while ready:
         k = ready.popleft()
         w = weight.pop(k, 0)
-        kids = cache.children.pop(k)
+        kids = take(k)
         if w:
             out[k] = w
             if counters is not None and w != 1 and w != p - 1:
                 counters.n_mult += len(kids)
         for ck, c in kids.items():
             feed(ck, w * (p - c) % p)
-    _store(bound, G, cache, counters)
-    data = cache.data
-    for k, w in bound.items():
-        cache.hits += 1
-        _iadd_monic(out, w, data[k], p, counters)
+    _merge_stored(out, bound, G, cache, counters)
 
 
 def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
@@ -399,11 +477,8 @@ def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
     Results are cached under the coefficient-normalized key; the returned
     copy carries coeff on the head with no product and the tail scaled.
     """
-    p = G.ring.p
-    _store((t,), G, cache, counters)
-    cache.hits += 1
     out: Vec = {}
-    _iadd_monic(out, coeff % p, cache.data[t], p, counters)
+    _merge_stored(out, {t: coeff % G.ring.p}, G, cache, counters)
     return out
 
 
@@ -415,9 +490,11 @@ def lift_tree(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     chain = _check_chain(G, chain)
     if cache is None:
         cache = SubtreeCache()
+    p = G.ring.p
+    roots = _roots(s, G, chain.key_fn(G.level + 1), cache)
     sbar: Vec = {s: 1}
-    _propagate(sbar, _roots(s, G, chain.key_fn(G.level + 1), cache), {}, G,
-               cache, counters)
+    _merge_stored(sbar, {k: p - c for k, c in roots.items()}, G, cache,
+                  counters)
     return sbar
 
 
@@ -428,8 +505,9 @@ def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
     """Lift the given frame terms in order with strategy ``alg``.
 
     Tree liftings share ``cache`` (a fresh one when None), planned for the
-    whole list first: only the subtrees that at least two of the liftings
-    reach are stored; the rest are propagated by weight.
+    whole list first: ``_plan`` stores either nothing or the subtrees that at
+    least two of the liftings reach, whichever it prices cheaper; the rest
+    are propagated by weight.  The child lists go at the end.
     """
     chain = _check_chain(G, chain)
     if alg == "reduce":
@@ -441,12 +519,13 @@ def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
             cache = SubtreeCache()
         key_up = chain.key_fn(G.level + 1)
         roots = [_roots(s, G, key_up, cache) for s in terms]
-        single = _plan(roots, G, cache)
+        stored = _plan(roots, G, cache)
         out = []
         for s, rs in zip(terms, roots):
             sbar: Vec = {s: 1}
-            _propagate(sbar, rs, single, G, cache, counters)
+            _propagate(sbar, rs, stored, G, cache, counters)
             out.append(sbar)
+        cache.children.clear()
         return out
     raise DomainError(f"unknown lifting algorithm {alg!r}")
 

@@ -13,7 +13,10 @@ from syzkit.groebner import GroebnerBasis, buchberger
 from syzkit.frame import build_frame, lead_syz
 from syzkit.lift import (
     SubtreeCache,
+    _children,
     _iadd_monic,
+    _propagate,
+    _roots,
     lift_frame_terms,
     lift_hybrid,
     lift_reduce,
@@ -25,6 +28,8 @@ from syzkit.lift import (
     syz_lift,
 )
 from syzkit.cli import parse_input
+from syzkit.examples_gen import AgrSpec, gen_agr
+from syzkit.orderings import BaseOrdering
 
 
 def test_psi_examples(sec5):
@@ -214,7 +219,7 @@ def test_cache_purity_cold_vs_warm(sec5):
 
 
 def test_planned_tree_matches_unplanned(sec5, corpus):
-    # lift_frame_terms plans the level and stores only the subtrees two
+    # lift_frame_terms plans the level and stores at most the subtrees two
     # liftings reach; every lifting equals lift_tree's with a fresh unplanned
     # cache, at no more products and additions, on every level of the frame
     cases = [sec5.gb] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
@@ -237,6 +242,59 @@ def test_planned_tree_matches_unplanned(sec5, corpus):
             assert planned.n_monomial_cmp == 0
             G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
                               twists=G.degrees or (0,) * len(G.gens))
+
+
+def _shared_keys(G, roots):
+    # the keys that at least two liftings reach, walking each on its own
+    cache = SubtreeCache()
+    reach = {}
+    for rs in roots:
+        seen = set()
+        stack = list(rs)
+        while stack:
+            k = stack.pop()
+            if k not in seen:
+                seen.add(k)
+                stack.extend(_children(k, G, cache))
+        for k in seen:
+            reach[k] = reach.get(k, 0) + 1
+    return {k for k, r in reach.items() if r >= 2}
+
+
+def test_plan_picks_the_cheaper_store(sec5, corpus):
+    # on every frame level, the planned tree lifting equals both fixed
+    # choices, storing nothing and storing the keys two liftings reach, and
+    # makes no more products than the cheaper of them; each wins somewhere
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    agr = buchberger(ideal.generators, ideal.ring,
+                     BaseOrdering("dp", ideal.ring.nvars))
+    cases = [sec5.gb, agr] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
+    wins = {"nothing": 0, "shared": 0}
+    for G in cases:
+        ring = G.ring
+        for level, fl in enumerate(build_frame(G).levels, start=1):
+            ext = G.chain.extend(G.lms)
+            key_up = ext.key_fn(G.level + 1)
+            planned = OpCounters()
+            outs = lift_frame_terms(fl.terms, G, ext, "tree", planned)
+            roots = [_roots(s, G, key_up, SubtreeCache()) for s in fl.terms]
+            mults = {}
+            for name, stored in (("nothing", set()),
+                                 ("shared", _shared_keys(G, roots))):
+                cache, fixed = SubtreeCache(), OpCounters()
+                got = []
+                for s, rs in zip(fl.terms, roots):
+                    sbar = {s: 1}
+                    _propagate(sbar, rs, stored, G, cache, fixed)
+                    got.append(sbar)
+                assert got == outs
+                mults[name] = fixed.n_mult
+            assert planned.n_mult <= min(mults.values())
+            if mults["nothing"] != mults["shared"]:
+                wins[min(mults, key=mults.get)] += 1
+            G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
+                              twists=G.degrees or (0,) * len(G.gens))
+    assert wins["nothing"] > 0 and wins["shared"] > 0
 
 
 def test_ordering_bound_on_outputs(sec5):

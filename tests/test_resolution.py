@@ -344,6 +344,7 @@ def test_tree_ranking(corpus, agr_5_4_12):
     resolve(ideal.generators, res.ring, res.base, alg="hybrid", counters=hybrid)
     assert res.stats.n_mult <= hybrid.n_mult
     assert res.stats.n_add <= hybrid.n_add
+
     def total(alg, field):
         return sum(getattr(e.counters[alg], field) for e in corpus)
 

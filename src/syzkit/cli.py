@@ -255,8 +255,11 @@ def serialize_resolution(res: Resolution) -> str:
     for k, mod in enumerate(res.modules):
         tw = ",".join(str(t) for t in mod.twists) if mod.twists is not None else "-"
         lines.append(f"module {k} rank {mod.rank} twists {tw}")
+    lines.append("")
+    # one string per differential, joined once at the end
+    chunks = ["\n".join(lines)]
     for k in range(1, res.length + 1):
-        lines.append(f"differential {k}")
+        lines = [f"differential {k}"]
         for j, col in enumerate(res.diffs[k - 1]):
             entries: dict = {}
             for (m, comp), c in col.items():
@@ -264,8 +267,10 @@ def serialize_resolution(res: Resolution) -> str:
             for comp in sorted(entries):
                 lines.append(f"{comp + 1} {j + 1} "
                              + poly_to_string(entries[comp], ring, base))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+        lines.append("")
+        chunks.append("\n".join(lines))
+    chunks.append("end\n")
+    return "".join(chunks)
 
 
 def parse_resolution(text: str) -> Resolution:
@@ -456,11 +461,13 @@ def cmd_resolve(args) -> int:
     if args.image:
         for k in range(1, out_res.length + 1):
             emit_image(out_res, k, f"{args.image}_phi{k}.pgm")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_resolution(out_res))
-    if args.print_resolution:
-        print(serialize_resolution(out_res), end="")
+    if args.output or args.print_resolution:
+        text = serialize_resolution(out_res)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if args.print_resolution:
+            print(text, end="")
     return 0
 
 

@@ -226,22 +226,32 @@ def lift_reduce(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
 
 
 def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
-                counters: Optional[OpCounters] = None) -> Vec:
+                counters: Optional[OpCounters] = None,
+                tails: Optional[dict] = None) -> Vec:
     """Lifting of s with lower order terms dropped throughout and the
-    remaining terms kept unordered (popped in insertion order)."""
+    remaining terms kept unordered (popped in insertion order).
+
+    ``tails`` memoizes the reducer tails by (m, i); ``lift_frame_terms``
+    shares one dict across the liftings of a level.  A tail holds no field
+    products, so the memo leaves the counters unchanged."""
     chain = _check_chain(G, chain)
     p = G.ring.p
     key_up = chain.key_fn(G.level + 1)
     s_key = key_up(s)
+    if tails is None:
+        tails = {}
     _, g = lot_split(psi({s: 1}, G, counters), G)
     sbar: Vec = {s: 1}
     while g:
         t_mm = next(iter(g))
         c = g.pop(t_mm)
         i, m = _root_divisor(t_mm, G, s_key, key_up)
+        tail = tails.get((m, i))
+        if tail is None:
+            tail = tails[(m, i)] = _reducer_tail(m, i, G)
         # coefficient products are only performed (and counted) for the
         # kept terms of the reducer
-        vec_iadd_scaled(g, p - c, _reducer_tail(m, i, G), p, counters)
+        vec_iadd_scaled(g, p - c, tail, p, counters)
         _sub_term(sbar, (m, i), c, p, counters)
     return sbar
 
@@ -504,7 +514,8 @@ def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
                      cache: Optional[SubtreeCache] = None) -> list:
     """Lift the given frame terms in order with strategy ``alg``.
 
-    Tree liftings share ``cache`` (a fresh one when None), planned for the
+    Hybrid liftings share one memo of reducer tails for the call.  Tree
+    liftings share ``cache`` (a fresh one when None), planned for the
     whole list first: ``_plan`` stores either nothing or the subtrees that at
     least two of the liftings reach, whichever it prices cheaper; the rest
     are propagated by weight.  The child lists go at the end.
@@ -513,7 +524,8 @@ def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
     if alg == "reduce":
         return [lift_reduce(s, G, chain, counters) for s in terms]
     if alg == "hybrid":
-        return [lift_hybrid(s, G, chain, counters) for s in terms]
+        tails: dict = {}
+        return [lift_hybrid(s, G, chain, counters, tails) for s in terms]
     if alg == "tree":
         if cache is None:
             cache = SubtreeCache()

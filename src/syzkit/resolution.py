@@ -289,76 +289,127 @@ def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
 # minimization
 
 
-def minimize(res: Resolution) -> Resolution:
-    """Remove all constant (degree-zero) entries by Gaussian elimination of
-    unit entries: one backward sweep per level, one renumbering at the end.
+def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
+    """One backward elimination sweep over the columns of phi_k, in place.
 
-    Level k (phi_k: F_k -> F_{k-1}) is swept from its last column to its
-    first.  A column j0 with a unit entry takes the one in its lowest row i0
+    ``cols`` holds the columns of phi_k, with None for the columns to skip;
+    each other column is replaced by a copy without the rows j0 of
+    ``gone``, level k-1's pivots {j0: i0}.  From the last column to the
+    first, a column j0 with a unit entry takes the one in its lowest row i0
     as its pivot c: every other column j with an entry in row i0 (looked up
     in a row -> columns index kept up to date on fill-in) becomes
     col_j - q*col_{j0} with q = entry(i0, j)/c, which clears row i0 outside
-    j0.  Then e_{j0} of F_k and e_{i0} of F_{k-1} are dropped: in the new
-    basis of F_{k-1}, whose element phi_k(e_{j0}) replaces e_{i0}, column
-    i0 of phi_{k-1} is zero; and since row i0 of phi_k is now c at j0 alone,
-    phi_k o phi_{k+1} = 0 forces the e_{j0}-coordinates of phi_{k+1} to
-    vanish, so those entries are stripped when level k+1's sweep starts.
+    j0.  The used pivot column is set to None.  Returns the pivots as
+    {j0: i0}.
+    """
+    p = ring.p
+    one = ring.one
+    rows: dict = {}  # row -> columns that may have an entry in it
+    for j, col in enumerate(cols):
+        if col is None:
+            continue
+        if gone and any(i in gone for _, i in col):
+            cols[j] = col = {mm: v for mm, v in col.items()
+                             if mm[1] not in gone}
+        else:
+            cols[j] = col = dict(col)
+        for _, i in col:
+            rows.setdefault(i, set()).add(j)
+    pivots: dict = {}
+    for j0 in range(len(cols) - 1, -1, -1):
+        pivot = cols[j0]
+        if pivot is None:
+            continue
+        units = [i for m, i in pivot if m == one]
+        if not units:
+            continue
+        i0 = min(units)
+        cols[j0] = None
+        cinv = ring.inv(pivot[(one, i0)])
+        fill = {i for _, i in pivot if i != i0}
+        for j in rows.pop(i0):
+            col = cols[j]
+            if col is None:  # j0 itself, an earlier pivot or a skipped column
+                continue
+            q = [(m, v * cinv % p) for (m, i), v in col.items() if i == i0]
+            for qm, qv in q:
+                for (pm, pi), pv in pivot.items():
+                    mm = (mono_mul(qm, pm), pi)
+                    w = (col.get(mm, 0) - qv * pv) % p
+                    if w:
+                        col[mm] = w
+                    else:
+                        col.pop(mm, None)
+            if q:
+                for i in fill:
+                    rows[i].add(j)
+        pivots[j0] = i0
+    return pivots
 
-    One sweep is enough.  By homogeneity deg q = deg e_j - deg e_{j0}, so
-    q*col_{j0} has a constant entry only when q is a constant, that is, only
-    when column j already had a constant in row i0.  A swept column without
-    a unit therefore never gains one, and the levels below only lose
-    columns.
+
+def _plan_pivots(res: Resolution) -> list:
+    """The pivots of every level, {j0: i0} per differential, from a sweep of
+    the constant entries alone.
+
+    By homogeneity deg q = deg e_j - deg e_{j0}, so q*col_{j0} has a
+    constant entry only when q is a constant: the constant part of a column
+    changes only through the constant part of the pivot.  Sweeping the
+    constant parts therefore finds the same units, hence the same pivots,
+    as sweeping the full columns.
+    """
+    one = res.ring.one
+    plan: list = []
+    for cols in res.diffs:
+        consts = [{mm: v for mm, v in col.items() if mm[0] == one}
+                  for col in cols]
+        plan.append(_sweep(consts, plan[-1] if plan else {}, res.ring))
+    return plan
+
+
+def minimize(res: Resolution) -> Resolution:
+    """Remove all constant (degree-zero) entries by Gaussian elimination of
+    unit entries, in two passes over the levels.
+
+    Level k (phi_k: F_k -> F_{k-1}) is swept from its last column to its
+    first (:func:`_sweep`).  A column j0 with a unit entry takes the one in
+    its lowest row i0 as its pivot and clears row i0 outside j0.  Then
+    e_{j0} of F_k and e_{i0} of F_{k-1} are dropped: in the new basis of
+    F_{k-1}, whose element phi_k(e_{j0}) replaces e_{i0}, column i0 of
+    phi_{k-1} is zero; and since row i0 of phi_k is now c at j0 alone,
+    phi_k o phi_{k+1} = 0 forces the e_{j0}-coordinates of phi_{k+1} to
+    vanish, so those rows are stripped when level k+1's sweep starts.  One
+    sweep per level is enough: a swept column without a unit never gains
+    one, and the levels below only lose columns.
+
+    The first pass (:func:`_plan_pivots`) sweeps the constant entries only
+    and finds every level's pivots.  The second sweeps the full columns,
+    but skips every column of phi_k that is a pivot row of level k+1: such a
+    column is never a pivot at level k (level k+1 strips level k's pivot
+    columns from its rows), so its values never enter another column, and
+    the output drops it.  It is neither copied, indexed nor updated.  Each
+    level is renumbered as soon as it is swept.
     """
     if not res.graded:
         raise DomainError("minimization requires a graded resolution")
-    p = res.ring.p
-    one = res.ring.one
-    diffs = [[dict(col) for col in cols] for cols in res.diffs]
+    plan = _plan_pivots(res)
     dropped = [set() for _ in res.modules]  # dropped basis elements of F_k
-    for k, cols in enumerate(diffs, start=1):
-        gone = dropped[k - 1]  # so far, the pivot columns of level k-1
-        rows: dict = {}  # row -> columns that may have an entry in it
-        for j, col in enumerate(cols):
-            if gone and any(i in gone for _, i in col):
-                cols[j] = col = {mm: v for mm, v in col.items()
-                                 if mm[1] not in gone}
-            for _, i in col:
-                rows.setdefault(i, set()).add(j)
-        for j0 in range(len(cols) - 1, -1, -1):
-            pivot = cols[j0]
-            units = [i for m, i in pivot if m == one]
-            if not units:
-                continue
-            i0 = min(units)
-            cinv = res.ring.inv(pivot[(one, i0)])
-            fill = {i for _, i in pivot if i != i0}
-            for j in rows.pop(i0):
-                if j == j0 or j in dropped[k]:
-                    continue
-                col = cols[j]
-                q = [(m, v * cinv % p) for (m, i), v in col.items() if i == i0]
-                for qm, qv in q:
-                    for (pm, pi), pv in pivot.items():
-                        mm = (mono_mul(qm, pm), pi)
-                        w = (col.get(mm, 0) - qv * pv) % p
-                        if w:
-                            col[mm] = w
-                        else:
-                            col.pop(mm, None)
-                if q:
-                    for i in fill:
-                        rows[i].add(j)
-            dropped[k].add(j0)
-            dropped[k - 1].add(i0)
+    for k, pivots in enumerate(plan, start=1):
+        dropped[k].update(pivots)
+        dropped[k - 1].update(pivots.values())
     renum = [{old: new for new, old in enumerate(
         i for i in range(mod.rank) if i not in drop)}
         for mod, drop in zip(res.modules, dropped)]
     twists = [[t for i, t in enumerate(mod.twists) if i in ren]
               for mod, ren in zip(res.modules, renum)]
-    out_diffs = [[{(m, ren[i]): v for (m, i), v in col.items()}
-                  for j, col in enumerate(cols) if j not in drop]
-                 for cols, ren, drop in zip(diffs, renum, dropped[1:])]
+    out_diffs = []
+    for k, cols in enumerate(res.diffs, start=1):
+        doomed = set(plan[k].values()) if k < len(plan) else set()
+        cols = [None if j in doomed else col for j, col in enumerate(cols)]
+        pivots = _sweep(cols, plan[k - 2] if k > 1 else {}, res.ring)
+        assert pivots == plan[k - 1]
+        ren = renum[k - 1]
+        out_diffs.append([{(m, ren[i]): v for (m, i), v in col.items()}
+                          for col in cols if col is not None])
     while out_diffs and not out_diffs[-1]:
         out_diffs.pop()
         twists.pop()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from syzkit.resolution import (
     minimize,
     resolve,
 )
+from syzkit.resolution import _plan_pivots
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.cli import parse_input, serialize_resolution
 from syzkit import resolution
@@ -372,3 +374,26 @@ def test_minimize_agr_is_minimal_complex(agr_5_4_12):
     assert not any(m == one for cols in mres.diffs for col in cols
                    for m, _ in col)
     assert mres.check_complex()
+
+
+def test_minimize_pivots_match_strand_ranks(corpus, agr_5_4_12):
+    # minimize pivots on as many units of each constant strand B_{k,j} as its
+    # rank, the number betti_minimal_from_nonminimal subtracts
+    for res in [e.resolutions["tree"] for e in corpus] + [agr_5_4_12[0]]:
+        for k, pivots in enumerate(_plan_pivots(res), start=1):
+            twists = res.modules[k].twists
+            count = Counter(twists[j] for j in pivots)
+            for j in set(twists):
+                assert count[j] == block_rank(constant_block(res, k, j),
+                                              res.ring.p), (k, j)
+
+
+def test_minimize_agr_6_5_18():
+    ideal = gen_agr(AgrSpec(6, 5, 18, p=10007, seed=0))
+    res = resolve(ideal.generators, ideal.ring,
+                  BaseOrdering("dp", ideal.ring.nvars))
+    mres = minimize(res)
+    assert betti_nonminimal(mres) == betti_minimal_from_nonminimal(res)
+    one = res.ring.one
+    assert not any(m == one for cols in mres.diffs for col in cols
+                   for m, _ in col)

@@ -299,8 +299,10 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
     as its pivot c: every other column j with an entry in row i0 (looked up
     in a row -> columns index kept up to date on fill-in) becomes
     col_j - q*col_{j0} with q = entry(i0, j)/c, which clears row i0 outside
-    j0.  The used pivot column is set to None.  Returns the pivots as
-    {j0: i0}.
+    j0.  By homogeneity c is the pivot's only entry in row i0, so the row-i0
+    terms of col_j are deleted, not recomputed, and m*col_{j0} is formed
+    once per monomial m of some q.  The used pivot column is set to None.
+    Returns the pivots as {j0: i0}.
     """
     p = ring.p
     one = ring.one
@@ -327,22 +329,30 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
         cols[j0] = None
         cinv = ring.inv(pivot[(one, i0)])
         fill = {i for _, i in pivot if i != i0}
+        shifted: dict = {}  # qm -> qm * pivot outside row i0
+        touched = []
         for j in rows.pop(i0):
             col = cols[j]
             if col is None:  # j0 itself, an earlier pivot or a skipped column
                 continue
             q = [(m, v * cinv % p) for (m, i), v in col.items() if i == i0]
             for qm, qv in q:
-                for (pm, pi), pv in pivot.items():
-                    mm = (mono_mul(qm, pm), pi)
+                del col[(qm, i0)]  # cleared by q * c
+                img = shifted.get(qm)
+                if img is None:
+                    img = shifted[qm] = [((mono_mul(qm, pm), pi), pv)
+                                         for (pm, pi), pv in pivot.items()
+                                         if pi != i0]
+                for mm, pv in img:
                     w = (col.get(mm, 0) - qv * pv) % p
                     if w:
                         col[mm] = w
                     else:
                         col.pop(mm, None)
             if q:
-                for i in fill:
-                    rows[i].add(j)
+                touched.append(j)
+        for i in fill:
+            rows[i].update(touched)
         pivots[j0] = i0
     return pivots
 

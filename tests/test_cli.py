@@ -132,6 +132,13 @@ def test_main_print_resolution(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "resolution ring 32003 w,x,y,z lp" in out
     assert out.rstrip().endswith("end")
+    # with --output too, the file holds the same text as the printout
+    path = tmp_path / "res.txt"
+    assert main(["resolve", str(inp), "--print-resolution", "--minimize",
+                 "--output", str(path)]) == 0
+    text = path.read_text()
+    assert text.startswith("resolution ring") and text.endswith("end\n")
+    assert capsys.readouterr().out.endswith(text)
 
 
 def test_emit_image_sec5(sec5, tmp_path):

@@ -15,6 +15,18 @@ Representation conventions shared by the whole package:
 
 All value types are immutable or treated as such after construction;
 :class:`OpCounters` is the only mutable shared state.
+
+Sharing (hash-consing, as in Filliatre-Conchon 2006): every column a
+:class:`~syzkit.resolution.Resolution` stores is built from the objects of
+one canonical table, a plain dict mapping each value to its one object, so
+that equal base monomials, module monomials and coefficients are one object
+each.  The three kinds never compare equal to one another, so one dict
+holds all three.  Each ``resolve`` call owns one table: its Groebner bases
+intern their columns when they normalize them (:func:`vec_interned`), and
+its tree liftings intern their subtree keys in the same table
+(:func:`interned_key`).  Each ``minimize`` call owns another, filled when it
+renumbers its output.  A table lives only as long as its call; what
+outlives it is the sharing of the stored columns.
 """
 
 from __future__ import annotations
@@ -286,15 +298,36 @@ def leading_term(f: Vec, key: Callable[[ModMono], tuple],
     return best, f[best]
 
 
-def first_term(f: Vec):
-    """Leading term of a normalized vector (first stored term, no scan)."""
-    mm = next(iter(f))
-    return mm, f[mm]
-
-
 def vec_normalized(f: Vec, key: Callable[[ModMono], tuple]) -> Vec:
     """Rebuild f with terms in strictly decreasing order under `key`."""
     return {mm: f[mm] for mm in sorted(f, key=key, reverse=True)}
+
+
+def interned_key(mm: ModMono, table: dict) -> ModMono:
+    """The table's object equal to the module monomial mm, entered on first
+    sight with its base monomial interned too (mm itself is kept when its
+    base monomial already is the table's)."""
+    k = table.get(mm)
+    if k is None:
+        m = mm[0]
+        cm = table.setdefault(m, m)
+        k = mm if cm is m else (cm, mm[1])
+        table[k] = k
+    return k
+
+
+def vec_interned(terms: Iterable[tuple], table: dict) -> Vec:
+    """The vector of the (module monomial, coefficient) pairs ``terms``, in
+    their order, built from the objects of ``table``."""
+    out: Vec = {}
+    get = table.get
+    intern = table.setdefault
+    for mm, c in terms:
+        k = get(mm)
+        if k is None:
+            k = interned_key(mm, table)
+        out[k] = intern(c, c)
+    return out
 
 
 def vec_degrees(f: Vec, twists=None) -> set:

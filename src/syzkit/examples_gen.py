@@ -15,6 +15,16 @@ canonical kernel basis of Cat_e, and is brought to echelon form once; the
 kernel vectors that enlarge the span of the rows above them are the new
 generators.  In degree d+1 every form annihilates, and the new generators are
 the monomials at the non-pivot columns of the shifted rows.
+
+There are none when h_1 >= 2, and that span is then skipped.  A functional
+F on R_{d+1} that kills R_1 * Ann_d is a divided-power form of degree d+1
+whose contractions x_v o F are killed by Ann_d, so that x_v o F = c_v f for
+every v (the forms of degree d that Ann_d kills are the multiples of f).
+If F != 0, some c_u != 0, since contracting by the variables loses no
+nonzero divided-power form of positive degree.  Then for every w,
+c_u (x_w o f) = x_w x_u o F = c_w (x_u o f): all first partials of f are
+proportional, and h_1, the dimension of their span, is at most 1.  So for
+h_1 >= 2 no such F exists and R_1 * Ann_d = R_{d+1}.
 """
 
 from __future__ import annotations
@@ -98,6 +108,8 @@ def gen_agr(spec: AgrSpec, max_retries: int = 5) -> AgrIdeal:
     hilbert = [1]
     kernel_prev = np.zeros((0, 1), dtype=np.int64)  # Ann_0 = 0
     for e in range(1, spec.d + 2):
+        if e > spec.d and hilbert[1] >= 2:
+            break  # R_1 * Ann_d = R_{d+1}, see the module docstring
         cols = monos[e]
         index = {m: i for i, m in enumerate(cols)}
         kernel = np.zeros((0, len(cols)), dtype=np.int64)

@@ -15,7 +15,7 @@ tiebreak.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .algebra import (
     OpCounters,
     Ring,
     Vec,
-    first_term,
     is_homogeneous,
     leading_term,
     mono_deg,
@@ -36,7 +35,7 @@ from .algebra import (
     mono_mul,
     term_times_vector,
     vec_iadd_scaled,
-    vec_normalized,
+    vec_interned,
     vec_scale,
 )
 from .orderings import BaseOrdering, OrderingChain, reorder_permutation
@@ -46,14 +45,17 @@ class GroebnerBasis:
     """An ordered list of monic module vectors with cached leading data.
 
     `level` is the module level of the elements (0 for vectors of F_0 = R^s);
-    `chain` carries exactly `level` induced-ordering levels.  The divisor
-    lookup (smallest generator index whose leading monomial divides a given
-    module monomial) is memoized.
+    `chain` carries exactly `level` induced-ordering levels.  Each generator
+    is copied once: sorted, made monic and built from the objects of
+    ``table`` (a fresh one when None; see :mod:`syzkit.algebra`).  The
+    divisor lookup (smallest generator index whose leading monomial divides
+    a given module monomial) is memoized.
     """
 
-    def __init__(self, ring: Ring, chain: OrderingChain, gens: Sequence[Vec],
+    def __init__(self, ring: Ring, chain: OrderingChain, gens: Iterable[Vec],
                  level: int = 0, rank: Optional[int] = None,
-                 twists: Optional[Sequence[int]] = None):
+                 twists: Optional[Sequence[int]] = None,
+                 table: Optional[dict] = None):
         if len(chain) != level:
             raise DomainError(f"chain has {len(chain)} levels; expected {level}")
         self.ring = ring
@@ -61,17 +63,18 @@ class GroebnerBasis:
         self.level = level
         key = chain.key_fn(level)
         p = ring.p
+        if table is None:
+            table = {}
         norm = []
         lms = []
         for g in gens:
             if not g:
                 raise DomainError("Groebner basis generators must be nonzero")
-            g = vec_normalized(g, key)
-            mm, c = first_term(g)
-            if c != 1:
-                g = vec_scale(g, ring.inv(c), p)
+            order = sorted(g, key=key, reverse=True)
+            s = ring.inv(g[order[0]])
+            g = vec_interned(((mm, g[mm] * s % p) for mm in order), table)
             norm.append(g)
-            lms.append(mm)
+            lms.append(next(iter(g)))
         self.gens = tuple(norm)
         self.lms = tuple(lms)
         if rank is None:

@@ -46,6 +46,7 @@ from .algebra import (
     ModMono,
     OpCounters,
     Vec,
+    interned_key,
     mono_div,
     mono_mul,
     term_times_vector,
@@ -120,17 +121,19 @@ class SubtreeCache:
     their coefficients.  It is dropped once its key is stored, or once the
     one lifting that reaches it has propagated it; when a planned level
     stores nothing, the lists stay until the level ends.
-    ``canon`` holds one object per key seen, so that equal keys share it.
+    ``canon`` is the canonical table the keys are interned in (see
+    :mod:`syzkit.algebra`): ``resolve`` passes its own, so that its liftings
+    are built from the objects its columns keep; a fresh one when None.
     ``hits`` counts reads of stored liftings, ``expansions`` computed child
     lists.
     """
 
     __slots__ = ("data", "children", "canon", "hits", "expansions")
 
-    def __init__(self):
+    def __init__(self, canon: Optional[dict] = None):
         self.data: dict = {}
         self.children: dict = {}
-        self.canon: dict = {}
+        self.canon: dict = {} if canon is None else canon
         self.hits = 0
         self.expansions = 0
 
@@ -288,8 +291,7 @@ def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
         kids = {}
         for mm, c in _reducer_tail(*key, G).items():
             i = G.divisor(mm)
-            ck = (mono_div(mm[0], lms[i][0]), i)
-            kids[canon.setdefault(ck, ck)] = c
+            kids[interned_key((mono_div(mm[0], lms[i][0]), i), canon)] = c
         cache.children[key] = kids
     return kids
 
@@ -303,8 +305,7 @@ def _roots(s: ModMono, G: GroebnerBasis, key_up, cache: SubtreeCache) -> dict:
     roots = {}
     for t_mm, c in lot_split(psi({s: 1}, G), G)[1].items():
         i, m = _root_divisor(t_mm, G, s_key, key_up)
-        k = (m, i)
-        roots[canon.setdefault(k, k)] = c
+        roots[interned_key((m, i), canon)] = c
     return roots
 
 

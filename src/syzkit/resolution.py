@@ -27,12 +27,13 @@ from .algebra import (
     mono_mul,
     term_times_vector,
     vec_iadd_scaled,
+    vec_interned,
 )
 from .orderings import BaseOrdering, OrderingChain, REORDER_MODES
 from .linalg import rank as block_rank
 from .groebner import GroebnerBasis, buchberger
 from .frame import build_frame
-from .lift import LIFT_ALGORITHMS, lift_frame_terms
+from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_terms
 
 
 @dataclass(frozen=True)
@@ -206,17 +207,27 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     G = gb
     modules.append(GradedFreeModule(len(G.gens), G.degrees if graded else None))
     diffs.append(list(G.gens))
+    table: dict = {}  # the canonical objects of this call's columns
+    for g in G.gens:  # adopt the input basis' objects
+        vec_interned(g.items(), table)
     for level, frame_level in enumerate(frame.levels, start=1):
         t0 = time.perf_counter()
         ext = G.chain.extend(G.lms)
         terms = frame_level.terms
-        lifted = lift_frame_terms(terms, G, ext, alg, counters)
+        lifted = lift_frame_terms(terms, G, ext, alg, counters,
+                                  SubtreeCache(table) if alg == "tree" else None)
+        if any(v.get(s) != 1 for s, v in zip(terms, lifted)):
+            raise RuntimeError("lifting lost its leading term")
         ambient = modules[level]
-        # the basis sorts each lifting once; its generators are the columns
-        G = GroebnerBasis(ring, ext, lifted, level=level, rank=ambient.rank,
-                          twists=ambient.twists or (0,) * ambient.rank)
-        if G.lms != tuple(terms) or any(v.get(s) != 1
-                                        for s, v in zip(terms, lifted)):
+        # the basis sorts and interns each lifting once, and its generators
+        # are the columns; it takes the liftings out of ``lifted`` one by
+        # one, so that no level is ever held twice
+        lifted.reverse()
+        handed = (lifted.pop() for _ in range(len(lifted)))
+        G = GroebnerBasis(ring, ext, handed, level=level, rank=ambient.rank,
+                          twists=ambient.twists or (0,) * ambient.rank,
+                          table=table)
+        if G.lms != tuple(terms):
             raise RuntimeError("lifting lost its leading term")
         diffs.append(list(G.gens))
         modules.append(GradedFreeModule(
@@ -296,17 +307,20 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
     each other column is replaced by a copy without the rows j0 of
     ``gone``, level k-1's pivots {j0: i0}.  From the last column to the
     first, a column j0 with a unit entry takes the one in its lowest row i0
-    as its pivot c: every other column j with an entry in row i0 (looked up
-    in a row -> columns index kept up to date on fill-in) becomes
+    as its pivot c: every other column j with an entry in row i0 becomes
     col_j - q*col_{j0} with q = entry(i0, j)/c, which clears row i0 outside
-    j0.  By homogeneity c is the pivot's only entry in row i0, so the row-i0
-    terms of col_j are deleted, not recomputed, and m*col_{j0} is formed
-    once per monomial m of some q.  The used pivot column is set to None.
-    Returns the pivots as {j0: i0}.
+    j0.  The row-i0 terms are found in a row index, kept up to date on
+    fill-in, of the columns and keys that may hold a term in each row.  By
+    homogeneity c is the pivot's only entry in row i0, so the row-i0 terms
+    of col_j are deleted, not recomputed, and m*col_{j0} is formed once per
+    monomial m of some q, its keys interned in a table of the sweep so that
+    the column updates find their keys by identity.  The used pivot column
+    is set to None.  Returns the pivots as {j0: i0}.
     """
     p = ring.p
     one = ring.one
-    rows: dict = {}  # row -> columns that may have an entry in it
+    at: dict = {}  # row -> (columns, keys) of the terms it may hold
+    keys: dict = {}  # one object per key, so lookups match by identity
     for j, col in enumerate(cols):
         if col is None:
             continue
@@ -315,8 +329,13 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
                              if mm[1] not in gone}
         else:
             cols[j] = col = dict(col)
-        for _, i in col:
-            rows.setdefault(i, set()).add(j)
+        for mm in col:
+            keys[mm] = mm
+            if mm[1] not in at:
+                at[mm[1]] = ([], [])
+            js, ks = at[mm[1]]
+            js.append(j)
+            ks.append(mm)
     pivots: dict = {}
     for j0 in range(len(cols) - 1, -1, -1):
         pivot = cols[j0]
@@ -328,31 +347,38 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
         i0 = min(units)
         cols[j0] = None
         cinv = ring.inv(pivot[(one, i0)])
-        fill = {i for _, i in pivot if i != i0}
-        shifted: dict = {}  # qm -> qm * pivot outside row i0
-        touched = []
-        for j in rows.pop(i0):
+        qs: dict = {}  # column -> q, its row-i0 terms (cleared by q * c)
+        for j, mm in zip(*at.pop(i0)):
             col = cols[j]
             if col is None:  # j0 itself, an earlier pivot or a skipped column
                 continue
-            q = [(m, v * cinv % p) for (m, i), v in col.items() if i == i0]
+            v = col.pop(mm, None)
+            if v is not None:
+                qs.setdefault(j, []).append((mm[0], v * cinv % p))
+        shifted: dict = {}  # qm -> qm * pivot outside row i0
+        for j, q in qs.items():
+            col = cols[j]
             for qm, qv in q:
-                del col[(qm, i0)]  # cleared by q * c
                 img = shifted.get(qm)
                 if img is None:
-                    img = shifted[qm] = [((mono_mul(qm, pm), pi), pv)
-                                         for (pm, pi), pv in pivot.items()
-                                         if pi != i0]
+                    img = shifted[qm] = []
+                    for (pm, pi), pv in pivot.items():
+                        if pi != i0:
+                            mm = (mono_mul(qm, pm), pi)
+                            img.append((keys.setdefault(mm, mm), pv))
                 for mm, pv in img:
-                    w = (col.get(mm, 0) - qv * pv) % p
-                    if w:
-                        col[mm] = w
+                    old = col.get(mm)
+                    if old is None:
+                        col[mm] = -qv * pv % p
+                        js, ks = at[mm[1]]
+                        js.append(j)
+                        ks.append(mm)
                     else:
-                        col.pop(mm, None)
-            if q:
-                touched.append(j)
-        for i in fill:
-            rows[i].update(touched)
+                        w = (old - qv * pv) % p
+                        if w:
+                            col[mm] = w
+                        else:
+                            del col[mm]
         pivots[j0] = i0
     return pivots
 
@@ -397,11 +423,13 @@ def minimize(res: Resolution) -> Resolution:
     column is never a pivot at level k (level k+1 strips level k's pivot
     columns from its rows), so its values never enter another column, and
     the output drops it.  It is neither copied, indexed nor updated.  Each
-    level is renumbered as soon as it is swept.
+    level is renumbered as soon as it is swept, into columns built from the
+    objects of the call's canonical table (see :mod:`syzkit.algebra`).
     """
     if not res.graded:
         raise DomainError("minimization requires a graded resolution")
     plan = _plan_pivots(res)
+    table: dict = {}  # the canonical objects of the output's columns
     dropped = [set() for _ in res.modules]  # dropped basis elements of F_k
     for k, pivots in enumerate(plan, start=1):
         dropped[k].update(pivots)
@@ -418,7 +446,8 @@ def minimize(res: Resolution) -> Resolution:
         pivots = _sweep(cols, plan[k - 2] if k > 1 else {}, res.ring)
         assert pivots == plan[k - 1]
         ren = renum[k - 1]
-        out_diffs.append([{(m, ren[i]): v for (m, i), v in col.items()}
+        out_diffs.append([vec_interned((((m, ren[i]), v)
+                                        for (m, i), v in col.items()), table)
                           for col in cols if col is not None])
     while out_diffs and not out_diffs[-1]:
         out_diffs.pop()

@@ -1,8 +1,10 @@
 import hashlib
 from math import comb
 
+import numpy as np
 import pytest
 
+from syzkit import linalg
 from syzkit.algebra import DomainError
 from syzkit.cli import InputDocument, serialize_input
 from syzkit.orderings import BaseOrdering
@@ -12,6 +14,7 @@ from syzkit.examples_gen import (
     gen_agr,
     gen_random_homogeneous,
 )
+from syzkit.groebner import monomials_of_degree
 
 
 def test_spec_validation():
@@ -109,3 +112,48 @@ def test_gen_agr_golden(n, d, s, p, seed, digest):
     text = serialize_input(InputDocument(ideal.ring, BaseOrdering("dp", n + 1),
                                          ideal.generators))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _top_span_rank(ideal):
+    """Rank of R_1 * Ann_d in degree d+1, built from the contraction
+    coordinates alone: Ann_d is the kernel of the one-row catalecticant
+    u_alpha, |alpha| = d, shifted by every variable."""
+    spec, u = ideal.spec, ideal.contraction
+    nv = spec.n + 1
+    base = BaseOrdering("dp", nv)
+    low = monomials_of_degree(nv, spec.d, base)
+    top = monomials_of_degree(nv, spec.d + 1, base)
+    index = {m: c for c, m in enumerate(top)}
+    kernel, _ = linalg.kernel_basis(np.array([[u[m] for m in low]]), spec.p)
+    span = np.zeros((nv * len(kernel), len(top)), dtype=np.int64)
+    for v in range(nv):
+        shift = [index[(m[0] + 1,) + m[1:1 + v] + (m[1 + v] + 1,) + m[2 + v:]]
+                 for m in low]
+        span[v * len(kernel):(v + 1) * len(kernel), shift] = kernel
+    return linalg.rank(span, spec.p), len(top)
+
+
+@pytest.mark.parametrize("n,d,s,p,seed", [
+    (1, 3, 2, 7, 0), (2, 2, 2, 11, 1), (2, 3, 3, 10007, 2), (3, 2, 5, 7, 3),
+    (3, 4, 3, 11, 4), (2, 5, 8, 10007, 5), (4, 3, 2, 10007, 6),
+])
+def test_top_degree_span_is_full_when_h1_at_least_2(n, d, s, p, seed):
+    # the span gen_agr skips for h_1 >= 2 is all of R_{d+1}, so skipping it
+    # loses no generator
+    ideal = gen_agr(AgrSpec(n, d, s, p, seed))
+    assert ideal.hilbert[1] >= 2
+    rank, dim = _top_span_rank(ideal)
+    assert rank == dim
+    assert all(next(iter(g))[0][0] <= d for g in ideal.generators)
+
+
+@pytest.mark.parametrize("n,d,p,seed", [
+    (1, 3, 7, 0), (2, 2, 11, 1), (2, 4, 10007, 2), (3, 3, 10007, 3),
+])
+def test_single_power_keeps_top_degree_generators(n, d, p, seed):
+    # s = 1 has h_1 = 1: the degree-(d+1) generators complement R_1 * Ann_d
+    ideal = gen_agr(AgrSpec(n, d, 1, p, seed))
+    assert ideal.hilbert[1] == 1
+    rank, dim = _top_span_rank(ideal)
+    top = [g for g in ideal.generators if next(iter(g))[0][0] == d + 1]
+    assert 0 < len(top) == dim - rank

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -365,6 +367,61 @@ def test_minimize_golden(corpus, agr_5_4_12):
         for e in corpus))
     assert got == CORPUS_MIN_DIGEST
     assert _sha256(serialize_resolution(agr_5_4_12[1])) == AGR_5_4_12_MIN_DIGEST
+
+
+def _distinct_objects_and_values(res):
+    """For coefficients, module monomials and base monomials: the number of
+    distinct objects and of distinct values among the stored terms."""
+    kinds = ("coefficient", "module monomial", "monomial")
+    ids = {kind: set() for kind in kinds}
+    values = {kind: set() for kind in kinds}
+    for cols in res.diffs:
+        for col in cols:
+            for mm, c in col.items():
+                for kind, x in zip(kinds, (c, mm, mm[0])):
+                    ids[kind].add(id(x))
+                    values[kind].add(x)
+    return {kind: (len(ids[kind]), len(values[kind])) for kind in kinds}
+
+
+def test_resolutions_share_equal_objects(corpus, agr_5_4_12):
+    # every stored resolution, from resolve with each strategy and from
+    # minimize, holds one object per distinct coefficient, module monomial
+    # and base monomial
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    res, mres = agr_5_4_12
+    cases = [res, mres] + [resolve(ideal.generators, res.ring, res.base,
+                                   alg=alg) for alg in ("reduce", "hybrid")]
+    for e in corpus:
+        cases += list(e.resolutions.values())
+        cases.append(minimize(e.resolutions["tree"]))
+    for r in cases:
+        for kind, (n_ids, n_values) in _distinct_objects_and_values(r).items():
+            assert n_ids == n_values, kind
+
+
+def test_repeated_calls_do_not_retain_memory():
+    # resolve and minimize keep no table beyond their call: five rounds on
+    # the same ideal, each result dropped, leave the traced memory where it
+    # was before the first (a table kept across calls would hold every
+    # distinct object of the first round, some 20 KB here)
+    ideal = gen_agr(AgrSpec(3, 3, 5, p=10007, seed=0))
+    base = BaseOrdering("dp", ideal.ring.nvars)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        grown = []
+        for _ in range(5):
+            res = resolve(ideal.generators, ideal.ring, base)
+            mres = minimize(res)
+            assert res.length == mres.length == 4
+            del res, mres
+            gc.collect()
+            grown.append(tracemalloc.get_traced_memory()[0] - before)
+    finally:
+        tracemalloc.stop()
+    assert max(grown) < 4096, grown
 
 
 def test_minimize_agr_is_minimal_complex(agr_5_4_12):

@@ -267,17 +267,6 @@ def term_times_vector(c: int, mono: Mono, f: Vec, p: int,
     return {(mono_mul(mono, mm[0]), mm[1]): (c * v) % p for mm, v in f.items()}
 
 
-def vec_scale(f: Vec, c: int, p: int, counters: Optional[OpCounters] = None) -> Vec:
-    c %= p
-    if c == 0:
-        return {}
-    if counters is not None:
-        counters.n_mult += len(f)
-    if c == 1:
-        return dict(f)
-    return {mm: (c * v) % p for mm, v in f.items()}
-
-
 def leading_term(f: Vec, key: Callable[[ModMono], tuple],
                  counters: Optional[OpCounters] = None):
     """The maximal term of f under the ordering realized by `key`.

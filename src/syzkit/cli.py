@@ -425,6 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_resolve(args) -> int:
+    if args.max_length is not None and args.max_length < 1:
+        raise _UsageError(f"--max-length must be at least 1, got {args.max_length}")
     if args.input == "-":
         text = sys.stdin.read()
     else:

@@ -1,15 +1,14 @@
 """Division with remainder, S-vectors and reduced Groebner bases.
 
-Two engines back :func:`buchberger`.  Homogeneous ideals (rank 1) go to an
-F4-style engine (Faugere 1999): degree by degree, it takes the S-pairs of
-that degree that survive the product and chain criteria, adds reducer rows
-by symbolic preprocessing, and brings them to reduced echelon form with
-:func:`syzkit.linalg.echelon`; the pivots that no earlier leading monomial
-divides are the new reduced basis elements.  Everything else (inhomogeneous
-input, modules of rank > 1) goes through the classic pair loop.  Both
-produce the same canonical object: the reduced Groebner basis, monic,
-sorted by ascending leading-monomial degree with descending base-ordering
-tiebreak.
+One engine backs :func:`buchberger`: F4 (Faugere 1999) on module
+monomials, degree by degree, with the reduced echelon forms of
+:func:`syzkit.linalg.echelon`.  Degrees include the twists of the
+components.  Inhomogeneous input is homogenized by one extra variable, so
+that the degree of a homogenized element is its sugar degree
+(Giovini-Mora-Niesi-Robbiano-Traverso 1991); the result is dehomogenized
+and reduced.  The output is the reduced Groebner basis, monic, sorted by
+ascending leading-monomial degree with descending base-ordering tiebreak,
+or in the engine's production order with ``keep_input_order``.
 """
 
 from __future__ import annotations
@@ -27,16 +26,14 @@ from .algebra import (
     Ring,
     Vec,
     is_homogeneous,
-    leading_term,
-    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    monomial_divides,
     term_times_vector,
     vec_iadd_scaled,
     vec_interned,
-    vec_scale,
 )
 from .orderings import BaseOrdering, OrderingChain, reorder_permutation
 
@@ -220,7 +217,7 @@ def is_groebner(G: GroebnerBasis, counters: Optional[OpCounters] = None) -> bool
 
 
 # ---------------------------------------------------------------------------
-# Buchberger / reduced Groebner basis construction
+# reduced Groebner basis construction
 
 
 def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
@@ -228,27 +225,30 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
                keep_input_order: bool = False) -> GroebnerBasis:
     """Reduced monic Groebner basis of the span of `gens` in R^rank.
 
-    Homogeneous rank-1 input is handled by the graded F4-style engine;
-    everything else goes through the classic pair loop.  The output generator
+    Every input goes through the F4 engine (:func:`_gb_f4`).  The generator
     order is canonical (the default order of
     :func:`~syzkit.orderings.reorder_permutation` at level 0) unless
-    keep_input_order is set, in which case the engine's natural production
-    order is kept.
+    keep_input_order is set, which keeps the engine's production order:
+    ascending degree of the (homogenized, twisted) element, then descending
+    leading monomial.  The two coincide on homogeneous input whose twists
+    are all equal.  Raises DomainError unless there are `rank` twists and
+    every component lies in [0, rank).
     """
+    twists = (0,) * rank if twists is None else tuple(twists)
+    if len(twists) != rank:
+        raise DomainError(f"{len(twists)} twists for a module of rank {rank}")
     p = ring.p
     cleaned = []
     for g in gens:
         g = {mm: c % p for mm, c in g.items() if c % p}
+        if any(not 0 <= mm[1] < rank for mm in g):
+            raise DomainError(f"generator component out of range [0, {rank})")
         if g:
             cleaned.append(g)
     chain = OrderingChain(base)
     if not cleaned:
         return GroebnerBasis(ring, chain, [], level=0, rank=rank, twists=twists)
-    if rank == 1 and (twists is None or set(twists) == {0}) and \
-            all(is_homogeneous(g) for g in cleaned):
-        out = _gb_homogeneous_f4(cleaned, ring, base)
-    else:
-        out = _gb_classic(cleaned, ring, base, rank)
+    out = _gb_f4(cleaned, ring, base, twists)
     if not keep_input_order:
         key = chain.key_fn(0)
         lms = [max(g, key=key) for g in out]
@@ -256,101 +256,8 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     return GroebnerBasis(ring, chain, out, level=0, rank=rank, twists=twists)
 
 
-def _gb_classic(gens, ring: Ring, base: BaseOrdering, rank: int):
-    """Plain Buchberger with product (rank 1) and chain criteria, top
-    reduction in the loop and a final interreduction.  Serves inhomogeneous
-    and rank > 1 input; the divisor lookup is rebuilt only when the basis
-    grows."""
-    chain = OrderingChain(base)
-    scratch = OpCounters()
-
-    def make_basis(vecs):
-        return GroebnerBasis(ring, chain, vecs, level=0, rank=rank)
-
-    G = make_basis(gens)
-    basis = list(G.gens)
-    lms = list(G.lms)
-    pairs = set()
-    done = set()
-    for i in range(len(basis)):
-        for j in range(i):
-            if lms[i][1] == lms[j][1]:
-                pairs.add((j, i))
-
-    def lcm_deg(pair):
-        j, i = pair
-        return mono_deg(mono_lcm(lms[i][0], lms[j][0]))
-
-    while pairs:
-        pair = min(pairs, key=lambda pr: (lcm_deg(pr), pr))
-        pairs.discard(pair)
-        done.add(pair)
-        j, i = pair
-        a, b = lms[i], lms[j]
-        lcm = mono_lcm(a[0], b[0])
-        if rank == 1 and lcm == (a[0][0] + b[0][0],) + tuple(
-                x + y for x, y in zip(a[0][1:], b[0][1:])):
-            continue  # product criterion: coprime leading monomials
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or lms[k][1] != a[1]:
-                continue
-            if mono_divides(lms[k][0], lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = s_vector(G, i, j, scratch)
-        _, rem = divide_with_remainder(s, G, scratch)
-        if rem:
-            key = chain.key_fn(0)
-            mm, c = leading_term(rem, key)
-            rem = vec_scale(rem, ring.inv(c), ring.p)
-            basis.append(rem)
-            lms.append(mm)
-            G = make_basis(basis)
-            new = len(basis) - 1
-            for k in range(new):
-                if lms[k][1] == mm[1]:
-                    pairs.add((k, new))
-    # interreduce: keep a minimal set of leading monomials, then fully reduce
-    # each survivor against the others until nothing changes.
-    key0 = chain.key_fn(0)
-    while True:
-        order = sorted(range(len(basis)), key=lambda i: (mono_deg(lms[i][0]), i))
-        kept: list = []
-        for i in order:
-            if not any(lms[k][1] == lms[i][1] and mono_divides(lms[k][0], lms[i][0])
-                       for k in kept):
-                kept.append(i)
-        kept.sort()
-        basis = [basis[i] for i in kept]
-        lms = [lms[i] for i in kept]
-        changed = False
-        for i in range(len(basis)):
-            others = [basis[k] for k in range(len(basis)) if k != i and basis[k]]
-            _, rem = divide_with_remainder(basis[i], make_basis(others), scratch)
-            if not rem:
-                basis[i] = None
-                changed = True
-            elif rem != basis[i]:
-                changed = True
-                mm, c = leading_term(rem, key0)
-                basis[i] = vec_scale(rem, ring.inv(c), ring.p)
-                lms[i] = mm
-        survivors = [(g, m) for g, m in zip(basis, lms) if g]
-        basis = [g for g, _ in survivors]
-        lms = [m for _, m in survivors]
-        if not changed:
-            break
-    return basis
-
-
 # ---------------------------------------------------------------------------
-# graded pieces and the homogeneous F4-style engine (rank 1)
+# graded pieces and the F4 engine
 
 
 def monomials_of_degree(nvars: int, deg: int, base: BaseOrdering):
@@ -368,82 +275,129 @@ def monomials_of_degree(nvars: int, deg: int, base: BaseOrdering):
     return out
 
 
-def _gb_homogeneous_f4(gens, ring: Ring, base: BaseOrdering):
-    """Reduced Groebner basis of a homogeneous ideal, one degree at a time.
+def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
+    """Reduced Groebner basis of the module spanned by `gens`, by F4.
 
-    Degree e takes the S-pairs whose lcm has degree e and the input
-    generators of degree e.  A pair is dropped when its leads are coprime
-    (product criterion), or when some lead lm_k divides L = lcm(i, j) and
-    lcm(i, k), lcm(j, k) both divide L strictly, so that both pairs had
-    lower degree and are done (chain criterion).  Each remaining pair gives
-    the rows (L/lm_i) g_i and (L/lm_j) g_j; symbolic preprocessing then
-    adds one reducer (t/lm_k) g_k for every column monomial t that a lead
-    lm_k divides, until the columns close.  One reduced echelon form of
-    these rows over their columns, in descending monomial order, finishes
-    the degree: a pivot that no earlier lead divides is a new reduced basis
-    element, since every column an earlier lead divides is a pivot column,
-    and homogeneity keeps the earlier elements reduced.  Stops when no pair
-    and no input degree is left.
+    Input that is not homogeneous for the twists is homogenized: one more,
+    last exponent lifts each term to the top degree of its generator.  A
+    column is a module monomial, of degree deg + twists[comp]; within one
+    degree, columns are ordered by the level-0 key of the dehomogenized
+    monomial, a valid ordering of the homogenized module as the degree is
+    fixed there.  Degree e takes the input of degree e and the S-pairs (of
+    one component, and at rank 1 not of coprime leads) whose lcm L has
+    degree e.  A pair is dropped when a lead lm_k of its component divides
+    L and lcm(i, k), lcm(j, k) divide L strictly, so that both pairs had
+    lower degree (chain criterion).  Each pair gives the rows (L/lm_i) g_i
+    and (L/lm_j) g_j; symbolic preprocessing adds one reducer (t/lm_k) g_k
+    per column t that a lead lm_k divides, until the columns close.  In the
+    reduced echelon form of these rows, a pivot that no earlier lead
+    divides is a new reduced basis element: every column an earlier lead
+    divides is a pivot column, and homogeneity keeps the earlier elements
+    reduced.  Dehomogenized, the basis is a Groebner basis of the input;
+    only the elements whose lead no other lead divides are kept, and the
+    tail of each is reduced once against them, which suffices since no
+    term below LM(g) is divisible by LM(g).
     """
-    p = ring.p
-    key = base.key_func()
+    key0 = OrderingChain(base).key_fn(0)
+    homogeneous = all(is_homogeneous(g, twists) for g in gens)
+    if homogeneous:
+        key = key0
+    else:
+        gens = [_homogenized(g, twists) for g in gens]
+
+        def key(mm):
+            return key0((_dehomogenized(mm[0]), mm[1]))
     inputs: dict = {}
     for g in gens:
-        inputs.setdefault(next(iter(g))[0][0], []).append(
-            {mm[0]: c for mm, c in g.items()})
-    basis: list = []  # monic polys {mono: coeff}, leading term first
+        mm = next(iter(g))
+        inputs.setdefault(mm[0][0] + twists[mm[1]], []).append(g)
+    basis: list = []  # monic vectors, leading term first
     lms: list = []
-    pairs: dict = {}  # lcm degree -> [(i, j)]
+    by_comp: dict = {}  # component -> [(lead monomial, basis index)]
+    pairs: dict = {}  # degree of the lcm -> [(i, j)]
 
     def times(k, t):
-        return {mono_mul(t, m): c for m, c in basis[k].items()}
+        return {(mono_mul(t, m), c): v for (m, c), v in basis[k].items()}
 
     while pairs or inputs:
         e = min(itertools.chain(pairs, inputs))
         mults: dict = {}  # (k, t) for the rows t * g_k, deduplicated
         for i, j in pairs.pop(e, ()):
-            lcm = mono_lcm(lms[i], lms[j])
-            if any(mono_divides(lm, lcm)
-                   and mono_deg(mono_lcm(lms[i], lm)) < e
-                   and mono_deg(mono_lcm(lms[j], lm)) < e for lm in lms):
+            (a, comp), b = lms[i], lms[j][0]
+            lcm = mono_lcm(a, b)
+            d = lcm[0]
+            if any(mono_divides(lm, lcm) and mono_lcm(a, lm)[0] < d
+                   and mono_lcm(b, lm)[0] < d for lm, _ in by_comp[comp]):
                 continue  # chain criterion
-            mults[(i, mono_div(lcm, lms[i]))] = None
-            mults[(j, mono_div(lcm, lms[j]))] = None
+            mults[(i, mono_div(lcm, a))] = None
+            mults[(j, mono_div(lcm, b))] = None
         rows = [times(k, t) for k, t in mults]
         # columns that an earlier lead divides, each the lead of some row
-        known = {mono_mul(t, lms[k]) for k, t in mults}
+        known = {(mono_mul(t, lms[k][0]), lms[k][1]) for k, t in mults}
         rows.extend(inputs.pop(e, ()))
         # symbolic preprocessing: one reducer per such column, to closure
         cols: set = set()
-        todo = [m for row in rows for m in row]
+        todo = [mm for row in rows for mm in row]
         while todo:
-            m = todo.pop()
-            if m in cols:
+            mm = todo.pop()
+            if mm in cols:
                 continue
-            cols.add(m)
-            if m in known:
+            cols.add(mm)
+            if mm in known:
                 continue
-            for k, lm in enumerate(lms):
+            m = mm[0]
+            for lm, k in by_comp.get(mm[1], ()):
                 if mono_divides(lm, m):
-                    known.add(m)
+                    known.add(mm)
                     rows.append(times(k, mono_div(m, lm)))
                     todo.extend(rows[-1])
                     break
         order = sorted(cols, key=key, reverse=True)
-        index = {m: c for c, m in enumerate(order)}
+        index = {mm: c for c, mm in enumerate(order)}
         a = np.zeros((len(rows), len(order)), dtype=np.int64)
         for r, row in enumerate(rows):
-            for m, c in row.items():
-                a[r, index[m]] = c
-        for r, c in linalg.echelon(a, p, reduced=True):
+            for mm, c in row.items():
+                a[r, index[mm]] = c
+        for r, c in linalg.echelon(a, ring.p, reduced=True):
             if order[c] in known:
                 continue  # an earlier lead divides the pivot
             new = len(basis)
             basis.append({order[ci]: int(a[r, ci])
                           for ci in np.flatnonzero(a[r])})
+            lm, comp = order[c]
             lms.append(order[c])
-            for k in range(new):
-                lcm = mono_lcm(lms[k], lms[new])
-                if mono_deg(lcm) < mono_deg(lms[k]) + mono_deg(lms[new]):
-                    pairs.setdefault(mono_deg(lcm), []).append((k, new))
-    return [{(m, 0): c for m, c in g.items()} for g in basis]
+            same = by_comp.setdefault(comp, [])
+            for m, k in same:
+                lcm = mono_lcm(m, lm)
+                # the product criterion holds at rank 1 only
+                if len(twists) > 1 or lcm[0] < m[0] + lm[0]:
+                    pairs.setdefault(lcm[0] + twists[comp], []).append((k, new))
+            same.append((lm, new))
+    if homogeneous:
+        return basis
+    basis = [{(_dehomogenized(m), c): v for (m, c), v in g.items()}
+             for g in basis]
+    lms = [next(iter(g)) for g in basis]
+    minimal = GroebnerBasis(ring, OrderingChain(base), [
+        g for g, mm in zip(basis, lms)
+        if not any(lm != mm and monomial_divides(lm, mm) for lm in lms)],
+        rank=len(twists))
+    out = []
+    for g in minimal:
+        lead = next(iter(g))
+        _, tail = divide_with_remainder(
+            dict(itertools.islice(g.items(), 1, None)), minimal)
+        out.append({lead: 1, **tail})
+    return out
+
+
+def _homogenized(g: Vec, twists: tuple) -> Vec:
+    """g with one more, last exponent lifting each term to g's top degree."""
+    top = max(m[0] + twists[c] for m, c in g)
+    return {((top - twists[c],) + m[1:] + (top - twists[c] - m[0],), c): v
+            for (m, c), v in g.items()}
+
+
+def _dehomogenized(m):
+    """The monomial m with its last exponent dropped."""
+    return (m[0] - m[-1],) + m[1:-1]

@@ -186,15 +186,17 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         raise DomainError(f"unknown lifting algorithm {alg!r}")
     if reorder not in REORDER_MODES:
         raise DomainError(f"unknown reorder mode {reorder!r}")
+    if max_length is not None and max_length < 1:
+        raise DomainError(f"max_length must be at least 1, got {max_length}")
     counters = counters if counters is not None else OpCounters()
     if twists0 is None:
         twists0 = (0,) * rank0
     twists0 = tuple(twists0)
-    graded = all(is_homogeneous(g, twists0) for g in gens)
-    if gb is None:
+    if gb is None:  # checks the components and twists of the input
         gb = buchberger(gens, ring, base, rank=rank0, twists=twists0,
                         keep_input_order=(reorder == "input"))
-    graded = graded and (not gb.gens or gb.degrees is not None)
+    graded = (all(is_homogeneous(g, twists0) for g in gens)
+              and (not gb.gens or gb.degrees is not None))
     modules = [GradedFreeModule(rank0, twists0 if graded else None)]
     diffs: list = []
     level_times: list = []

@@ -195,6 +195,16 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_main_rejects_max_length_below_one(tmp_path, capsys, value):
+    good = tmp_path / "good.txt"
+    good.write_text(SEC5)
+    assert main(["resolve", str(good), "--max-length", value]) == 1
+    out = capsys.readouterr()
+    assert "usage error" in out.err and "--max-length" in out.err
+    assert out.out == ""
+
+
 def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("lifting lost its leading term")

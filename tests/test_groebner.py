@@ -1,8 +1,11 @@
 import hashlib
+import random
 
 import pytest
 
-from syzkit.algebra import DomainError, OpCounters, Ring, Vec, vec_iadd_scaled, term_times_vector
+from syzkit.algebra import (DomainError, OpCounters, Ring, Vec, is_homogeneous,
+                            mono_divides, term_times_vector, vec_component,
+                            vec_iadd_scaled)
 from syzkit.orderings import BaseOrdering, OrderingChain
 from syzkit.groebner import (
     GroebnerBasis,
@@ -12,9 +15,10 @@ from syzkit.groebner import (
     m_coeff,
     s_vector,
     monomials_of_degree,
-    _gb_classic,
 )
-from syzkit.cli import InputDocument, parse_input, parse_polynomial, serialize_input
+from syzkit.cli import (InputDocument, parse_input, parse_polynomial,
+                        poly_to_string, serialize_input, serialize_resolution)
+from syzkit.resolution import resolve
 from syzkit.examples_gen import AgrSpec, gen_agr
 
 
@@ -99,7 +103,8 @@ def test_buchberger_examples(sec5):
                                          {(doc.ring.mono([0, 1]), 0): 1}]
     # the worked-example input is already a reduced Groebner basis
     assert list(sec5.gb.gens) == sec5.gens
-    # {x^2+y, x^2} must produce y (inhomogeneous: classic engine)
+    # {x^2+y, x^2} must produce y (inhomogeneous: homogenized, then
+    # dehomogenized and reduced)
     doc = parse_input("ring 7 x,y lp\nx^2+y\nx^2\n")
     G = buchberger(doc.generators, doc.ring, doc.ordering)
     assert {(doc.ring.mono([0, 1]), 0): 1} in [dict(g) for g in G.gens]
@@ -122,34 +127,20 @@ def test_reduced_gb_unique_under_permutation(corpus):
         assert [dict(g) for g in G2.gens] == [dict(g) for g in entry.gb.gens]
 
 
+def _assert_reduced_gb(G):
+    assert is_groebner(G)
+    for i, g in enumerate(G.gens):
+        assert g[G.lms[i]] == 1  # monic
+        # reduced: no term of any generator divisible by another lead
+        for mm in g:
+            assert all(k == i or not (G.lms[k][1] == mm[1]
+                                      and mono_divides(G.lms[k][0], mm[0]))
+                       for k in range(len(G.gens)))
+
+
 def test_buchberger_output_is_groebner(corpus):
     for entry in corpus[:10]:
-        assert is_groebner(entry.gb)
-        assert all(entry.gb.gens[i][entry.gb.lms[i]] == 1
-                   for i in range(len(entry.gb.gens)))  # monic
-        # reduced: no term of any generator divisible by another lead
-        for i, g in enumerate(entry.gb.gens):
-            for mm in g:
-                assert all(k == i or not (entry.gb.lms[k][1] == mm[1]
-                           and _divides(entry.gb.lms[k][0], mm[0]))
-                           for k in range(len(entry.gb.gens)))
-
-
-def _divides(a, b):
-    from syzkit.algebra import mono_divides
-    return mono_divides(a, b)
-
-
-def test_engines_agree(corpus):
-    # classic pair loop and the graded F4 engine produce the same reduced GB
-    for entry in corpus:
-        raw = _gb_classic([dict(g) for g in entry.gens], entry.ring,
-                          entry.base, 1)
-        G2 = GroebnerBasis(entry.ring, OrderingChain(entry.base), raw)
-        lead_set = set(G2.lms)
-        assert lead_set == set(entry.gb.lms)
-        canon = {frozenset(g.items()) for g in G2.gens}
-        assert canon == {frozenset(g.items()) for g in entry.gb.gens}
+        _assert_reduced_gb(entry.gb)
 
 
 def _gb_digest(ring, base, gens, keep_input_order):
@@ -191,7 +182,7 @@ def test_reduced_gb_golden(request, case, digest, keep_input_order):
 
 
 def test_module_groebner_basis():
-    # rank-2 module input goes through the classic engine
+    # rank-2 module input: columns carry the component
     ring = Ring(7, ("x", "y"))
     base = BaseOrdering("dp", 2)
     x, y = ring.mono([1, 0]), ring.mono([0, 1])
@@ -207,3 +198,130 @@ def test_monomials_of_degree_sorted():
     assert len(ms) == 6
     key = base.key_func()
     assert [key(m) for m in ms] == sorted((key(m) for m in ms), reverse=True)
+
+
+# Reduced bases and ungraded resolutions pinned to the Buchberger pair loop
+# that served inhomogeneous and module input before the F4 engine took over
+# every input.  The cases are seeded; the digests concatenate the per-case
+# digests in seed order, with PATHOLOGICAL last among the ideals: the pair
+# loop spent over 100 times as long on it as F4 does.
+
+PATHOLOGICAL = """ring 7 x0,x1,x2 lp
+x0^2+x0-3*x2-3
+-x0^3-3*x0^2*x2-3*x0*x2+x1^4+3*x2
+-x0^3*x2-2*x0*x1*x2^2+x1^3*x2-3*x1
+"""
+N_IDEALS = 300
+N_MODULES = 48
+
+
+def _random_vec(rng, ring, nterms, pick):
+    """Sum of nterms random terms; pick(rng) draws each (component, degree)."""
+    g: Vec = {}
+    for _ in range(nterms):
+        comp, d = pick(rng)
+        exps = [0] * ring.nvars
+        for _ in range(d):
+            exps[rng.randrange(ring.nvars)] += 1
+        mm = (ring.mono(exps), comp)
+        g[mm] = (g.get(mm, 0) + rng.randrange(1, ring.p)) % ring.p
+    return {mm: c for mm, c in g.items() if c}
+
+
+def _random_setting(rng):
+    nv = rng.choice([2, 3, 3])
+    ring = Ring(rng.choice([7, 32003]), tuple(f"x{i}" for i in range(nv)))
+    return ring, BaseOrdering(rng.choice(["dp", "lp"]), nv)
+
+
+def _random_ideal(seed):
+    """2-3 generators of 2-5 terms of degree <= 4, not all homogeneous."""
+    rng = random.Random(30_000 + seed)
+    ring, base = _random_setting(rng)
+    ngens = rng.randrange(2, 4)
+    gens: list = []
+    while len(gens) < ngens or all(is_homogeneous(g) for g in gens):
+        g = _random_vec(rng, ring, rng.randrange(2, 6),
+                        lambda r: (0, r.randrange(5)))
+        if g:
+            gens.append(g)
+    return ring, base, gens, 1, (0,)
+
+
+def _random_module(seed):
+    """2-4 vectors of 2-4 terms in R^2 or R^3 with twists in {0, 1}; even
+    seeds give vectors homogeneous for the twists, odd seeds need not."""
+    rng = random.Random(40_000 + seed)
+    ring, base = _random_setting(rng)
+    rank = rng.choice([2, 3])
+    twists = tuple(rng.randrange(2) for _ in range(rank))
+    gens: list = []
+    for _ in range(rng.randrange(2, 5)):
+        if seed % 2 == 0:
+            top = rng.randrange(1, 4) + max(twists)
+
+            def pick(r):
+                comp = r.randrange(rank)
+                return comp, top - twists[comp]
+        else:
+            def pick(r):
+                return r.randrange(rank), r.randrange(4)
+        g = _random_vec(rng, ring, rng.randrange(2, 5), pick)
+        if g:
+            gens.append(g)
+    return ring, base, gens, rank, twists
+
+
+def _basis_text(ring, base, G):
+    lines = [f"ring {ring.p} {','.join(ring.names)} {base.kind} rank {G.rank}"]
+    for g in G.gens:
+        lines.append(" ".join(
+            f"{c + 1}:{poly_to_string(vec_component(g, c), ring, base)}"
+            for c in sorted({mm[1] for mm in g})))
+    return "\n".join(lines) + "\n"
+
+
+def _digest(texts):
+    return hashlib.sha256("".join(
+        hashlib.sha256(t.encode()).hexdigest() for t in texts).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pinned_cases():
+    doc = parse_input(PATHOLOGICAL)
+    cases = {"ideals": [_random_ideal(s) for s in range(N_IDEALS)]
+             + [(doc.ring, doc.ordering, doc.generators, 1, (0,))],
+             "modules": [_random_module(s) for s in range(N_MODULES)]}
+    return {kind: [(ring, base, gens, buchberger(gens, ring, base, rank, twists))
+                   for ring, base, gens, rank, twists in entries]
+            for kind, entries in cases.items()}
+
+
+PINNED_GB_DIGESTS = {
+    "ideals": "eb632c53e3e05f6c825fe78eb73f2b6c36cd784be671cb5888a3dde3cd17db2d",
+    "modules": "d64af14b3613a1b2b54f4213df83cf43e263feab87fefcf2377ae83a62d79db7",
+}
+
+
+@pytest.mark.parametrize("kind", ["ideals", "modules"])
+def test_gb_pinned_to_pair_loop(pinned_cases, kind):
+    entries = pinned_cases[kind]
+    for _, _, _, G in entries:
+        _assert_reduced_gb(G)
+    got = _digest(_basis_text(ring, base, G) for ring, base, _, G in entries)
+    assert got == PINNED_GB_DIGESTS[kind]
+
+
+PINNED_RES_DIGESTS = {
+    "negdegrevlex": "6d3694937eb64217b0cdc1457fe9b45f1aacc93cd47bd707286efafe5e8be10e",
+    "none": "ac21ff5fed01a0605f17ff5a62f43d4ebfac75b29834e80210fba23fe74f6023",
+}
+
+
+@pytest.mark.parametrize("alg", ["reduce", "hybrid", "tree"])
+@pytest.mark.parametrize("reorder", ["negdegrevlex", "none"])
+def test_ungraded_resolution_pinned_to_pair_loop(pinned_cases, reorder, alg):
+    got = _digest(serialize_resolution(resolve(gens, ring, base, alg=alg,
+                                               reorder=reorder, gb=G))
+                  for ring, base, gens, G in pinned_cases["ideals"])
+    assert got == PINNED_RES_DIGESTS[reorder]

@@ -67,6 +67,28 @@ def test_resolve_zero_and_max_length():
     assert empty.length == 0 and empty.minimal
 
 
+@pytest.mark.parametrize("max_length", [0, -2])
+def test_resolve_rejects_max_length_below_one(max_length):
+    doc = parse_input("ring 7 x,y dp\nx\ny\n")
+    with pytest.raises(DomainError, match="max_length"):
+        resolve(doc.generators, doc.ring, doc.ordering, max_length=max_length)
+
+
+@pytest.mark.parametrize("rank, twists, comp", [
+    (1, None, 1),       # a component-1 generator at rank 1
+    (2, (0,), 0),       # too few twists
+    (2, (0, 0, 0), 0),  # too many twists
+], ids=["component", "short-twists", "long-twists"])
+def test_rank_and_twists_are_checked(rank, twists, comp):
+    ring = Ring(7, ("x", "y"))
+    base = BaseOrdering("dp", 2)
+    gens = [{(ring.mono([1, 0]), comp): 1}, {(ring.mono([0, 1]), 0): 1}]
+    with pytest.raises(DomainError):
+        buchberger(gens, ring, base, rank=rank, twists=twists)
+    with pytest.raises(DomainError):
+        resolve(gens, ring, base, rank0=rank, twists0=twists)
+
+
 def test_resolve_ungraded_guards():
     doc = parse_input("ring 7 x,y lp\nx^2+y\n")
     res = resolve(doc.generators, doc.ring, doc.ordering)

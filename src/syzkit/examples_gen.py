@@ -71,13 +71,16 @@ class AgrIdeal:
     contraction: dict         # divided-power coordinates u_beta, |beta| <= d
 
 
-def gen_agr(spec: AgrSpec, max_retries: int = 5) -> AgrIdeal:
+MAX_RETRIES = 5  # fresh draws of the linear forms before giving up
+
+
+def gen_agr(spec: AgrSpec) -> AgrIdeal:
     """Apolar ideal of f = l_1^d + ... + l_s^d for seeded random linear
     forms, as a minimal homogeneous generating set.
 
-    Deterministic per spec: retries on a degenerate form keep drawing from
-    the same seeded stream.  Linear forms are uniform with a nonzero first
-    coefficient.
+    Deterministic per spec: the MAX_RETRIES draws allowed for a degenerate
+    form come from one seeded stream.  Linear forms are uniform with a
+    nonzero first coefficient.
     """
     p = spec.p
     nv = spec.n + 1
@@ -85,7 +88,7 @@ def gen_agr(spec: AgrSpec, max_retries: int = 5) -> AgrIdeal:
     base = BaseOrdering("dp", nv)
     rng = random.Random(spec.seed)
     monos = {e: monomials_of_degree(nv, e, base) for e in range(spec.d + 2)}
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         forms = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(nv - 1)]
                  for _ in range(spec.s)]
         u: dict = {}

@@ -7,8 +7,7 @@ components.  Inhomogeneous input is homogenized by one extra variable, so
 that the degree of a homogenized element is its sugar degree
 (Giovini-Mora-Niesi-Robbiano-Traverso 1991); the result is dehomogenized
 and reduced.  The output is the reduced Groebner basis, monic, sorted by
-ascending leading-monomial degree with descending base-ordering tiebreak,
-or in the engine's production order with ``keep_input_order``.
+ascending leading-monomial degree with descending base-ordering tiebreak.
 """
 
 from __future__ import annotations
@@ -221,18 +220,14 @@ def is_groebner(G: GroebnerBasis, counters: Optional[OpCounters] = None) -> bool
 
 
 def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
-               rank: int = 1, twists: Optional[Sequence[int]] = None,
-               keep_input_order: bool = False) -> GroebnerBasis:
+               rank: int = 1,
+               twists: Optional[Sequence[int]] = None) -> GroebnerBasis:
     """Reduced monic Groebner basis of the span of `gens` in R^rank.
 
-    Every input goes through the F4 engine (:func:`_gb_f4`).  The generator
-    order is canonical (the default order of
-    :func:`~syzkit.orderings.reorder_permutation` at level 0) unless
-    keep_input_order is set, which keeps the engine's production order:
-    ascending degree of the (homogenized, twisted) element, then descending
-    leading monomial.  The two coincide on homogeneous input whose twists
-    are all equal.  Raises DomainError unless there are `rank` twists and
-    every component lies in [0, rank).
+    Every input goes through the F4 engine (:func:`_gb_f4`), and the output
+    takes the default order of :func:`~syzkit.orderings.reorder_permutation`
+    at level 0.  Raises DomainError unless there are `rank` twists and every
+    component lies in [0, rank).
     """
     twists = (0,) * rank if twists is None else tuple(twists)
     if len(twists) != rank:
@@ -249,10 +244,9 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     if not cleaned:
         return GroebnerBasis(ring, chain, [], level=0, rank=rank, twists=twists)
     out = _gb_f4(cleaned, ring, base, twists)
-    if not keep_input_order:
-        key = chain.key_fn(0)
-        lms = [max(g, key=key) for g in out]
-        out = [out[i] for i in reorder_permutation(lms, chain, 0)]
+    key = chain.key_fn(0)
+    lms = [max(g, key=key) for g in out]
+    out = [out[i] for i in reorder_permutation(lms, chain, 0)]
     return GroebnerBasis(ring, chain, out, level=0, rank=rank, twists=twists)
 
 

@@ -37,19 +37,15 @@ class BaseOrdering:
         self.kind = kind
         self.nvars = nvars
 
-    def key(self, m: Mono) -> tuple:
-        if self.kind == "lp":
-            return m[1:]
-        # degrevlex: total degree first, then negated reversed exponents
-        return (m[0],) + tuple(-e for e in m[:0:-1])
-
     def key_func(self) -> Callable[[Mono], tuple]:
         if self.kind == "lp":
             return lambda m: m[1:]
+        # degrevlex: total degree first, then negated reversed exponents
         return lambda m: (m[0],) + tuple(-e for e in m[:0:-1])
 
     def cmp(self, a: Mono, b: Mono) -> int:
-        ka, kb = self.key(a), self.key(b)
+        key = self.key_func()
+        ka, kb = key(a), key(b)
         return (ka > kb) - (ka < kb)
 
     def __repr__(self):
@@ -118,9 +114,6 @@ class OrderingChain:
 
         return key
 
-    def key(self, level: int, mm: ModMono) -> tuple:
-        return self.key_fn(level)(mm)
-
     def cmp(self, a: ModMono, b: ModMono, level: int,
             counters: Optional[OpCounters] = None) -> int:
         if counters is not None:
@@ -178,7 +171,7 @@ def extend_chain(chain: OrderingChain, generators: Sequence[Vec],
     return chain.extend(lms)
 
 
-REORDER_MODES = ("negdegrevlex", "none", "input")
+REORDER_MODES = ("negdegrevlex", "none")
 
 
 def reorder_permutation(terms: Sequence[ModMono], chain: OrderingChain,
@@ -190,11 +183,12 @@ def reorder_permutation(terms: Sequence[ModMono], chain: OrderingChain,
     leading-monomial image, breaking ties by descending base ordering on the
     image and then by ascending component; this realizes sorting w.r.t. the
     negative degree reverse lexicographic ordering when the base is 'dp'.
+    Mode ``"none"`` keeps the given order.
     """
     if mode not in REORDER_MODES:
         raise DomainError(f"unknown reorder mode {mode!r}")
     idxs = list(range(len(terms)))
-    if mode in ("none", "input"):
+    if mode == "none":
         return idxs
     images = [chain.image_monomial(level, mm) for mm in terms]
     base_key = chain.base.key_func()

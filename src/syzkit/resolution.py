@@ -179,8 +179,11 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     frame (:func:`~syzkit.frame.build_frame`), which fixes the leading
     terms, their order and the chain of induced orderings of every level
     before any lifting starts.  Each frame level is then lifted against the
-    Groebner basis formed by the level before it.  ``n_terms`` in the
-    returned stats excludes the first differential.
+    Groebner basis formed by the level before it.  ``reorder`` is
+    ``"negdegrevlex"`` or ``"none"`` (see
+    :func:`~syzkit.orderings.reorder_permutation`).  A given ``gb`` must be
+    the reduced basis of ``gens`` in R^rank0 with ``twists0``.  ``n_terms``
+    in the returned stats excludes the first differential.
     """
     if alg not in LIFT_ALGORITHMS:
         raise DomainError(f"unknown lifting algorithm {alg!r}")
@@ -193,8 +196,10 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         twists0 = (0,) * rank0
     twists0 = tuple(twists0)
     if gb is None:  # checks the components and twists of the input
-        gb = buchberger(gens, ring, base, rank=rank0, twists=twists0,
-                        keep_input_order=(reorder == "input"))
+        gb = buchberger(gens, ring, base, rank=rank0, twists=twists0)
+    elif ((gb.rank, gb.twists) != (rank0, twists0)
+          or any(not 0 <= mm[1] < rank0 for g in gens for mm in g)):
+        raise DomainError(f"gb and gens must lie in R^{rank0} with twists {twists0}")
     graded = (all(is_homogeneous(g, twists0) for g in gens)
               and (not gb.gens or gb.degrees is not None))
     modules = [GradedFreeModule(rank0, twists0 if graded else None)]

@@ -193,6 +193,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["resolve", str(good), "--alg", "schreyer"]) == 1
     assert main(["resolve", str(good), "--threads", "2"]) == 1
     capsys.readouterr()
+    assert main(["resolve", str(good), "--reorder", "input"]) == 1
+    out = capsys.readouterr()
+    assert "usage error" in out.err and "--reorder" in out.err
+    assert "Traceback" not in out.err and out.out == ""
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

@@ -121,5 +121,6 @@ def test_reorder_permutation_modes(sec5):
     mixed = [(sec5.mono(e), 0) for e in ("x^2", "x", "x^3")]
     chain = OrderingChain(sec5.base)
     assert reorder_permutation(mixed, chain, 0, "negdegrevlex") == [1, 0, 2]
-    with pytest.raises(DomainError):
-        reorder_permutation(terms, ext, 1, "bogus")
+    for mode in ("bogus", "input"):
+        with pytest.raises(DomainError):
+            reorder_permutation(terms, ext, 1, mode)

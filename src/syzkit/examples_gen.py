@@ -9,12 +9,22 @@ catalecticant is Cat_e[gamma, alpha] = u_{alpha+gamma}; its kernel is the
 degree-e piece of the annihilator ideal, and the ideal is generated in
 degrees <= d+1.
 
-Minimal generators come degree by degree, for e = 1..d+1.  One matrix holds
-the shifts x_v * Ann_{e-1} (spanning R_1 * Ann_{e-1}) followed by the
-canonical kernel basis of Cat_e, and is brought to echelon form once; the
-kernel vectors that enlarge the span of the rows above them are the new
-generators.  In degree d+1 every form annihilates, and the new generators are
-the monomials at the non-pivot columns of the shifted rows.
+Minimal generators come degree by degree, for e = 1..d+1.  In degree e <= d
+they are the vectors g_j of the canonical kernel basis of Cat_e that do not
+lie in W + <g_i : i < j>, where W = R_1 * Ann_{e-1} is spanned by the shifts
+x_v * Ann_{e-1}.  Only the shifts are eliminated, never the kernel rows.
+Let c_1 < c_2 < ... be the free columns of the RREF of Cat_e: g_j is 1 at c_j,
+0 at every other c_i and elsewhere nonzero only at pivot columns.  An element
+w of Ann_e is sum_j w[c_j] g_j, as the difference is a kernel vector that
+vanishes on the free columns; W lies in Ann_e, as Ann is an ideal.  So g_j
+is in W + <g_i : i < j> exactly when some w in W has w[c_j] = 1 and
+w[c_i] = 0 for every i > j (then g_j = w - sum_{i<j} w[c_i] g_i, and
+conversely), that is, when j is the last nonzero free coordinate of some w
+in W.  These j are the pivot columns of the shifts written in the free
+coordinates in reverse order, c_k, ..., c_1, and brought to echelon form;
+every other g_j is a new generator.  In degree d+1 every form annihilates,
+and the new generators are the monomials at the non-pivot columns of the
+shifted rows.
 
 There are none when h_1 >= 2, and that span is then skipped.  A functional
 F on R_{d+1} that kills R_1 * Ann_d is a divided-power form of degree d+1
@@ -82,64 +92,89 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
     form come from one seeded stream.  Linear forms are uniform with a
     nonzero first coefficient.
     """
-    p = spec.p
+    p, d = spec.p, spec.d
     nv = spec.n + 1
     ring = Ring(p, tuple(f"x{i}" for i in range(nv)))
     base = BaseOrdering("dp", nv)
     rng = random.Random(spec.seed)
-    monos = {e: monomials_of_degree(nv, e, base) for e in range(spec.d + 2)}
+    monos = {e: monomials_of_degree(nv, e, base) for e in range(d + 2)}
+    exps = {e: np.array([m[1:] for m in ms], dtype=np.int64)
+            for e, ms in monos.items()}
     for _ in range(MAX_RETRIES):
         forms = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(nv - 1)]
                  for _ in range(spec.s)]
+        # powers[i, v, k] = a_{i,v}^k, so u_beta = sum_i prod_v powers[i, v, beta_v];
+        # each product is of two residues, below 2^62 as p < 2^31 (Ring)
+        coeffs = np.array(forms, dtype=np.int64)
+        powers = np.ones((spec.s, nv, d + 1), dtype=np.int64)
+        for k in range(1, d + 1):
+            powers[:, :, k] = powers[:, :, k - 1] * coeffs % p
         u: dict = {}
-        for e in range(spec.d + 1):
-            for m in monos[e]:
-                total = 0
-                for a in forms:
-                    prod = 1
-                    for v, exp in enumerate(m[1:]):
-                        if exp:
-                            prod = (prod * pow(a[v], exp, p)) % p
-                    total += prod
-                u[m] = total % p
-        if any(u[m] for m in monos[spec.d]):
+        for e in range(d + 1):
+            terms = np.ones((spec.s, len(monos[e])), dtype=np.int64)
+            for v in range(nv):
+                terms = terms * powers[:, v, exps[e][:, v]] % p
+            u.update(zip(monos[e], (terms.sum(axis=0) % p).tolist()))
+        u_top = np.array([u[m] for m in monos[d]], dtype=np.int64)
+        if u_top.any():
             break
     else:
         raise DomainError("degenerate apolar form after retries")
 
+    # radix codes: code(m) + code(m') = code(m * m') while every exponent
+    # stays <= d + 1, in Python integers where they could leave int64.  The
+    # last variable is the most significant digit, so the codes of monos[e],
+    # in descending degrevlex order, ascend and searchsorted finds a monomial.
+    radix = d + 2
+    place = np.array([radix ** v for v in range(nv)],
+                     dtype=np.int64 if radix ** nv <= 1 << 63 else object)
+    codes = {e: (x * place).sum(axis=1) for e, x in exps.items()}
+
     generators: list = []
     hilbert = [1]
     kernel_prev = np.zeros((0, 1), dtype=np.int64)  # Ann_0 = 0
-    for e in range(1, spec.d + 2):
-        if e > spec.d and hilbert[1] >= 2:
+    for e in range(1, d + 2):
+        if e > d and hilbert[1] >= 2:
             break  # R_1 * Ann_d = R_{d+1}, see the module docstring
         cols = monos[e]
-        index = {m: i for i, m in enumerate(cols)}
-        kernel = np.zeros((0, len(cols)), dtype=np.int64)
-        if e <= spec.d:
-            rows = monos[spec.d - e]
-            cat = np.array([[u[mono_mul(a, g)] for a in cols] for g in rows],
-                           dtype=np.int64)
-            kernel, rank = linalg.kernel_basis(cat, p)
-            hilbert.append(rank)
-        # rows: R_1 * Ann_{e-1} shifted into degree e, then Ann_e's kernel basis
-        k = len(kernel_prev)
-        span = np.zeros((nv * k + len(kernel), len(cols)), dtype=np.int64)
-        for v in range(nv):
-            shift = [index[(m[0] + 1,) + m[1:1 + v] + (m[1 + v] + 1,) + m[2 + v:]]
-                     for m in monos[e - 1]]
-            span[v * k:(v + 1) * k, shift] = kernel_prev
-        span[nv * k:] = kernel
-        if e <= spec.d:
-            generators += [_vec_from_row(kernel[r - nv * k], cols)
-                           for r in linalg.span_rows(span, p) if r >= nv * k]
+        shift_pos = [np.searchsorted(codes[e], codes[e - 1] + place[v])
+                     for v in range(nv)]
+        if e <= d:
+            cat = u_top[np.searchsorted(codes[d],
+                                        codes[d - e][:, None] + codes[e])]
+            kernel, free = linalg.kernel_basis(cat, p)
+            hilbert.append(len(cols) - len(free))
+            # R_1 * Ann_{e-1} in the free coordinates of Ann_e, reversed
+            coord = np.full(len(cols), -1)
+            coord[free[::-1]] = np.arange(len(free))
+            shifts = _shifted(kernel_prev, shift_pos, coord, len(free))
+            trailing = {len(free) - 1 - c for _, c in linalg.echelon(shifts, p)}
+            generators += [_vec_from_row(kernel[j], cols)
+                           for j in range(len(free)) if j not in trailing]
+            kernel_prev = kernel
         else:
             # everything annihilates: new generators complement R_1 * Ann_d
+            span = _shifted(kernel_prev, shift_pos, np.arange(len(cols)),
+                            len(cols))
             pivcols = {c for _, c in linalg.echelon(span, p)}
             generators += [{(m, 0): 1} for ci, m in enumerate(cols)
                            if ci not in pivcols]
-        kernel_prev = kernel
     return AgrIdeal(spec, ring, generators, hilbert, forms, u)
+
+
+def _shifted(kernel: np.ndarray, shift_pos: list, coord: np.ndarray,
+             width: int) -> np.ndarray:
+    """The rows x_v * g, one block per variable v and in it one row per row
+    g of ``kernel``.  ``shift_pos[v][i]`` is the index of x_v * m_i, and
+    the coefficient of monomial j goes to column ``coord[j]``, or is
+    dropped where that is negative."""
+    k = len(kernel)
+    out = np.zeros((len(shift_pos) * k, width), dtype=np.int64)
+    for v, pos in enumerate(shift_pos):
+        target = coord[pos]
+        keep = target >= 0
+        out[v * k:(v + 1) * k, target[keep]] = kernel[:, keep]
+    return out
 
 
 def _vec_from_row(row: np.ndarray, monos: list) -> Vec:

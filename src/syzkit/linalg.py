@@ -1,15 +1,16 @@
 """Gaussian elimination over F_p on dense int64 matrices.
 
 One loop, :func:`echelon`, serves every elimination in the package: the
-catalecticant kernels and the spans of the apolar generator, and the ranks
-of the constant strands.  It works column by column, in the manner of the
-matrix phase of F4 (Faugere 1999; Faugere-Lachartre 2010): the pivot of a
-column is the topmost row not yet used as a pivot that is nonzero there,
-and one vectorized update clears that column from every other row that
-needs it.  The update touches only the columns where the pivot row is
-nonzero, and runs in chunks of ``CHUNK`` rows so its temporaries stay
-small.  Rows are never swapped, so the pivot rows are exactly the rows
-that, taken in order, enlarge the span of the rows above them.
+catalecticant kernels and shifted annihilators of the apolar generator,
+the matrices of the F4 engine and the ranks of the constant strands.  It
+works column by column, in the manner of the matrix phase of F4 (Faugere
+1999; Faugere-Lachartre 2010): the pivot of a column is the topmost row
+not yet used as a pivot that is nonzero there, and one vectorized update
+clears that column from every other row that needs it.  The update
+touches only the columns where the pivot row is nonzero, and runs in
+chunks of ``CHUNK`` rows so its temporaries stay small.  Rows are never
+swapped, so the pivot rows are exactly the rows that, taken in order,
+enlarge the span of the rows above them.
 
 Invariant: p < 2^31, so that a single product of two residues, at most
 (p-1)^2 < 2^62, fits in int64.  Code here may form single products such as
@@ -78,7 +79,8 @@ def rref(mat, p: int):
 def kernel_basis(mat, p: int):
     """Canonical basis of the right kernel of ``mat`` over F_p, one row per
     free column with a 1 there and the negated RREF entries at the pivot
-    columns, in free-column order; returned with the rank."""
+    columns, in free-column order; returned with the free columns, whose
+    count is the number of columns less the rank."""
     r, pivcols = rref(mat, p)
     cols = np.shape(mat)[1]
     is_free = np.ones(cols, dtype=bool)
@@ -87,10 +89,5 @@ def kernel_basis(mat, p: int):
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivcols] = (-r[:, free].T) % p
-    return basis, len(pivcols)
+    return basis, free
 
-
-def span_rows(a: np.ndarray, p: int) -> list:
-    """Indices of the rows of ``a`` that, taken in order, enlarge the span
-    of the rows before them, ascending.  Overwrites ``a``."""
-    return sorted(r for r, _ in echelon(a, p))

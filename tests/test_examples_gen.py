@@ -1,11 +1,13 @@
 import hashlib
-from math import comb
+import json
+import random
+from math import comb, prod
 
 import numpy as np
 import pytest
 
 from syzkit import linalg
-from syzkit.algebra import DomainError
+from syzkit.algebra import DomainError, mono_mul
 from syzkit.cli import InputDocument, serialize_input
 from syzkit.orderings import BaseOrdering
 from syzkit.examples_gen import (
@@ -104,14 +106,117 @@ def test_gen_random_homogeneous():
      "bf4d047ac435170829a0434ab9e44513c9a3413cbdc30e42ed474b5f16cd4194"),
     (4, 4, 9, 2147483647, 1,
      "74fd32b9545e47b38bbe79ac486b111f00c7f13b7a444a722eafb3a4128116b8"),
+    # generators in degrees 3 and 4
+    (6, 5, 30, 10007, 0,
+     "23020152f70b17756391b6ae5dad02d897366be53f169dbbe20e3ae879f45006"),
+    # generators in degrees 1, 2 and 4
+    (3, 4, 3, 11, 4,
+     "aa4440c980d9a649f0151921feccd95c8ff787531071f0db7ca576fde97a049e"),
+    # (d+1)^(n+1) > 2^63: radix codes of the monomials would wrap in int64
+    (40, 2, 5, 10007, 0,
+     "c44f70c0546f1f0b2710c8ce77d8aea9ba858e0d396af13cd852acc290ea0d26"),
+    (63, 1, 3, 10007, 0,
+     "59925a5840b7372d6b41f88d059dd3ae936a92659558e9157b6d9c6e10714724"),
 ])
 def test_gen_agr_golden(n, d, s, p, seed, digest):
-    # digests of the serialized generators as produced by the row-by-row
-    # elimination that preceded syzkit.linalg: same ideals, same term order
+    # digests of the serialized generators: the first five as produced by
+    # the row-by-row elimination that preceded syzkit.linalg, the last four
+    # by one elimination of the shifts and the whole kernel basis per
+    # degree; same ideals, same term order
     ideal = gen_agr(AgrSpec(n, d, s, p, seed))
     text = serialize_input(InputDocument(ideal.ring, BaseOrdering("dp", n + 1),
                                          ideal.generators))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,d,s,p,seed,digest", [
+    (6, 5, 42, 10007, 0,
+     "2dbe3d22439b830f76b9716c7eda88767c7792081ddb40566d1d8de8e346d29f"),
+    (5, 4, 12, 10007, 0,
+     "87f04a5e2c996d10c146f38ee0e17c6d3553211197f5e7b3cdddd24f97e26f7f"),
+])
+def test_forms_and_contraction_golden(n, d, s, p, seed, digest):
+    # the linear forms and every divided-power coordinate u_beta, |beta| <= d,
+    # as the per-monomial loops of pow computed them
+    ideal = gen_agr(AgrSpec(n, d, s, p, seed))
+    assert len(ideal.contraction) == comb(n + 1 + d, d)
+    doc = json.dumps({"forms": ideal.forms,
+                      "contraction": sorted([list(m), c] for m, c
+                                            in ideal.contraction.items())})
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def _span_specs(count):
+    """Seeded small specs: n <= 3, d <= 4, s <= 8 (one in four s = 1)."""
+    rng = random.Random(2024)
+    specs = []
+    for i in range(count):
+        p = (7, 11, 10007, 2**31 - 1)[i % 4]
+        d = rng.randint(1, min(4, p - 1))
+        s = 1 if i % 4 == 3 else rng.randint(1, 8)
+        specs.append((rng.randint(1, 3), d, s, p, rng.randrange(100)))
+    return specs
+
+
+def test_contraction_is_the_power_sum():
+    # u_beta = sum_i prod_v a_{i,v}^{beta_v}, with Python integers
+    for n, d, s, p, seed in _span_specs(64):
+        ideal = gen_agr(AgrSpec(n, d, s, p, seed))
+        for m, c in ideal.contraction.items():
+            total = sum(prod(pow(x, b, p) for x, b in zip(a, m[1:]))
+                        for a in ideal.forms)
+            assert c == total % p
+
+
+def ref_span_rows(mat, p):
+    """Rows that enlarge the span of the rows before them, by inserting
+    each row into an echelon basis keyed by leading column."""
+    basis, out = {}, []
+    for i, row in enumerate(mat):
+        row = [x % p for x in row]
+        for c in range(len(row)):
+            if row[c] and c in basis:
+                f = row[c]
+                row = [(x - f * y) % p for x, y in zip(row, basis[c])]
+            elif row[c]:
+                inv = pow(row[c], p - 2, p)
+                basis[c] = [x * inv % p for x in row]
+                out.append(i)
+                break
+    return out
+
+
+@pytest.mark.parametrize("n,d,s,p,seed", _span_specs(64))
+def test_generators_are_the_rows_that_enlarge_the_span(n, d, s, p, seed):
+    # in each degree e <= d the generators are exactly the kernel rows that
+    # enlarge the span of [x_v * Ann_{e-1} for every v; Ann_e], taken in
+    # order, with Ann_e the canonical kernel basis of the catalecticant
+    # built from the contraction coordinates
+    ideal = gen_agr(AgrSpec(n, d, s, p, seed))
+    u, nv = ideal.contraction, n + 1
+    base = BaseOrdering("dp", nv)
+    prev, prev_monos = [], monomials_of_degree(nv, 0, base)
+    for e in range(1, d + 1):
+        cols = monomials_of_degree(nv, e, base)
+        index = {m: c for c, m in enumerate(cols)}
+        cat = [[u[mono_mul(a, g)] for a in cols]
+               for g in monomials_of_degree(nv, d - e, base)]
+        kernel = linalg.kernel_basis(np.array(cat), p)[0].tolist()
+        shifts = []
+        for v in range(nv):
+            x_v = (1,) + tuple(int(w == v) for w in range(nv))
+            for g in prev:
+                row = [0] * len(cols)
+                for m, c in zip(prev_monos, g):
+                    row[index[mono_mul(m, x_v)]] = c
+                shifts.append(row)
+        chosen = [r - len(shifts) for r in ref_span_rows(shifts + kernel, p)
+                  if r >= len(shifts)]
+        expected = [{(cols[c], 0): x for c, x in enumerate(kernel[j]) if x}
+                    for j in chosen]
+        assert [g for g in ideal.generators
+                if next(iter(g))[0][0] == e] == expected
+        prev, prev_monos = kernel, cols
 
 
 def _top_span_rank(ideal):

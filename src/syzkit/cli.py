@@ -30,7 +30,7 @@ from .algebra import (
     mono_deg,
     vec_component,
 )
-from .orderings import ORDER_KINDS, REORDER_MODES, BaseOrdering, OrderingChain
+from .orderings import ORDER_KINDS, BaseOrdering
 from .lift import LIFT_ALGORITHMS
 from .resolution import (
     BettiTable,
@@ -314,9 +314,8 @@ def parse_resolution(text: str) -> Resolution:
             poly = parse_polynomial(" ".join(parts[2:]), ring, ln)
             for (m, _), c in poly.items():
                 diffs[cur - 1][col][(m, row)] = c
-    res = Resolution(ring, base, OrderingChain(base), modules, diffs,
-                     OpCounters(), bool(graded), minimal)
-    return res
+    return Resolution(ring, base, modules, diffs, OpCounters(), bool(graded),
+                      minimal)
 
 
 def betti_to_string(table: BettiTable, title: str) -> str:
@@ -397,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="input file ('-' for stdin)")
     rp.add_argument("--alg", default="tree", choices=LIFT_ALGORITHMS)
     rp.add_argument("--max-length", type=int, default=None)
-    rp.add_argument("--reorder", default="negdegrevlex", choices=REORDER_MODES)
     rp.add_argument("--minimize", action="store_true",
                     help="minimize the resolution before output")
     rp.add_argument("--betti", choices=("min", "nonmin", "both"), default=None)
@@ -427,8 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_resolve(args) -> int:
     if args.max_length is not None and args.max_length < 1:
         raise _UsageError(f"--max-length must be at least 1, got {args.max_length}")
-    if args.input == "-":
-        text = sys.stdin.read()
+    if args.input == "-":  # UTF-8 whatever the locale, as files are read
+        text = sys.stdin.buffer.read().decode("utf-8")
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -436,8 +434,7 @@ def cmd_resolve(args) -> int:
     counters = OpCounters()
     t0 = time.perf_counter()
     res = resolve(doc.generators, doc.ring, doc.ordering, alg=args.alg,
-                  max_length=args.max_length, reorder=args.reorder,
-                  counters=counters)
+                  max_length=args.max_length, counters=counters)
     elapsed = time.perf_counter() - t0
     shape = " <- ".join(f"F{k}(rank {m.rank})" for k, m in enumerate(res.modules))
     print(f"resolution length {res.length}: {shape}")
@@ -499,7 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ParseError, DomainError) as e:
+    except (ParseError, DomainError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

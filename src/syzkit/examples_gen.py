@@ -97,7 +97,7 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
     ring = Ring(p, tuple(f"x{i}" for i in range(nv)))
     base = BaseOrdering("dp", nv)
     rng = random.Random(spec.seed)
-    monos = {e: monomials_of_degree(nv, e, base) for e in range(d + 2)}
+    monos = {e: monomials_of_degree(nv, e, base) for e in range(d + 1)}
     exps = {e: np.array([m[1:] for m in ms], dtype=np.int64)
             for e, ms in monos.items()}
     for _ in range(MAX_RETRIES):
@@ -134,8 +134,12 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
     hilbert = [1]
     kernel_prev = np.zeros((0, 1), dtype=np.int64)  # Ann_0 = 0
     for e in range(1, d + 2):
-        if e > d and hilbert[1] >= 2:
-            break  # R_1 * Ann_d = R_{d+1}, see the module docstring
+        if e > d:
+            if hilbert[1] >= 2:
+                break  # R_1 * Ann_d = R_{d+1}, see the module docstring
+            monos[e] = monomials_of_degree(nv, e, base)
+            x = np.array([m[1:] for m in monos[e]], dtype=np.int64)
+            codes[e] = (x * place).sum(axis=1)
         cols = monos[e]
         shift_pos = [np.searchsorted(codes[e], codes[e - 1] + place[v])
                      for v in range(nv)]

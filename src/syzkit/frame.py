@@ -52,33 +52,31 @@ def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
     """Minimal generators of the leading syzygy module of the given leading
     monomials, by pairwise candidate generation and divisibility pruning.
 
-    Pairs with mismatched components are skipped up front (their lcm is
-    zero).  The result is order-normalized: ascending component, then
-    descending base ordering on the cofactor monomial.
+    The candidates of generator i are (lcm(m_i, m_j)/m_i) e_i for j < i;
+    pairs with mismatched components are skipped (their lcm is zero).  A
+    candidate can divide only candidates of the same i, so each i's are
+    pruned among themselves, the first j winning a tie.  The result is
+    order-normalized: ascending component, then descending base ordering on
+    the cofactor monomial.
     """
     lms = list(leading_monomials)
-    kept: list = []  # [module monomial, (i, j)]
+    bk = base.key_func()
+    level = FrameLevel([], [])
     for i in range(1, len(lms)):
         mi, ci = lms[i]
+        kept: list = []  # (cofactor, j): the minimal candidates of i so far
         for j in range(i):
             mj, cj = lms[j]
             if ci != cj:
                 continue
-            t = (mono_div(mono_lcm(mi, mj), mi), i)
-            dead = False
-            for entry in kept[:]:
-                s = entry[0]
-                if s[1] == t[1] and mono_divides(s[0], t[0]):
-                    dead = True
-                    break
-                if s[1] == t[1] and mono_divides(t[0], s[0]):
-                    kept.remove(entry)
-            if not dead:
-                kept.append([t, (i, j)])
-    bk = base.key_func()
-    kept.sort(key=lambda e: bk(e[0][0]), reverse=True)
-    kept.sort(key=lambda e: e[0][1])
-    level = FrameLevel([e[0] for e in kept], [e[1] for e in kept])
+            t = mono_div(mono_lcm(mi, mj), mi)
+            if any(mono_divides(s, t) for s, _ in kept):
+                continue
+            kept = [e for e in kept if not mono_divides(t, e[0])]
+            kept.append((t, j))
+        kept.sort(key=lambda e: bk(e[0]), reverse=True)
+        level.terms += [(t, i) for t, _ in kept]
+        level.source_pairs += [(i, j) for _, j in kept]
     if degrees is not None:
         level.degrees = [mono_deg(t[0]) + degrees[t[1]] for t in level.terms]
     return level
@@ -86,8 +84,9 @@ def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
 
 @dataclass
 class SchreyerFrame:
-    """Frame levels in generator order (reordering between levels applied),
-    together with the chain of induced orderings they define."""
+    """Frame levels in generator order, each sorted by
+    :func:`~syzkit.orderings.reorder_permutation`, together with the chain
+    of induced orderings they define."""
 
     levels: list = field(default_factory=list)
     chain: Optional[OrderingChain] = None
@@ -96,14 +95,15 @@ class SchreyerFrame:
         return len(self.levels)
 
 
-def build_frame(G: GroebnerBasis, max_length: Optional[int] = None,
-                reorder: str = "negdegrevlex") -> SchreyerFrame:
+def build_frame(G: GroebnerBasis,
+                max_length: Optional[int] = None) -> SchreyerFrame:
     """The Schreyer frame of G, built inductively from leading terms alone.
 
-    Each level is reordered with ``reorder`` before the next one is computed;
-    :func:`~syzkit.resolution.resolve` lifts these levels as they stand, so
-    frame level k is column for column the generator order of F_{k+2}.
-    Raises RuntimeError if the frame outgrows the Hilbert syzygy bound.
+    Each level is sorted by :func:`~syzkit.orderings.reorder_permutation`
+    before the next one is computed; :func:`~syzkit.resolution.resolve`
+    lifts these levels as they stand, so frame level k is column for column
+    the generator order of F_{k+2}.  Raises RuntimeError if the frame
+    outgrows the Hilbert syzygy bound.
     """
     if not G.gens:
         return SchreyerFrame([], G.chain)
@@ -119,7 +119,7 @@ def build_frame(G: GroebnerBasis, max_length: Optional[int] = None,
         if len(frame.levels) > G.ring.nvars + G.rank:
             raise RuntimeError("resolution exceeds the Hilbert syzygy bound; "
                                "internal inconsistency")
-        perm = reorder_permutation(level.terms, chain, len(chain), reorder)
+        perm = reorder_permutation(level.terms, chain, len(chain))
         level = level.permuted(perm)
         frame.levels.append(level)
         chain = chain.extend(level.terms)

@@ -225,8 +225,8 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     """Reduced monic Groebner basis of the span of `gens` in R^rank.
 
     Every input goes through the F4 engine (:func:`_gb_f4`), and the output
-    takes the default order of :func:`~syzkit.orderings.reorder_permutation`
-    at level 0.  Raises DomainError unless there are `rank` twists and every
+    takes the order of :func:`~syzkit.orderings.reorder_permutation` at
+    level 0.  Raises DomainError unless there are `rank` twists and every
     component lies in [0, rank).
     """
     twists = (0,) * rank if twists is None else tuple(twists)

@@ -53,7 +53,7 @@ from .algebra import (
     vec_iadd_scaled,
 )
 from .orderings import OrderingChain
-from .frame import build_frame
+from .frame import lead_syz
 from .groebner import GroebnerBasis
 
 LIFT_ALGORITHMS = ("reduce", "hybrid", "tree")
@@ -547,7 +547,7 @@ def syz_lift(G: GroebnerBasis, chain: Optional[OrderingChain] = None,
              alg: str = "tree", counters: Optional[OpCounters] = None,
              cache: Optional[SubtreeCache] = None) -> list:
     """Groebner basis of the syzygy module of G w.r.t. the induced ordering:
-    one lifting per minimal leading syzygy term, in canonical frame order."""
-    frame = build_frame(G, 1, reorder="none")
-    terms = frame.levels[0].terms if frame.levels else []
+    one lifting per minimal leading syzygy term, in the order of
+    :func:`~syzkit.frame.lead_syz`."""
+    terms = lead_syz(G.lms, G.chain.base, G.degrees).terms
     return lift_frame_terms(terms, G, chain, alg, counters, cache)

@@ -171,27 +171,23 @@ def extend_chain(chain: OrderingChain, generators: Sequence[Vec],
     return chain.extend(lms)
 
 
-REORDER_MODES = ("negdegrevlex", "none")
-
-
 def reorder_permutation(terms: Sequence[ModMono], chain: OrderingChain,
                         level: int, mode: str = "negdegrevlex") -> list:
     """Permutation of indices sorting generators with the given leading
     monomials for use at the next resolution step.
 
-    The default key lists generators by ascending total degree of the
-    leading-monomial image, breaking ties by descending base ordering on the
-    image and then by ascending component; this realizes sorting w.r.t. the
-    negative degree reverse lexicographic ordering when the base is 'dp'.
-    Mode ``"none"`` keeps the given order.
+    Generators are listed by ascending total degree of the leading-monomial
+    image, breaking ties by descending base ordering on the image and then
+    by ascending component; this realizes sorting w.r.t. the negative degree
+    reverse lexicographic ordering when the base is 'dp'.  It is the one
+    order between levels; ``mode`` accepts only its name,
+    ``"negdegrevlex"``.
     """
-    if mode not in REORDER_MODES:
+    if mode != "negdegrevlex":
         raise DomainError(f"unknown reorder mode {mode!r}")
-    idxs = list(range(len(terms)))
-    if mode == "none":
-        return idxs
     images = [chain.image_monomial(level, mm) for mm in terms]
     base_key = chain.base.key_func()
+    idxs = list(range(len(terms)))
     idxs.sort(key=lambda i: terms[i][1])                    # component asc
     idxs.sort(key=lambda i: base_key(images[i]), reverse=True)  # image desc
     idxs.sort(key=lambda i: images[i][0])                   # degree asc

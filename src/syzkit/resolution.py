@@ -29,7 +29,7 @@ from .algebra import (
     vec_iadd_scaled,
     vec_interned,
 )
-from .orderings import BaseOrdering, OrderingChain, REORDER_MODES
+from .orderings import BaseOrdering
 from .linalg import rank as block_rank
 from .groebner import GroebnerBasis, buchberger
 from .frame import build_frame
@@ -112,12 +112,11 @@ class BettiTable:
 class Resolution:
     """A chain of free modules and sparse differentials over F_p."""
 
-    def __init__(self, ring: Ring, base: BaseOrdering, chain: OrderingChain,
-                 modules: list, diffs: list, stats: OpCounters,
-                 graded: bool, minimal: bool = False, level_times=None):
+    def __init__(self, ring: Ring, base: BaseOrdering, modules: list,
+                 diffs: list, stats: OpCounters, graded: bool,
+                 minimal: bool = False, level_times=None):
         self.ring = ring
         self.base = base
-        self.chain = chain
         self.modules = modules
         self.diffs = diffs  # diffs[k-1]: columns of phi_k, vectors in F_{k-1}
         self.stats = stats
@@ -169,7 +168,6 @@ class Resolution:
 
 def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
             alg: str = "tree", max_length: Optional[int] = None,
-            reorder: str = "negdegrevlex",
             counters: Optional[OpCounters] = None, rank0: int = 1,
             twists0: Optional[Sequence[int]] = None,
             gb: Optional[GroebnerBasis] = None) -> Resolution:
@@ -179,16 +177,14 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     frame (:func:`~syzkit.frame.build_frame`), which fixes the leading
     terms, their order and the chain of induced orderings of every level
     before any lifting starts.  Each frame level is then lifted against the
-    Groebner basis formed by the level before it.  ``reorder`` is
-    ``"negdegrevlex"`` or ``"none"`` (see
+    Groebner basis formed by the level before it, so every level's
+    generators come in the frame's one order (see
     :func:`~syzkit.orderings.reorder_permutation`).  A given ``gb`` must be
     the reduced basis of ``gens`` in R^rank0 with ``twists0``.  ``n_terms``
     in the returned stats excludes the first differential.
     """
     if alg not in LIFT_ALGORITHMS:
         raise DomainError(f"unknown lifting algorithm {alg!r}")
-    if reorder not in REORDER_MODES:
-        raise DomainError(f"unknown reorder mode {reorder!r}")
     if max_length is not None and max_length < 1:
         raise DomainError(f"max_length must be at least 1, got {max_length}")
     counters = counters if counters is not None else OpCounters()
@@ -206,11 +202,9 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     diffs: list = []
     level_times: list = []
     if not gb.gens:
-        return Resolution(ring, base, OrderingChain(base), modules, diffs,
-                          counters, graded, minimal=True,
-                          level_times=level_times)
-    frame = build_frame(gb, None if max_length is None else max_length - 1,
-                        reorder)
+        return Resolution(ring, base, modules, diffs, counters, graded,
+                          minimal=True, level_times=level_times)
+    frame = build_frame(gb, None if max_length is None else max_length - 1)
     G = gb
     modules.append(GradedFreeModule(len(G.gens), G.degrees if graded else None))
     diffs.append(list(G.gens))
@@ -241,7 +235,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
             len(G.gens), tuple(frame_level.degrees) if graded else None))
         counters.n_terms += sum(len(v) for v in G.gens)
         level_times.append(time.perf_counter() - t0)
-    res = Resolution(ring, base, frame.chain, modules, diffs, counters, graded,
+    res = Resolution(ring, base, modules, diffs, counters, graded,
                      level_times=level_times)
     res.minimal = not res.has_constant_entries()
     return res
@@ -460,7 +454,7 @@ def minimize(res: Resolution) -> Resolution:
         out_diffs.pop()
         twists.pop()
     modules = [GradedFreeModule(len(t), tuple(t)) for t in twists]
-    out = Resolution(res.ring, res.base, res.chain, modules, out_diffs,
+    out = Resolution(res.ring, res.base, modules, out_diffs,
                      res.stats.copy(), graded=True, minimal=True,
                      level_times=list(res.level_times))
     assert not out.has_constant_entries()

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from syzkit.algebra import Ring
@@ -192,11 +194,12 @@ def test_main_exit_codes(tmp_path, capsys):
     good.write_text(SEC5)
     assert main(["resolve", str(good), "--alg", "schreyer"]) == 1
     assert main(["resolve", str(good), "--threads", "2"]) == 1
-    capsys.readouterr()
-    assert main(["resolve", str(good), "--reorder", "input"]) == 1
-    out = capsys.readouterr()
-    assert "usage error" in out.err and "--reorder" in out.err
-    assert "Traceback" not in out.err and out.out == ""
+    for order in ("input", "none"):  # one generator order, no flag
+        capsys.readouterr()
+        assert main(["resolve", str(good), "--reorder", order]) == 1
+        out = capsys.readouterr()
+        assert "usage error" in out.err and "--reorder" in out.err
+        assert "Traceback" not in out.err and out.out == ""
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -207,6 +210,20 @@ def test_main_rejects_max_length_below_one(tmp_path, capsys, value):
     out = capsys.readouterr()
     assert "usage error" in out.err and "--max-length" in out.err
     assert out.out == ""
+
+
+def test_main_rejects_undecodable_input(tmp_path, capsys, monkeypatch):
+    # bytes that are not UTF-8, from a file and from stdin, are an input error
+    raw = b"ring 7 x,y dp\nx\xff+y\n"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(raw)
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    for source in (str(bad), "-"):
+        assert main(["resolve", source]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "decode" in out.err
+        assert "Traceback" not in out.err and out.out == ""
 
 
 def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):

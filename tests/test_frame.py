@@ -100,9 +100,8 @@ def test_build_frame_matches_resolution(corpus):
         assert len(frame.levels) == max(0, res.length - 1)
         for lv, cols in zip(frame.levels, res.diffs[1:]):
             assert lv.terms == [next(iter(col)) for col in cols]
-        assert len(res.chain) == len(frame.chain)
-        for a, b in zip(res.chain.levels, frame.chain.levels):
-            assert a.lms == b.lms
+        assert [lv.lms for lv in frame.chain.levels] == [
+            tuple(next(iter(col)) for col in cols) for cols in res.diffs]
 
 
 def test_build_frame_hilbert_guard(sec5, monkeypatch, tmp_path, capsys):

@@ -312,14 +312,13 @@ def test_gb_pinned_to_pair_loop(pinned_cases, kind):
 
 PINNED_RES_DIGESTS = {
     "negdegrevlex": "6d3694937eb64217b0cdc1457fe9b45f1aacc93cd47bd707286efafe5e8be10e",
-    "none": "ac21ff5fed01a0605f17ff5a62f43d4ebfac75b29834e80210fba23fe74f6023",
 }
 
 
+# keyed by the name of the one generator order between levels
 @pytest.mark.parametrize("alg", ["reduce", "hybrid", "tree"])
-@pytest.mark.parametrize("reorder", ["negdegrevlex", "none"])
-def test_ungraded_resolution_pinned_to_pair_loop(pinned_cases, reorder, alg):
-    got = _digest(serialize_resolution(resolve(gens, ring, base, alg=alg,
-                                               reorder=reorder, gb=G))
+@pytest.mark.parametrize("order", ["negdegrevlex"])
+def test_ungraded_resolution_pinned_to_pair_loop(pinned_cases, order, alg):
+    got = _digest(serialize_resolution(resolve(gens, ring, base, alg=alg, gb=G))
                   for ring, base, gens, G in pinned_cases["ideals"])
-    assert got == PINNED_RES_DIGESTS[reorder]
+    assert got == PINNED_RES_DIGESTS[order]

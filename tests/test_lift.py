@@ -314,6 +314,16 @@ def test_syz_lift_variants(sec5):
         syz_lift(sec5.gb, sec5.ext, alg="bogus")
 
 
+def test_syz_lift_follows_lead_syz_order(sec5, corpus):
+    # syz_lift lifts the minimal leading syzygies in lead_syz's order, which
+    # the frame's sort between levels does not touch
+    for G in [sec5.gb] + [e.gb for e in corpus]:
+        ext = G.chain.extend(G.lms)
+        key = ext.key_fn(G.level + 1)
+        terms = lead_syz(G.lms, G.chain.base, G.degrees).terms
+        assert [max(v, key=key) for v in syz_lift(G, ext)] == terms
+
+
 def test_syz_lift_single_generator():
     doc = parse_input("ring 7 x,y dp\nx\n")
     G = buchberger(doc.generators, doc.ring, doc.ordering)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from syzkit.algebra import DomainError, OpCounters, Ring
-from syzkit.orderings import BaseOrdering, OrderingChain
+from syzkit.orderings import BaseOrdering
 from syzkit.groebner import buchberger
 from syzkit.resolution import (
     BettiTable,
@@ -104,10 +104,11 @@ def test_given_basis_is_checked(comp, kwargs):
         resolve(gens, ring, base, gb=G, **kwargs)
 
 
-@pytest.mark.parametrize("reorder", ["bogus", "input"])
+@pytest.mark.parametrize("reorder", ["bogus"])
 def test_resolve_rejects_unknown_reorder(reorder):
+    # there is one generator order between levels and no option to pick one
     doc = parse_input("ring 7 x,y dp\nx\ny\n")
-    with pytest.raises(DomainError, match="reorder"):
+    with pytest.raises(TypeError, match="reorder"):
         resolve(doc.generators, doc.ring, doc.ordering, reorder=reorder)
 
 
@@ -128,7 +129,7 @@ def _dup_generator_resolution():
     one = ring.one
     phi1 = [{(x, 0): 1}, {(x, 0): 1}]
     phi2 = [{(one, 0): 1, (one, 1): 32002}]
-    return Resolution(ring, base, OrderingChain(base),
+    return Resolution(ring, base,
                       [GradedFreeModule(1, (0,)), GradedFreeModule(2, (1, 1)),
                        GradedFreeModule(1, (1,))],
                       [phi1, phi2], OpCounters(), graded=True)
@@ -326,7 +327,7 @@ AGR_5_4_12_RES_DIGEST = "35c458cb256df612037a39b2fd4b714279912eb2421f2e7fa624760
     pytest.param("corpus", "tree", CORPUS_RES_DIGEST,
                  (22633, 31733, 29865, 133, 0), id="corpus-tree"),
     pytest.param("sec5", None,
-                 "f1cbf886344558a95e656cad7ed2604ef9c5746d83376f06dd394cc5c9ef7674",
+                 "89b9c4a12cf74e4f2a82c489956acd6b9b1f7e95c8f510be611a7f13c80a8a6a",
                  None, id="sec5"),
     pytest.param((5, 4, 12), "reduce", AGR_5_4_12_RES_DIGEST,
                  (21926, 576896, 570111, 52750, 2577083), id="agr-5-4-12-reduce"),
@@ -343,7 +344,7 @@ def test_resolution_golden(request, case, alg, digest, totals):
     # storing, per level, either nothing or the subtrees two liftings reach,
     # whichever its plan prices cheaper: the whole corpus (per-ideal digests
     # concatenated in seed order, counters summed),
-    # the lex worked example under every reorder mode and strategy, and the
+    # the lex worked example under every strategy, and the
     # AGR ideal (5, 4, 12) with p=10007, seed 0
     counters = OpCounters()
     if case == "corpus":
@@ -356,8 +357,7 @@ def test_resolution_golden(request, case, alg, digest, totals):
         doc = parse_input(SEC5_TEXT)
         got = _sha256("".join(
             _sha256(serialize_resolution(resolve(
-                doc.generators, doc.ring, doc.ordering, alg=a, reorder=r)))
-            for r in ("negdegrevlex", "none")
+                doc.generators, doc.ring, doc.ordering, alg=a)))
             for a in ("reduce", "hybrid", "tree")))
     else:
         ideal = gen_agr(AgrSpec(*case, p=10007, seed=0))

@@ -5,37 +5,19 @@ from .algebra import (
     DomainError,
     OpCounters,
     Ring,
-    leading_term,
-    module_lcm,
     monomial_divides,
     term_times_vector,
-    vector_add,
 )
-from .orderings import (
-    BaseOrdering,
-    OrderingChain,
-    cmp_base,
-    cmp_induced,
-    extend_chain,
-)
-from .groebner import (
-    GroebnerBasis,
-    buchberger,
-    divide_with_remainder,
-    is_groebner,
-    m_coeff,
-    s_vector,
-)
-from .frame import FrameLevel, SchreyerFrame, build_frame, frame_betti, lead_syz
+from .orderings import BaseOrdering, OrderingChain
+from .groebner import GroebnerBasis, buchberger, divide_with_remainder
+from .frame import FrameLevel, SchreyerFrame, build_frame, lead_syz
 from .lift import (
     SubtreeCache,
     lift_hybrid,
     lift_reduce,
     lift_subtree,
     lift_tree,
-    lot,
     psi,
-    syz_lift,
 )
 from .resolution import (
     BettiTable,

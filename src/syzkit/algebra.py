@@ -32,6 +32,7 @@ outlives it is the sharing of the stored columns.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -41,6 +42,7 @@ Vec = dict  # ModMono -> coefficient
 Poly = dict  # Mono -> coefficient
 
 MAX_EXPONENT = 1 << 15
+NAME = re.compile("[A-Za-z_][A-Za-z0-9_]*")  # no name reads as a number or operator
 
 
 class DomainError(ValueError):
@@ -64,7 +66,8 @@ def is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Ring:
-    """The polynomial ring F_p[names] with a prime characteristic p < 2^31."""
+    """The polynomial ring F_p[names] with a prime characteristic p < 2^31
+    and distinct variable names matching :data:`NAME`."""
 
     p: int
     names: tuple
@@ -74,6 +77,9 @@ class Ring:
             raise DomainError(f"characteristic must be a prime < 2^31, got {self.p}")
         if not self.names or len(set(self.names)) != len(self.names):
             raise DomainError("variable names must be nonempty and distinct")
+        for name in self.names:
+            if not NAME.fullmatch(name):
+                raise DomainError(f"invalid variable name {name!r}")
         object.__setattr__(self, "names", tuple(self.names))
 
     @property
@@ -177,48 +183,14 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return (sum(exps),) + exps
 
 
-def monomial_divides(a, b: ModMono) -> bool:
-    """Does a divide the module monomial b?  a may be a plain monomial
-    (component-free divisibility) or a module monomial (components must
-    match)."""
-    if isinstance(a[0], tuple):  # module monomial
-        return a[1] == b[1] and mono_divides(a[0], b[0])
-    return mono_divides(a, b[0])
-
-
-def module_lcm(a: ModMono, b: ModMono) -> Optional[ModMono]:
-    """lcm of two module monomials; None encodes the zero result for
-    mismatched components."""
-    if a[1] != b[1]:
-        return None
-    return (mono_lcm(a[0], b[0]), a[1])
+def monomial_divides(a: ModMono, b: ModMono) -> bool:
+    """Does the module monomial a divide the module monomial b?  Components
+    must match."""
+    return a[1] == b[1] and mono_divides(a[0], b[0])
 
 
 # ---------------------------------------------------------------------------
 # vectors
-
-
-def vector_add(f: Vec, g: Vec, p: int, counters: Optional[OpCounters] = None) -> Vec:
-    """Sparse sum of two vectors.  Counts one addition per coefficient
-    collision and one cancellation per collision summing to zero."""
-    out = dict(f)
-    n_add = n_canc = 0
-    for mm, c in g.items():
-        old = out.get(mm)
-        if old is None:
-            out[mm] = c
-        else:
-            n_add += 1
-            v = (old + c) % p
-            if v:
-                out[mm] = v
-            else:
-                n_canc += 1
-                del out[mm]
-    if counters is not None:
-        counters.n_add += n_add
-        counters.n_canc += n_canc
-    return out
 
 
 def vec_iadd_scaled(dst: Vec, c: int, src: Vec, p: int,
@@ -265,26 +237,6 @@ def term_times_vector(c: int, mono: Mono, f: Vec, p: int,
     if c == 1:
         return {(mono_mul(mono, mm[0]), mm[1]): v for mm, v in f.items()}
     return {(mono_mul(mono, mm[0]), mm[1]): (c * v) % p for mm, v in f.items()}
-
-
-def leading_term(f: Vec, key: Callable[[ModMono], tuple],
-                 counters: Optional[OpCounters] = None):
-    """The maximal term of f under the ordering realized by `key`.
-
-    Returns a (module monomial, coefficient) pair; raises on the zero vector.
-    """
-    if not f:
-        raise DomainError("leading term of the zero vector is undefined")
-    it = iter(f)
-    best = next(it)
-    best_key = key(best)
-    for mm in it:
-        k = key(mm)
-        if k > best_key:
-            best, best_key = mm, k
-    if counters is not None:
-        counters.n_monomial_cmp += len(f) - 1
-    return best, f[best]
 
 
 def vec_normalized(f: Vec, key: Callable[[ModMono], tuple]) -> Vec:

@@ -7,9 +7,11 @@ Input grammar (line-oriented; '#' starts a comment):
     <polynomial>
     ...
 
-Polynomials are sums of signed terms; integer coefficients, '*' optional
-between factors, '^' for powers: ``w*x+w*z+x^2+2*x*z-z^2`` and ``2xz`` both
-parse.  Exit codes: 0 success, 1 usage error, 2 parse/math-domain error.
+Variable names match ``[A-Za-z_][A-Za-z0-9_]*`` (``x``, ``x0``, ``w_1``), so
+that no name reads as a coefficient or an operator.  Polynomials are sums of
+signed terms; integer coefficients, '*' optional between factors, '^' for
+powers: ``w*x+w*z+x^2+2*x*z-z^2`` and ``2xz`` both parse.  Exit codes: 0
+success, 1 usage error, 2 parse/math-domain error.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .orderings import ORDER_KINDS, BaseOrdering
 from .lift import LIFT_ALGORITHMS
 from .resolution import (
     BettiTable,
-    GradedFreeModule,
     Resolution,
     betti_minimal_from_nonminimal,
     betti_nonminimal,
@@ -271,51 +272,6 @@ def serialize_resolution(res: Resolution) -> str:
         chunks.append("\n".join(lines))
     chunks.append("end\n")
     return "".join(chunks)
-
-
-def parse_resolution(text: str) -> Resolution:
-    """Read back :func:`serialize_resolution` output (stats are not part of
-    the format and come back empty)."""
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("resolution ring "):
-        raise ParseError("missing resolution header")
-    _, _, p_s, names_s, kind = lines[0].split()
-    ring = Ring(int(p_s), tuple(names_s.split(",")))
-    base = BaseOrdering(kind, ring.nvars)
-    graded = None
-    minimal = False
-    modules = []
-    diffs: list = []
-    cur: Optional[int] = None
-    for ln, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        if parts[0] == "graded":
-            graded = parts[1] == "true"
-        elif parts[0] == "minimal":
-            minimal = parts[1] == "true"
-        elif parts[0] == "module":
-            rank = int(parts[3])
-            if len(parts) < 6:  # rank-0 module serialized with empty twists
-                twists = () if graded else None
-            elif parts[5] == "-":
-                twists = None
-            else:
-                twists = tuple(int(t) for t in parts[5].split(","))
-            modules.append(GradedFreeModule(rank, twists))
-        elif parts[0] == "differential":
-            cur = int(parts[1])
-            diffs.append([dict() for _ in range(modules[cur].rank)])
-        elif parts[0] == "end":
-            break
-        else:
-            if cur is None:
-                raise ParseError("entry before any differential", ln, 1)
-            row, col = int(parts[0]) - 1, int(parts[1]) - 1
-            poly = parse_polynomial(" ".join(parts[2:]), ring, ln)
-            for (m, _), c in poly.items():
-                diffs[cur - 1][col][(m, row)] = c
-    return Resolution(ring, base, modules, diffs, OpCounters(), bool(graded),
-                      minimal)
 
 
 def betti_to_string(table: BettiTable, title: str) -> str:

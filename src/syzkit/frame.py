@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .algebra import (
-    DomainError,
     ModMono,
     mono_deg,
     mono_div,
@@ -128,26 +127,3 @@ def build_frame(G: GroebnerBasis,
     frame.chain = chain
     return frame
 
-
-def frame_betti(frame: SchreyerFrame, G: GroebnerBasis,
-                twists0: Optional[Sequence[int]] = None):
-    """Non-minimal Betti table read off the frame: level 0 from the ambient
-    twists, level 1 from the generator degrees, level k+1 from frame level k
-    term degrees."""
-    from .resolution import BettiTable  # deferred: resolution imports frame
-
-    if G.degrees is None:
-        raise DomainError("frame Betti numbers require homogeneous input")
-    if twists0 is None:
-        twists0 = G.twists
-    table: dict = {}
-    for t in twists0:
-        table[(0, t)] = table.get((0, t), 0) + 1
-    for d in G.degrees:
-        table[(1, d)] = table.get((1, d), 0) + 1
-    for k, level in enumerate(frame.levels, start=2):
-        if level.degrees is None:
-            raise DomainError("frame level without degrees")
-        for d in level.degrees:
-            table[(k, d)] = table.get((k, d), 0) + 1
-    return BettiTable(table)

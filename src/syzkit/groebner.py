@@ -1,4 +1,4 @@
-"""Division with remainder, S-vectors and reduced Groebner bases.
+"""Division with remainder and reduced Groebner bases.
 
 One engine backs :func:`buchberger`: F4 (Faugere 1999) on module
 monomials, degree by degree, with the reduced echelon forms of
@@ -117,37 +117,6 @@ class GroebnerBasis:
                 yield i
 
 
-def m_coeff(G: GroebnerBasis, i: int, j: int):
-    """The scalar term m_{ji} = lcm(LM(f_j), LM(f_i)) / LT(f_i).
-
-    Returns a (coefficient, monomial) pair of R, or None when the two leading
-    monomials live in different components ("no pair").  For a monic basis
-    the coefficient is always 1.
-    """
-    a, b = G.lms[i], G.lms[j]
-    if a[1] != b[1]:
-        return None
-    lcm = mono_lcm(a[0], b[0])
-    return (1, mono_div(lcm, a[0]))
-
-
-def s_vector(G: GroebnerBasis, i: int, j: int,
-             counters: Optional[OpCounters] = None) -> Vec:
-    """S-vector m_{ji} f_i - m_{ij} f_j; the leading terms cancel by
-    construction."""
-    mi = m_coeff(G, i, j)
-    mj = m_coeff(G, j, i)
-    if mi is None or mj is None:
-        raise DomainError("S-vector of generators with mismatched components")
-    p = G.ring.p
-    out = term_times_vector(mi[0], mi[1], G.gens[i], p, counters)
-    vec_iadd_scaled(out, p - mj[0], term_times_vector(1, mj[1], G.gens[j], p, None),
-                    p, counters)
-    head = (mono_lcm(G.lms[i][0], G.lms[j][0]), G.lms[i][1])
-    assert head not in out, "S-vector leading terms failed to cancel"
-    return out
-
-
 def divide_with_remainder(g: Vec, G: GroebnerBasis,
                           counters: Optional[OpCounters] = None,
                           check: bool = False):
@@ -200,19 +169,6 @@ def divide_with_remainder(g: Vec, G: GroebnerBasis,
                         p, counters)
         assert best not in work
     return quots, rem
-
-
-def is_groebner(G: GroebnerBasis, counters: Optional[OpCounters] = None) -> bool:
-    """Buchberger criterion: every same-component S-vector reduces to zero."""
-    for i in range(len(G.gens)):
-        for j in range(i):
-            if G.lms[i][1] != G.lms[j][1]:
-                continue
-            s = s_vector(G, i, j, counters)
-            _, rem = divide_with_remainder(s, G, counters)
-            if rem:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

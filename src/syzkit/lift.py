@@ -53,7 +53,6 @@ from .algebra import (
     vec_iadd_scaled,
 )
 from .orderings import OrderingChain
-from .frame import lead_syz
 from .groebner import GroebnerBasis
 
 LIFT_ALGORITHMS = ("reduce", "hybrid", "tree")
@@ -164,10 +163,6 @@ def lot_split(g: Vec, G: GroebnerBasis):
         else:
             rest[mm] = c
     return low, rest
-
-
-def lot(g: Vec, G: GroebnerBasis) -> Vec:
-    return lot_split(g, G)[0]
 
 
 def _root_divisor(t_mm: ModMono, G: GroebnerBasis, s_key, key_up):
@@ -542,12 +537,3 @@ def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
         return out
     raise DomainError(f"unknown lifting algorithm {alg!r}")
 
-
-def syz_lift(G: GroebnerBasis, chain: Optional[OrderingChain] = None,
-             alg: str = "tree", counters: Optional[OpCounters] = None,
-             cache: Optional[SubtreeCache] = None) -> list:
-    """Groebner basis of the syzygy module of G w.r.t. the induced ordering:
-    one lifting per minimal leading syzygy term, in the order of
-    :func:`~syzkit.frame.lead_syz`."""
-    terms = lead_syz(G.lms, G.chain.base, G.degrees).terms
-    return lift_frame_terms(terms, G, chain, alg, counters, cache)

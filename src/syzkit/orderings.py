@@ -11,17 +11,9 @@ monomial product, one base-ordering comparison and an integer-tuple tiebreak.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .algebra import (
-    DomainError,
-    ModMono,
-    Mono,
-    OpCounters,
-    Vec,
-    leading_term,
-    mono_mul,
-)
+from .algebra import DomainError, ModMono, Mono, mono_mul
 
 ORDER_KINDS = ("dp", "lp")  # degree reverse lexicographic / lexicographic
 
@@ -43,25 +35,12 @@ class BaseOrdering:
         # degrevlex: total degree first, then negated reversed exponents
         return lambda m: (m[0],) + tuple(-e for e in m[:0:-1])
 
-    def cmp(self, a: Mono, b: Mono) -> int:
-        key = self.key_func()
-        ka, kb = key(a), key(b)
-        return (ka > kb) - (ka < kb)
-
     def __repr__(self):
         return f"BaseOrdering({self.kind!r}, nvars={self.nvars})"
 
     def __eq__(self, other):
         return (isinstance(other, BaseOrdering)
                 and self.kind == other.kind and self.nvars == other.nvars)
-
-
-def cmp_base(a: Mono, b: Mono, ordering: BaseOrdering,
-             counters: Optional[OpCounters] = None) -> int:
-    """Three-way comparison of base-ring monomials: -1, 0 or 1."""
-    if counters is not None:
-        counters.n_monomial_cmp += 1
-    return ordering.cmp(a, b)
 
 
 class _Level:
@@ -114,14 +93,6 @@ class OrderingChain:
 
         return key
 
-    def cmp(self, a: ModMono, b: ModMono, level: int,
-            counters: Optional[OpCounters] = None) -> int:
-        if counters is not None:
-            counters.n_monomial_cmp += 1
-        fn = self.key_fn(level)
-        ka, kb = fn(a), fn(b)
-        return (ka > kb) - (ka < kb)
-
     def extend(self, lms: Sequence[ModMono]) -> "OrderingChain":
         """One more level, induced by generators with the given leading
         monomials (which live at the current top level)."""
@@ -148,27 +119,6 @@ class OrderingChain:
             return mm[0]
         lev = self.levels[level - 1]
         return mono_mul(mm[0], lev.path_monos[mm[1]])
-
-
-def cmp_induced(a: ModMono, b: ModMono, chain: OrderingChain, level: int,
-                counters: Optional[OpCounters] = None) -> int:
-    """Three-way comparison under the level-`level` induced ordering."""
-    return chain.cmp(a, b, level, counters)
-
-
-def extend_chain(chain: OrderingChain, generators: Sequence[Vec],
-                 counters: Optional[OpCounters] = None) -> OrderingChain:
-    """Extend a chain by the leading monomials of new generators living at
-    the chain's current top level."""
-    top = len(chain)
-    key = chain.key_fn(top)
-    lms = []
-    for g in generators:
-        if not g:
-            raise DomainError("cannot extend an ordering chain by a zero generator")
-        mm, _ = leading_term(g, key, counters)
-        lms.append(mm)
-    return chain.extend(lms)
 
 
 def reorder_permutation(terms: Sequence[ModMono], chain: OrderingChain,

@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import syzkit
 from syzkit.algebra import Ring
 from syzkit.cli import (
     ParseError,
@@ -9,14 +13,14 @@ from syzkit.cli import (
     main,
     parse_input,
     parse_polynomial,
-    parse_resolution,
     poly_to_string,
     serialize_input,
     serialize_resolution,
     stats_report,
 )
 from syzkit.algebra import OpCounters, vec_component
-from syzkit.resolution import minimize, resolve
+from syzkit.orderings import BaseOrdering
+from syzkit.resolution import GradedFreeModule, Resolution, minimize, resolve
 
 from conftest import make_corpus_entry
 
@@ -48,6 +52,13 @@ def test_parse_errors():
         parse_polynomial("x^", ring)
     with pytest.raises(ParseError):
         parse_polynomial("", ring)
+    # a name that is a number would read as a coefficient: "2*y" is 2*y
+    with pytest.raises(ParseError, match="line 1.*invalid variable name '2'"):
+        parse_input("ring 7 2,y dp\n2*y\n")
+    # a name holding an operator would print ambiguously: x*y as x**y
+    with pytest.raises(ParseError, match="line 1.*invalid variable name 'x\\*'"):
+        parse_input("ring 7 x*,y dp\nx*y\n")
+    assert parse_input("ring 7 _a,B_1,c2d dp\n").names == ("_a", "B_1", "c2d")
 
 
 def test_parse_coefficient_reduction():
@@ -76,6 +87,33 @@ def test_input_document_roundtrip(sec5):
     doc2 = parse_input(text)
     assert serialize_input(doc2) == text
     assert doc2.generators == doc.generators
+
+
+def parse_resolution(text):
+    """Read back serialize_resolution output; the counters come back empty.
+    A module line ends in its twists, or in '-' when the resolution is not
+    graded (an empty list for a graded module of rank 0)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    _, _, p, names, kind = lines[0].split()
+    ring = Ring(int(p), tuple(names.split(",")))
+    base = BaseOrdering(kind, ring.nvars)
+    flags, modules, diffs = {}, [], []
+    for line in lines[1:]:
+        parts = line.split()
+        if parts[0] in ("graded", "minimal"):
+            flags[parts[0]] = parts[1] == "true"
+        elif parts[0] == "module":
+            tw = parts[5] if len(parts) > 5 else ""
+            twists = None if tw == "-" else [int(t) for t in tw.split(",") if t]
+            modules.append(GradedFreeModule(int(parts[3]), twists))
+        elif parts[0] == "differential":
+            diffs.append([{} for _ in range(modules[int(parts[1])].rank)])
+        elif parts[0] != "end":
+            row, col = int(parts[0]) - 1, int(parts[1]) - 1
+            for (m, _), c in parse_polynomial(" ".join(parts[2:]), ring).items():
+                diffs[-1][col][(m, row)] = c
+    return Resolution(ring, base, modules, diffs, OpCounters(),
+                      flags["graded"], flags["minimal"])
 
 
 def test_resolution_roundtrip(sec5):
@@ -185,6 +223,11 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("ring 4 x dp\nx\n")
     assert main(["resolve", str(bad)]) == 2
+    bad.write_text("ring 7 2,y dp\n2*y\n")
+    capsys.readouterr()
+    assert main(["resolve", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: line 1") and "Traceback" not in out.err
     inhom = tmp_path / "inhom.txt"
     inhom.write_text("ring 7 x,y dp\nx^2+y\n")
     assert main(["resolve", str(inhom), "--betti", "min"]) == 2
@@ -267,3 +310,29 @@ def test_main_determinism(tmp_path, capsys):
         return stable, out.read_text(), (tmp_path / f"img_{tag}_phi2.pgm").read_bytes()
 
     assert run("a") == run("b")
+
+
+def test_main_output_does_not_depend_on_hash_seed(tmp_path):
+    # gen and resolve in fresh processes under three hash seeds: the input
+    # and the printed minimized resolution are the same bytes
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
+    cli = [sys.executable, "-c",
+           "import sys; from syzkit.cli import main; sys.exit(main())"]
+    outputs = set()
+    for seed in ("0", "1", "12345"):
+        env["PYTHONHASHSEED"] = seed
+        ideal = tmp_path / f"agr_{seed}.txt"
+        subprocess.run(cli + ["gen", "agr", "--n", "5", "--d", "4", "--s", "12",
+                              "-o", str(ideal)],
+                       env=env, check=True, timeout=120)
+        run = subprocess.run(cli + ["resolve", str(ideal), "--minimize",
+                                    "--print-resolution"],
+                             env=env, check=True, timeout=120,
+                             capture_output=True)
+        # the status line carries the wall time
+        stdout = b"\n".join(ln for ln in run.stdout.splitlines()
+                            if b"time:" not in ln)
+        outputs.add((ideal.read_bytes(), stdout))
+    assert len(outputs) == 1
+    assert stdout.endswith(b"end")

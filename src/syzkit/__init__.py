@@ -32,6 +32,16 @@ from .resolution import (
     resolve,
 )
 from .examples_gen import AgrIdeal, AgrSpec, gen_agr, gen_random_homogeneous
-from .cli import InputDocument, ParseError, main, parse_input
 
 __version__ = "0.1.0"
+
+# The command-line names load on first use (PEP 562), so that
+# ``python -m syzkit.cli`` does not find the module already imported.
+_CLI_NAMES = ("InputDocument", "ParseError", "main", "parse_input")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

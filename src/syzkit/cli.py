@@ -200,11 +200,6 @@ def parse_input(text: str) -> InputDocument:
 # formatting
 
 
-def _coeff_str(c: int, p: int) -> int:
-    """Symmetric representative in (-p/2, p/2] for readable output."""
-    return c - p if c > p // 2 else c
-
-
 def mono_to_string(m, ring: Ring) -> str:
     if mono_deg(m) == 0:
         return "1"
@@ -217,26 +212,41 @@ def mono_to_string(m, ring: Ring) -> str:
     return "*".join(parts)
 
 
+def _polynomials(terms: list, spelled: list, p: int) -> list:
+    """The polynomial of each component of ``terms``, sorted (component,
+    rank, coefficient) triples with monomial ``spelled[rank]``: (component,
+    string) pairs, terms in rank order, coefficients by their symmetric
+    representative in (-p/2, p/2]."""
+    half = p // 2
+    out = []
+    prev = None
+    for comp, r, c in terms:
+        sign, mag = ("-", p - c) if c > half else ("+", c)
+        mono = spelled[r]
+        if mono == "1":
+            term = f"{sign}{mag}"
+        elif mag == 1:
+            term = sign + mono
+        else:
+            term = f"{sign}{mag}*{mono}"
+        if comp != prev:
+            parts = [term[1:] if sign == "+" else term]
+            out.append((comp, parts))
+            prev = comp
+        else:
+            parts.append(term)
+    return [(comp, "".join(parts)) for comp, parts in out]
+
+
 def poly_to_string(poly: dict, ring: Ring, base: BaseOrdering) -> str:
     """Canonical string: terms descending under the base ordering, symmetric
     coefficients."""
     if not poly:
         return "0"
-    key = base.key_func()
-    out = []
-    for m in sorted(poly, key=key, reverse=True):
-        c = _coeff_str(poly[m], ring.p)
-        mono = mono_to_string(m, ring)
-        mag = abs(c)
-        if mono == "1":
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        out.append(("-" if c < 0 else "+") + body)
-    s = "".join(out)
-    return s[1:] if s.startswith("+") else s
+    monos = sorted(poly, key=base.key_func(), reverse=True)
+    spelled = [mono_to_string(m, ring) for m in monos]
+    terms = [(0, r, poly[m]) for r, m in enumerate(monos)]
+    return _polynomials(terms, spelled, ring.p)[0][1]
 
 
 def serialize_input(doc: InputDocument) -> str:
@@ -257,17 +267,19 @@ def serialize_resolution(res: Resolution) -> str:
         tw = ",".join(str(t) for t in mod.twists) if mod.twists is not None else "-"
         lines.append(f"module {k} rank {mod.rank} twists {tw}")
     lines.append("")
-    # one string per differential, joined once at the end
+    # every monomial of the differentials, ranked by the base ordering and
+    # spelled once; one string per differential, joined once at the end
+    monos = {m for cols in res.diffs for col in cols for m, _ in col}
+    ranked = sorted(monos, key=base.key_func(), reverse=True)
+    rank = {m: r for r, m in enumerate(ranked)}
+    spelled = [mono_to_string(m, ring) for m in ranked]
     chunks = ["\n".join(lines)]
     for k in range(1, res.length + 1):
         lines = [f"differential {k}"]
         for j, col in enumerate(res.diffs[k - 1]):
-            entries: dict = {}
-            for (m, comp), c in col.items():
-                entries.setdefault(comp, {})[m] = c
-            for comp in sorted(entries):
-                lines.append(f"{comp + 1} {j + 1} "
-                             + poly_to_string(entries[comp], ring, base))
+            terms = sorted([(comp, rank[m], c) for (m, comp), c in col.items()])
+            lines += [f"{comp + 1} {j + 1} {poly}"
+                      for comp, poly in _polynomials(terms, spelled, ring.p)]
         lines.append("")
         chunks.append("\n".join(lines))
     chunks.append("end\n")

@@ -43,9 +43,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .algebra import DomainError, Ring, Vec, is_prime, mono_mul
+from .algebra import DomainError, Ring, Vec, is_prime, mono_div, mono_mul
 from . import linalg
 from .orderings import BaseOrdering
 from .groebner import monomials_of_degree
@@ -98,91 +96,78 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
     base = BaseOrdering("dp", nv)
     rng = random.Random(spec.seed)
     monos = {e: monomials_of_degree(nv, e, base) for e in range(d + 1)}
-    exps = {e: np.array([m[1:] for m in ms], dtype=np.int64)
-            for e, ms in monos.items()}
+    variables = [(1,) + tuple(int(w == v) for w in range(nv)) for v in range(nv)]
+    # each monomial of positive degree as (v, m / x_v), x_v its first variable
+    factor = {m: next((v, mono_div(m, variables[v])) for v in range(nv) if m[1 + v])
+              for e in range(1, d + 1) for m in monos[e]}
     for _ in range(MAX_RETRIES):
         forms = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(nv - 1)]
                  for _ in range(spec.s)]
-        # powers[i, v, k] = a_{i,v}^k, so u_beta = sum_i prod_v powers[i, v, beta_v];
-        # each product is of two residues, below 2^62 as p < 2^31 (Ring)
-        coeffs = np.array(forms, dtype=np.int64)
-        powers = np.ones((spec.s, nv, d + 1), dtype=np.int64)
-        for k in range(1, d + 1):
-            powers[:, :, k] = powers[:, :, k - 1] * coeffs % p
-        u: dict = {}
-        for e in range(d + 1):
-            terms = np.ones((spec.s, len(monos[e])), dtype=np.int64)
-            for v in range(nv):
-                terms = terms * powers[:, v, exps[e][:, v]] % p
-            u.update(zip(monos[e], (terms.sum(axis=0) % p).tolist()))
-        u_top = np.array([u[m] for m in monos[d]], dtype=np.int64)
-        if u_top.any():
+        coeffs = list(zip(*forms))  # coeffs[v][i] = a_{i,v}
+        # at[m][i] = m(a_i), so u_beta = sum_i at[x^beta][i]
+        at = {monos[0][0]: [1] * spec.s}
+        for e in range(1, d + 1):
+            for m in monos[e]:
+                v, rest = factor[m]
+                at[m] = [x * a % p for x, a in zip(at[rest], coeffs[v])]
+        u = {m: sum(values) % p for m, values in at.items()}
+        if any(u[m] for m in monos[d]):
             break
     else:
         raise DomainError("degenerate apolar form after retries")
 
-    # radix codes: code(m) + code(m') = code(m * m') while every exponent
-    # stays <= d + 1, in Python integers where they could leave int64.  The
-    # last variable is the most significant digit, so the codes of monos[e],
-    # in descending degrevlex order, ascend and searchsorted finds a monomial.
-    radix = d + 2
-    place = np.array([radix ** v for v in range(nv)],
-                     dtype=np.int64 if radix ** nv <= 1 << 63 else object)
-    codes = {e: (x * place).sum(axis=1) for e, x in exps.items()}
-
+    index = {e: {m: i for i, m in enumerate(ms)} for e, ms in monos.items()}
     generators: list = []
     hilbert = [1]
-    kernel_prev = np.zeros((0, 1), dtype=np.int64)  # Ann_0 = 0
+    kernel_prev: list = []  # Ann_0 = 0
     for e in range(1, d + 2):
         if e > d:
             if hilbert[1] >= 2:
                 break  # R_1 * Ann_d = R_{d+1}, see the module docstring
             monos[e] = monomials_of_degree(nv, e, base)
-            x = np.array([m[1:] for m in monos[e]], dtype=np.int64)
-            codes[e] = (x * place).sum(axis=1)
+            index[e] = {m: i for i, m in enumerate(monos[e])}
         cols = monos[e]
-        shift_pos = [np.searchsorted(codes[e], codes[e - 1] + place[v])
-                     for v in range(nv)]
+        # shift_pos[v][i] is the index of x_v * m_i, m_i in monos[e - 1]
+        shift_pos = [[index[e][mono_mul(m, x)] for m in monos[e - 1]]
+                     for x in variables]
         if e <= d:
-            cat = u_top[np.searchsorted(codes[d],
-                                        codes[d - e][:, None] + codes[e])]
-            kernel, free = linalg.kernel_basis(cat, p)
+            cat = [{i: u[mono_mul(alpha, gamma)] for i, alpha in enumerate(cols)}
+                   for gamma in monos[d - e]]
+            kernel, free = linalg.kernel_basis(cat, len(cols), p)
             hilbert.append(len(cols) - len(free))
             # R_1 * Ann_{e-1} in the free coordinates of Ann_e, reversed
-            coord = np.full(len(cols), -1)
-            coord[free[::-1]] = np.arange(len(free))
-            shifts = _shifted(kernel_prev, shift_pos, coord, len(free))
+            coord = [-1] * len(cols)
+            for k, f in enumerate(reversed(free)):
+                coord[f] = k
+            shifts = _shifted(kernel_prev, shift_pos, coord)
             trailing = {len(free) - 1 - c for _, c in linalg.echelon(shifts, p)}
-            generators += [_vec_from_row(kernel[j], cols)
+            generators += [{(cols[i], 0): x for i, x in kernel[j].items()}
                            for j in range(len(free)) if j not in trailing]
             kernel_prev = kernel
         else:
             # everything annihilates: new generators complement R_1 * Ann_d
-            span = _shifted(kernel_prev, shift_pos, np.arange(len(cols)),
-                            len(cols))
+            span = _shifted(kernel_prev, shift_pos, list(range(len(cols))))
             pivcols = {c for _, c in linalg.echelon(span, p)}
             generators += [{(m, 0): 1} for ci, m in enumerate(cols)
                            if ci not in pivcols]
     return AgrIdeal(spec, ring, generators, hilbert, forms, u)
 
 
-def _shifted(kernel: np.ndarray, shift_pos: list, coord: np.ndarray,
-             width: int) -> np.ndarray:
-    """The rows x_v * g, one block per variable v and in it one row per row
-    g of ``kernel``.  ``shift_pos[v][i]`` is the index of x_v * m_i, and
-    the coefficient of monomial j goes to column ``coord[j]``, or is
-    dropped where that is negative."""
-    k = len(kernel)
-    out = np.zeros((len(shift_pos) * k, width), dtype=np.int64)
-    for v, pos in enumerate(shift_pos):
-        target = coord[pos]
-        keep = target >= 0
-        out[v * k:(v + 1) * k, target[keep]] = kernel[:, keep]
+def _shifted(kernel: list, shift_pos: list, coord: list) -> list:
+    """The rows x_v * g as {column: value}, one block per variable v and in
+    it one row per row g of ``kernel``.  ``shift_pos[v][i]`` is the index
+    of x_v * m_i, and the coefficient of monomial j goes to column
+    ``coord[j]``, or is dropped where that is negative."""
+    out = []
+    for pos in shift_pos:
+        for g in kernel:
+            row = {}
+            for i, x in g.items():
+                t = coord[pos[i]]
+                if t >= 0:
+                    row[t] = x
+            out.append(row)
     return out
-
-
-def _vec_from_row(row: np.ndarray, monos: list) -> Vec:
-    return {(monos[i], 0): int(row[i]) for i in np.nonzero(row)[0]}
 
 
 def contract(g: Vec, u: dict, p: int, nvars: int, d: int,

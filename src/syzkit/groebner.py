@@ -2,7 +2,7 @@
 
 One engine backs :func:`buchberger`: F4 (Faugere 1999) on module
 monomials, degree by degree, with the reduced echelon forms of
-:func:`syzkit.linalg.echelon`.  Degrees include the twists of the
+:func:`syzkit.linalg.rref`.  Degrees include the twists of the
 components.  Inhomogeneous input is homogenized by one extra variable, so
 that the degree of a homogenized element is its sugar degree
 (Giovini-Mora-Niesi-Robbiano-Traverso 1991); the result is dehomogenized
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from . import linalg
 from .algebra import (
@@ -304,16 +302,13 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
                     break
         order = sorted(cols, key=key, reverse=True)
         index = {mm: c for c, mm in enumerate(order)}
-        a = np.zeros((len(rows), len(order)), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for mm, c in row.items():
-                a[r, index[mm]] = c
-        for r, c in linalg.echelon(a, ring.p, reduced=True):
+        reduced, pivcols = linalg.rref(
+            [{index[mm]: v for mm, v in row.items()} for row in rows], ring.p)
+        for row, c in zip(reduced, pivcols):
             if order[c] in known:
                 continue  # an earlier lead divides the pivot
             new = len(basis)
-            basis.append({order[ci]: int(a[r, ci])
-                          for ci in np.flatnonzero(a[r])})
+            basis.append({order[ci]: v for ci, v in row.items()})
             lm, comp = order[c]
             lms.append(order[c])
             same = by_comp.setdefault(comp, [])

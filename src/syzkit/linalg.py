@@ -1,93 +1,212 @@
-"""Gaussian elimination over F_p on dense int64 matrices.
+"""Gaussian elimination over F_p on sparse rows.
 
-One loop, :func:`echelon`, serves every elimination in the package: the
+One loop, :func:`_eliminate`, serves every elimination in the package: the
 catalecticant kernels and shifted annihilators of the apolar generator,
-the matrices of the F4 engine and the ranks of the constant strands.  It
-works column by column, in the manner of the matrix phase of F4 (Faugere
-1999; Faugere-Lachartre 2010): the pivot of a column is the topmost row
-not yet used as a pivot that is nonzero there, and one vectorized update
-clears that column from every other row that needs it.  The update
-touches only the columns where the pivot row is nonzero, and runs in
-chunks of ``CHUNK`` rows so its temporaries stay small.  Rows are never
-swapped, so the pivot rows are exactly the rows that, taken in order,
-enlarge the span of the rows above them.
+the matrices of the F4 engine and the ranks of the constant strands.  A
+matrix is a list of rows, each a dict {column: value}.  The loop works
+column by column, in the manner of the matrix phase of F4 (Faugere 1999;
+Faugere-Lachartre 2010): the pivot of a column is the topmost row not yet
+used as a pivot that is nonzero there, and it clears that column from
+every other row not yet used.  Rows are never swapped, so the pivot rows
+are exactly the rows that, taken in order, enlarge the span of the rows
+above them.  The unused rows wait in buckets keyed by their leading
+column, so a column touches only the rows that lead there.  The reduced
+form comes from back-substitution on packed rows, last pivot first.
 
-Invariant: p < 2^31, so that a single product of two residues, at most
-(p-1)^2 < 2^62, fits in int64.  Code here may form single products such as
-``a[o, c] * a[r]``, or sums of at most floor((2^63-1)/(p-1)^2) of them, and
-nothing larger.
+A row is held sparse, as a dict, or packed into one Python int with the
+value of column j in the 64-bit slot ``top - j`` counted from the least
+significant end, ``top`` being the last column, so that the leading
+column is read off the bit length.  Clearing column c from a packed row
+is one multiply-add of integers, ``v + (p - x) * tail`` with ``tail`` the
+pivot row right of c, and its slots are reduced mod p only where one is
+read: the leading slot, or all of them when the row is unpacked.  A pivot
+with at most 1 + s/64 entries right of its column, of s columns there,
+updates sparse rows entry by entry; any other pivot packs the rows it
+updates, and a packed row stays packed (Bachmann-Schoenemann, ISSAC 1998,
+pack monomials the same way).
+
+Slot bound: a reduced slot is at most p - 1 and an update adds at most
+(p - 1)^2 to it, so after k updates it is at most (p - 1) + k (p - 1)^2.
+A row is reduced once it has taken ``floor((2^64 - p) / (p - 1)^2)``
+updates, before any slot can reach 2^64 and carry into the next: four at
+p = 2^31 - 1, about 1.8e11 at p = 10007.  p < 2^31, as for a Ring.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
 
-CHUNK = 256
+SLOT_BITS = 64
 
 
-def echelon(a: np.ndarray, p: int, reduced: bool = False) -> list:
-    """Bring the rows of the int64 matrix ``a`` to echelon form over F_p,
-    in place, and return the pivots as (row, column) pairs in column order.
+def _pack(row: dict, top: int, n: int) -> int:
+    """The int of n slots holding the value of column j in slot top - j."""
+    slots = array("Q", bytes(8 * n))
+    for j, x in row.items():
+        slots[top - j] = x
+    return int.from_bytes(slots, "little")
 
-    Pivot rows are scaled to a leading 1.  With ``reduced`` the pivot
-    columns are also cleared above each pivot (the rows of ``a`` at the
-    pivots then form the RREF); without it only the rows not yet used as
-    pivots are updated, which is all that rank and span selection need."""
+
+def _unpack(v: int, n: int) -> list:
+    """The n lowest slots of v, lowest first."""
+    return memoryview(v.to_bytes(8 * n, "little")).cast("Q").tolist()
+
+
+def _repack(slots: list) -> int:
+    return int.from_bytes(array("Q", slots), "little")
+
+
+def _iadd_sparse(row: dict, f: int, tail: dict, p: int) -> None:
+    """row += f * tail over F_p, dropping the entries that cancel."""
+    get = row.get
+    for j, y in tail.items():
+        z = (get(j, 0) + f * y) % p
+        if z:
+            row[j] = z
+        else:
+            del row[j]
+
+
+def _eliminate(rows: list, p: int, reduced: bool):
+    """Pivots (row, column) in column order and, with ``reduced``, the RREF
+    row of each pivot as {column: value} in ascending column order (else
+    None).  ``rows`` is not modified."""
     if p >= 1 << 31:
-        raise ValueError("linalg needs p < 2^31 for exact int64 products")
-    np.remainder(a, p, out=a)
-    rows, cols = a.shape
-    used = np.zeros(rows, dtype=bool)
+        raise ValueError("linalg needs p < 2^31")
+    w = SLOT_BITS
+    top = max((max(r) for r in rows if r), default=-1)
+    # a row takes at most one update per column in either phase, so it
+    # needs reducing only when the slot bound is below the column count
+    limit = ((1 << w) - p) // max(1, (p - 1) ** 2)
+    if limit > top:
+        limit = 0
+    sparse: list = [None] * len(rows)  # the dict form of a row, or None
+    packed: list = [None] * len(rows)  # the int form of a row, or None
+    pending = [0] * len(rows)  # updates since a packed row was reduced
+    buckets: dict = {}  # leading column -> unused rows that lead there
+    for i, r in enumerate(rows):
+        r = {j: y for j, x in r.items() if (y := x % p)}
+        if r:
+            sparse[i] = r
+            buckets.setdefault(min(r), []).append(i)
     pivots: list = []
-    for c in range(cols):
-        if len(pivots) == rows:
-            break
-        nz = np.flatnonzero(a[:, c])
-        free = nz[~used[nz]]
-        if free.size == 0:
+    tails: dict = {}  # pivot column -> scaled pivot row right of it, as dict
+    packed_tails: dict = {}  # the same, packed in s slots
+    for c in range(top + 1):
+        bucket = buckets.pop(c, None)
+        if not bucket:
             continue
-        r = int(free[0])
-        used[r] = True
+        r = min(bucket)
         pivots.append((r, c))
-        # entries left of c are zero in every row not yet used as a pivot,
-        # so only the pivot row's nonzero columns change
-        support = c + np.flatnonzero(a[r, c:])
-        a[r, support] = a[r, support] * pow(int(a[r, c]), p - 2, p) % p
-        pivot_row = a[r, support]
-        others = nz[nz != r] if reduced else free[1:]
-        for i in range(0, others.size, CHUNK):
-            o = others[i:i + CHUNK]
-            block = np.ix_(o, support)
-            sub = a[block]
-            a[block] = (sub - sub[:, :1] * pivot_row) % p
-    return pivots
+        s = top - c  # columns right of c, slots below the leading one
+        below = (1 << (w * s)) - 1
+        if sparse[r] is not None:
+            row = sparse[r]
+            inv = pow(row.pop(c), p - 2, p)
+            tail = tails[c] = {j: x * inv % p for j, x in row.items()}
+            by_entry = len(tail) <= 1 + s / 64
+            tail_int = None
+        else:
+            v = packed[r]
+            inv = pow((v >> (w * s)) % p, p - 2, p)
+            tail_int = packed_tails[c] = _repack(
+                [x * inv % p for x in _unpack(v & below, s)])
+            by_entry = False
+        for o in bucket:
+            if o == r:
+                continue
+            row = sparse[o]
+            if row is not None:
+                f = p - row.pop(c)
+                if by_entry:
+                    _iadd_sparse(row, f, tail, p)
+                    if row:
+                        buckets.setdefault(min(row), []).append(o)
+                    else:
+                        sparse[o] = None
+                    continue
+            if tail_int is None:
+                tail_int = packed_tails[c] = _pack(tail, top, s)
+            if row is not None:
+                sparse[o] = None
+                v = _pack(row, top, s) + f * tail_int
+                pending[o] = 1
+            else:
+                v = packed[o]
+                v = (v & below) + (p - (v >> (w * s)) % p) * tail_int
+                if limit:
+                    pending[o] += 1
+                    if pending[o] >= limit:
+                        v = _repack([x % p for x in _unpack(v, s)])
+                        pending[o] = 0
+            # the new leading slot: strip the top slots that vanish mod p
+            while v:
+                lead = (v.bit_length() - 1) // w
+                if (v >> (w * lead)) % p:
+                    break
+                v &= (1 << (w * lead)) - 1
+            if v:
+                packed[o] = v
+                buckets.setdefault(top - lead, []).append(o)
+            else:
+                packed[o] = None
+    if not reduced:
+        return pivots, None
+    # back-substitution on packed rows: done[c] is pivot c's RREF row right
+    # of c, which is zero at every later pivot column
+    done: dict = {}
+    done_int: dict = {}  # the packed form of {c: 1, **done[c]}, on demand
+    for _, c in reversed(pivots):
+        s = top - c
+        v = packed_tails[c] if c in packed_tails else _pack(tails[c], top, s)
+        n = 0
+        for c2, x in zip(range(c + 1, top + 1), _unpack(v, s)[::-1]):
+            if x and c2 in done:
+                if c2 not in done_int:
+                    done_int[c2] = _pack({c2: 1, **done[c2]}, top, s)
+                v += (p - x) * done_int[c2]
+                n += 1
+                if n == limit:
+                    v = _repack([y % p for y in _unpack(v, s)])
+                    n = 0
+        done[c] = {j: y for j, x in zip(range(c + 1, top + 1), _unpack(v, s)[::-1])
+                   if (y := x % p)}
+    return pivots, [{c: 1, **done[c]} for _, c in pivots]
 
 
-def rank(mat, p: int) -> int:
-    """Rank of ``mat`` over F_p (the argument is not modified)."""
-    return len(echelon(np.array(mat, dtype=np.int64), p))
+def echelon(rows: list, p: int) -> list:
+    """The pivots (row, column) of the rows {column: value} over F_p, in
+    column order.  The pivot rows are the rows that enlarge the span of
+    the rows above them."""
+    return _eliminate(rows, p, False)[0]
 
 
-def rref(mat, p: int):
-    """Reduced row echelon form of ``mat`` over F_p: the nonzero rows in
-    pivot order and the list of their pivot columns."""
-    a = np.array(mat, dtype=np.int64)
-    pivots = echelon(a, p, reduced=True)
-    return a[[r for r, _ in pivots]], [c for _, c in pivots]
+def rank(rows: list, p: int) -> int:
+    """Rank over F_p of the rows {column: value}."""
+    return len(echelon(rows, p))
 
 
-def kernel_basis(mat, p: int):
-    """Canonical basis of the right kernel of ``mat`` over F_p, one row per
-    free column with a 1 there and the negated RREF entries at the pivot
-    columns, in free-column order; returned with the free columns, whose
-    count is the number of columns less the rank."""
-    r, pivcols = rref(mat, p)
-    cols = np.shape(mat)[1]
-    is_free = np.ones(cols, dtype=bool)
-    is_free[pivcols] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivcols] = (-r[:, free].T) % p
+def rref(rows: list, p: int):
+    """Reduced row echelon form over F_p of the rows {column: value}: its
+    nonzero rows, each in ascending column order, and their pivot
+    columns."""
+    pivots, reduced = _eliminate(rows, p, True)
+    return reduced, [c for _, c in pivots]
+
+
+def kernel_basis(rows: list, ncols: int, p: int):
+    """Canonical basis of the right kernel over F_p of the rows
+    {column: value} with ``ncols`` columns: one row per free column, with a
+    1 there and the negated RREF entries at the pivot columns, in
+    free-column order; returned with the free columns, whose count is the
+    number of columns less the rank.  Basis rows are {column: value} in
+    ascending column order."""
+    reduced, pivcols = rref(rows, p)
+    is_pivot = set(pivcols)
+    free = [c for c in range(ncols) if c not in is_pivot]
+    basis = []
+    for f in free:
+        v = {c: p - r[f] for c, r in zip(pivcols, reduced) if f in r}
+        v[f] = 1
+        basis.append(dict(sorted(v.items())))
     return basis, free
-

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .algebra import (
     DomainError,
     OpCounters,
@@ -255,20 +253,21 @@ def betti_nonminimal(res: Resolution) -> BettiTable:
     return BettiTable(data)
 
 
-def constant_block(res: Resolution, k: int, j: int) -> np.ndarray:
-    """Degree-j constant strand of phi_k: rows are the degree-j basis
-    elements of F_{k-1}, columns those of F_k; entries in F_p."""
+def constant_block(res: Resolution, k: int, j: int) -> list:
+    """Degree-j constant strand of phi_k over F_p: one row {column: value}
+    per degree-j basis element of F_{k-1}, with a column for each degree-j
+    basis element of F_k, both in basis order."""
     if not res.graded:
         raise DomainError("constant strands require a graded resolution")
     rows = [i for i, t in enumerate(res.modules[k - 1].twists) if t == j]
     cols = [c for c, t in enumerate(res.modules[k].twists) if t == j]
     row_pos = {i: a for a, i in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    mat: list = [{} for _ in rows]
     one = res.ring.one
     for b, c in enumerate(cols):
         for (m, comp), v in res.diffs[k - 1][c].items():
             if m == one and comp in row_pos:
-                mat[row_pos[comp], b] = v
+                mat[row_pos[comp]][b] = v
     return mat
 
 

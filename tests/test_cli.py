@@ -336,3 +336,57 @@ def test_main_output_does_not_depend_on_hash_seed(tmp_path):
         outputs.add((ideal.read_bytes(), stdout))
     assert len(outputs) == 1
     assert stdout.endswith(b"end")
+
+
+def test_python_m_cli_prints_no_warning(tmp_path):
+    # the package serves its command-line names lazily, so running the
+    # module with -m finds it unimported and warns about nothing
+    inp = tmp_path / "in.txt"
+    inp.write_text("ring 7 x,y dp\nx^2\nx*y\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
+    run = subprocess.run([sys.executable, "-m", "syzkit.cli", "resolve", str(inp)],
+                         env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0
+    assert run.stderr == b""
+    assert b"resolution length 2" in run.stdout
+
+
+PIPELINE_WITHOUT_NUMPY = """
+import contextlib, io, sys
+from syzkit import main
+from syzkit.cli import InputDocument, parse_input, serialize_input, serialize_resolution
+from syzkit.examples_gen import AgrSpec, gen_agr
+from syzkit.groebner import buchberger
+from syzkit.orderings import BaseOrdering
+from syzkit.resolution import betti_minimal_from_nonminimal, minimize, resolve
+
+ideal = gen_agr(AgrSpec(n=3, d=3, s=5, p=10007, seed=1))
+base = BaseOrdering("dp", ideal.ring.nvars)
+doc = parse_input(serialize_input(InputDocument(ideal.ring, base, ideal.generators)))
+gb = buchberger(doc.generators, doc.ring, doc.ordering)
+res = resolve(doc.generators, doc.ring, doc.ordering, alg="tree", gb=gb)
+table = betti_minimal_from_nonminimal(res)
+text = serialize_resolution(minimize(res))
+assert text.endswith("end\\n") and table.data
+# syzkit gen agr | syzkit resolve
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["gen", "agr", "--n", "3", "--d", "3", "--s", "5"]) == 0
+sys.stdin = io.TextIOWrapper(io.BytesIO(out.getvalue().encode()))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["resolve", "-", "--minimize"]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_pipeline_never_imports_numpy():
+    # generation, parsing, the Groebner basis, tree resolve, the minimal
+    # Betti table, minimize, serialization and the gen | resolve commands,
+    # all in one fresh process: none of it loads numpy
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
+    run = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_NUMPY],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

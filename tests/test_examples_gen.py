@@ -3,7 +3,6 @@ import json
 import random
 from math import comb, prod
 
-import numpy as np
 import pytest
 
 from syzkit import linalg
@@ -17,6 +16,8 @@ from syzkit.examples_gen import (
     gen_random_homogeneous,
 )
 from syzkit.groebner import monomials_of_degree
+
+from test_linalg import ref_span_rows
 
 
 def test_spec_validation():
@@ -168,24 +169,6 @@ def test_contraction_is_the_power_sum():
             assert c == total % p
 
 
-def ref_span_rows(mat, p):
-    """Rows that enlarge the span of the rows before them, by inserting
-    each row into an echelon basis keyed by leading column."""
-    basis, out = {}, []
-    for i, row in enumerate(mat):
-        row = [x % p for x in row]
-        for c in range(len(row)):
-            if row[c] and c in basis:
-                f = row[c]
-                row = [(x - f * y) % p for x, y in zip(row, basis[c])]
-            elif row[c]:
-                inv = pow(row[c], p - 2, p)
-                basis[c] = [x * inv % p for x in row]
-                out.append(i)
-                break
-    return out
-
-
 @pytest.mark.parametrize("n,d,s,p,seed", _span_specs(64))
 def test_generators_are_the_rows_that_enlarge_the_span(n, d, s, p, seed):
     # in each degree e <= d the generators are exactly the kernel rows that
@@ -201,7 +184,9 @@ def test_generators_are_the_rows_that_enlarge_the_span(n, d, s, p, seed):
         index = {m: c for c, m in enumerate(cols)}
         cat = [[u[mono_mul(a, g)] for a in cols]
                for g in monomials_of_degree(nv, d - e, base)]
-        kernel = linalg.kernel_basis(np.array(cat), p)[0].tolist()
+        basis = linalg.kernel_basis(
+            [dict(enumerate(row)) for row in cat], len(cols), p)[0]
+        kernel = [[g.get(c, 0) for c in range(len(cols))] for g in basis]
         shifts = []
         for v in range(nv):
             x_v = (1,) + tuple(int(w == v) for w in range(nv))
@@ -229,12 +214,13 @@ def _top_span_rank(ideal):
     low = monomials_of_degree(nv, spec.d, base)
     top = monomials_of_degree(nv, spec.d + 1, base)
     index = {m: c for c, m in enumerate(top)}
-    kernel, _ = linalg.kernel_basis(np.array([[u[m] for m in low]]), spec.p)
-    span = np.zeros((nv * len(kernel), len(top)), dtype=np.int64)
+    kernel, _ = linalg.kernel_basis([{c: u[m] for c, m in enumerate(low)}],
+                                    len(low), spec.p)
+    span = []
     for v in range(nv):
         shift = [index[(m[0] + 1,) + m[1:1 + v] + (m[1 + v] + 1,) + m[2 + v:]]
                  for m in low]
-        span[v * len(kernel):(v + 1) * len(kernel), shift] = kernel
+        span += [{shift[c]: x for c, x in g.items()} for g in kernel]
     return linalg.rank(span, spec.p), len(top)
 
 

@@ -1,8 +1,8 @@
 """syzkit.linalg against a slow pure-Python reference."""
 
+import copy
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +32,24 @@ def ref_rref(mat, p):
     return a[:r], pivcols
 
 
+def ref_span_rows(mat, p):
+    """Rows that enlarge the span of the rows before them, by inserting
+    each row into an echelon basis keyed by leading column."""
+    basis, out = {}, []
+    for i, row in enumerate(mat):
+        row = [x % p for x in row]
+        for c in range(len(row)):
+            if row[c] and c in basis:
+                f = row[c]
+                row = [(x - f * y) % p for x, y in zip(row, basis[c])]
+            elif row[c]:
+                inv = pow(row[c], p - 2, p)
+                basis[c] = [x * inv % p for x in row]
+                out.append(i)
+                break
+    return out
+
+
 @st.composite
 def matrices(draw):
     """(p, matrix as nested lists, shape): zero, square, wide and tall
@@ -50,27 +68,38 @@ def matrices(draw):
     return p, mat, (rows, cols)
 
 
-def as_array(mat, shape):
-    return np.array(mat, dtype=np.int64).reshape(shape)
+def as_rows(mat):
+    """Sparse rows {column: value}, zeros and all."""
+    return [dict(enumerate(row)) for row in mat]
+
+
+def as_dense(row, cols):
+    return [row.get(c, 0) for c in range(cols)]
 
 
 def check_all(p, mat, shape):
+    cols = shape[1]
     ref_rows, ref_piv = ref_rref(mat, p)
-    a = as_array(mat, shape)
-    before = a.copy()
+    a = as_rows(mat)
+    before = copy.deepcopy(a)
+    pivots = linalg.echelon(a, p)
+    assert [c for _, c in pivots] == ref_piv
+    assert sorted(r for r, _ in pivots) == ref_span_rows(mat, p)
     assert linalg.rank(a, p) == len(ref_piv)
     r, pivcols = linalg.rref(a, p)
     assert pivcols == ref_piv
-    assert r.tolist() == ref_rows
-    basis, kfree = linalg.kernel_basis(a, p)
-    assert np.array_equal(a, before)  # these three copy their argument
-    cols = shape[1]
+    assert [as_dense(row, cols) for row in r] == ref_rows
+    assert all(list(row) == sorted(row) and all(row.values()) for row in r)
+    basis, kfree = linalg.kernel_basis(a, cols, p)
+    assert a == before  # none of these modifies its argument
     free = [c for c in range(cols) if c not in ref_piv]
-    assert kfree.tolist() == free and basis.shape == (len(free), cols)
-    for v, c in zip(basis.tolist(), free):
+    assert kfree == free and len(basis) == len(free)
+    for g, c in zip(basis, free):
+        assert list(g) == sorted(g)
+        v = as_dense(g, cols)
         assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in mat)
         assert [v[f] for f in free] == [int(f == c) for f in free]
-        assert all(0 <= x < p for x in v)
+        assert all(0 < x < p for x in g.values())
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,24 +129,92 @@ def test_named_shapes(p, shape):
 @pytest.mark.parametrize("density", [1.0, 0.15])  # dense and sparse pivot rows
 @pytest.mark.parametrize("p", PRIMES)
 def test_column_longer_than_chunk(p, density):
+    # one column nonzero in hundreds of rows: a single bucket of rows that
+    # the pivot updates, packed (dense) or entry by entry (sparse)
     rng = random.Random(p)
-    rows, cols = 2 * linalg.CHUNK + 37, 10
+    rows, cols = 549, 10
     mat = [[rng.randrange(p) if j == 0 or rng.random() < density else 0
             for j in range(cols)] for _ in range(rows)]
     for i in range(0, rows, 3):  # zero rows between the updated ones
         mat[i] = [0] * cols
     ref_rows, ref_piv = ref_rref(mat, p)
-    assert linalg.rank(as_array(mat, (rows, cols)), p) == len(ref_piv)
-    r, pivcols = linalg.rref(as_array(mat, (rows, cols)), p)
-    assert (r.tolist(), pivcols) == (ref_rows, ref_piv)
+    assert linalg.rank(as_rows(mat), p) == len(ref_piv)
+    r, pivcols = linalg.rref(as_rows(mat), p)
+    assert ([as_dense(row, cols) for row in r], pivcols) == (ref_rows, ref_piv)
+
+
+def _count_forms(monkeypatch):
+    """Count the entrywise and the packed row updates of the kernel."""
+    counts = {"sparse": 0, "packed": 0}
+
+    def counting(name, key):
+        real = getattr(linalg, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    counting("_iadd_sparse", "sparse")
+    counting("_pack", "packed")
+    return counts
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_tall_sparse_matrix(p, monkeypatch):
+    # two entries per row of 200: the pivots update rows entry by entry
+    rng = random.Random(p)
+    rows, cols = 300, 200
+    mat = [[0] * cols for _ in range(rows)]
+    for row in mat:
+        for j in rng.sample(range(cols), 2):
+            row[j] = rng.randrange(1, p)
+    counts = _count_forms(monkeypatch)
+    check_all(p, mat, (rows, cols))
+    assert counts["sparse"] > 0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_dense_full_rank(p, monkeypatch):
+    # a random dense 40 x 60 matrix of rank 40: the rows are packed, the
+    # last row takes an update at every column, and each packed pivot row
+    # is back-substituted against every later pivot, which leaves it dense
+    # in the 20 free columns.  At p = 2^31 - 1 a 64-bit slot holds only
+    # four updates, so both phases reduce their rows
+    rng = random.Random(p)
+    rows, cols = 40, 60
+    mat = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(cols - 1)]
+           for _ in range(rows)]
+    while len(ref_rref(mat, p)[1]) < rows:
+        mat[rng.randrange(rows)] = [rng.randrange(p) for _ in range(cols)]
+    counts = _count_forms(monkeypatch)
+    check_all(p, mat, (rows, cols))
+    assert counts["packed"] > 0
+    if p == 2**31 - 1:
+        assert ((1 << linalg.SLOT_BITS) - p) // (p - 1) ** 2 < rows - 1
+
+
+def test_slot_overflow_on_one_row():
+    # p = 2^31 - 1 and a last row that takes 60 packed updates.  Its entry
+    # at column i is 2^i mod p when row i clears it, so every update adds
+    # at least (p - 1) (p - 1) / 2 to a slot, and the slots would pass 2^64
+    # within eight updates without reduction
+    p = 2**31 - 1
+    n = 61
+    mat = [[0] * i + [1] + [p - 1] * (n - 1 - i) for i in range(n - 1)]
+    mat.append([1] * n)
+    ref_rows, ref_piv = ref_rref(mat, p)
+    assert linalg.echelon(as_rows(mat), p) == [(i, i) for i in range(len(ref_piv))]
+    r, pivcols = linalg.rref(as_rows(mat), p)
+    assert ([as_dense(row, n) for row in r], pivcols) == (ref_rows, ref_piv)
 
 
 def test_pivots_are_topmost_rows():
     # row 1 is the topmost nonzero in column 0; row 2 is twice row 0
-    a = np.array([[0, 1, 1], [1, 0, 0], [0, 2, 2], [1, 1, 0]], dtype=np.int64)
+    a = [{1: 1, 2: 1}, {0: 1}, {1: 2, 2: 2}, {0: 1, 1: 1}]
     assert linalg.echelon(a, 7) == [(1, 0), (0, 1), (3, 2)]
 
 
 def test_large_characteristic_rejected():
     with pytest.raises(ValueError):
-        linalg.rank(np.eye(2, dtype=np.int64), 2**31 + 11)
+        linalg.rank([{0: 1}, {1: 1}], 2**31 + 11)

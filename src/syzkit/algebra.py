@@ -23,8 +23,8 @@ that equal base monomials, module monomials and coefficients are one object
 each.  The three kinds never compare equal to one another, so one dict
 holds all three.  Each ``resolve`` call owns one table: its Groebner bases
 intern their columns when they normalize them (:func:`vec_interned`), and
-its tree liftings intern their subtree keys in the same table
-(:func:`interned_key`).  Each ``minimize`` call owns another, filled when it
+its tree liftings intern their subtree keys (:func:`interned_key`) and the
+coefficients of their roots in the same table.  Each ``minimize`` call owns another, filled when it
 renumbers its output.  A table lives only as long as its call; what
 outlives it is the sharing of the stored columns.
 """

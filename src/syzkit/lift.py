@@ -10,7 +10,7 @@ Three interchangeable lifting strategies plus the driver:
   insertion order, so no monomial comparisons are needed.
 * ``lift_tree`` / ``lift_subtree`` - treats each non-lower-order term of the
   image as the root of a subtree lifting, whose children are the subtree
-  keys of its reducer tail.  ``lift_frame_terms`` first plans the level:
+  keys of its reducer tail.  ``lift_frame_iter`` first plans the level:
   it walks the DAG of subtree keys below the roots of all its liftings
   (monomial operations only), counts how many liftings reach each key, and
   prices two choices in products: storing nothing, or storing the keys
@@ -39,7 +39,7 @@ the baseline the other two are measured against.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import (
     DomainError,
@@ -119,10 +119,12 @@ class SubtreeCache:
     lists not yet used up: each maps the keys of a key's reducer tail to
     their coefficients.  It is dropped once its key is stored, or once the
     one lifting that reaches it has propagated it; when a planned level
-    stores nothing, the lists stay until the level ends.
-    ``canon`` is the canonical table the keys are interned in (see
-    :mod:`syzkit.algebra`): ``resolve`` passes its own, so that its liftings
-    are built from the objects its columns keep; a fresh one when None.
+    stores nothing, the lists stay until :func:`lift_frame_iter` is
+    exhausted or closed, which clears them.
+    ``canon`` is the canonical table the keys and the root coefficients are
+    interned in (see :mod:`syzkit.algebra`): ``resolve`` passes its own, so
+    that its liftings are built from the objects its columns keep; a fresh
+    one when None.
     ``hits`` counts reads of stored liftings, ``expansions`` computed child
     lists.
     """
@@ -229,7 +231,7 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     """Lifting of s with lower order terms dropped throughout and the
     remaining terms kept unordered (popped in insertion order).
 
-    ``tails`` memoizes the reducer tails by (m, i); ``lift_frame_terms``
+    ``tails`` memoizes the reducer tails by (m, i); ``lift_frame_iter``
     shares one dict across the liftings of a level.  A tail holds no field
     products, so the memo leaves the counters unchanged."""
     chain = _check_chain(G, chain)
@@ -293,14 +295,14 @@ def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
 
 def _roots(s: ModMono, G: GroebnerBasis, key_up, cache: SubtreeCache) -> dict:
     """The subtree keys of the non-lower-order terms of the image of s, with
-    their coefficients.  A single-term image has no cancellation, so no
-    field operation is done."""
+    their coefficients, both the objects of the cache's canonical table.  A
+    single-term image has no cancellation, so no field operation is done."""
     s_key = key_up(s)
     canon = cache.canon
     roots = {}
     for t_mm, c in lot_split(psi({s: 1}, G), G)[1].items():
         i, m = _root_divisor(t_mm, G, s_key, key_up)
-        roots[interned_key((m, i), canon)] = c
+        roots[interned_key((m, i), canon)] = canon.setdefault(c, c)
     return roots
 
 
@@ -504,36 +506,51 @@ def lift_tree(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     return sbar
 
 
-def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
-                     chain: OrderingChain, alg: str = "tree",
-                     counters: Optional[OpCounters] = None,
-                     cache: Optional[SubtreeCache] = None) -> list:
-    """Lift the given frame terms in order with strategy ``alg``.
+def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
+                    chain: OrderingChain, alg: str = "tree",
+                    counters: Optional[OpCounters] = None,
+                    cache: Optional[SubtreeCache] = None) -> Iterator[Vec]:
+    """Yield the liftings of the given frame terms in order, one at a time,
+    with strategy ``alg``; each is computed when it is asked for, so a
+    consumer that keeps none holds one raw lifting at a time.
 
     Hybrid liftings share one memo of reducer tails for the call.  Tree
     liftings share ``cache`` (a fresh one when None), planned for the
     whole list first: ``_plan`` stores either nothing or the subtrees that at
     least two of the liftings reach, whichever it prices cheaper; the rest
-    are propagated by weight.  The child lists go at the end.
+    are propagated by weight, and each lifting's roots are dropped once
+    propagated.  The child lists go when the generator is exhausted or
+    closed.
     """
     chain = _check_chain(G, chain)
     if alg == "reduce":
-        return [lift_reduce(s, G, chain, counters) for s in terms]
-    if alg == "hybrid":
+        for s in terms:
+            yield lift_reduce(s, G, chain, counters)
+    elif alg == "hybrid":
         tails: dict = {}
-        return [lift_hybrid(s, G, chain, counters, tails) for s in terms]
-    if alg == "tree":
+        for s in terms:
+            yield lift_hybrid(s, G, chain, counters, tails)
+    elif alg == "tree":
         if cache is None:
             cache = SubtreeCache()
         key_up = chain.key_fn(G.level + 1)
         roots = [_roots(s, G, key_up, cache) for s in terms]
         stored = _plan(roots, G, cache)
-        out = []
-        for s, rs in zip(terms, roots):
-            sbar: Vec = {s: 1}
-            _propagate(sbar, rs, stored, G, cache, counters)
-            out.append(sbar)
-        cache.children.clear()
-        return out
-    raise DomainError(f"unknown lifting algorithm {alg!r}")
+        try:
+            for i, s in enumerate(terms):
+                sbar: Vec = {s: 1}
+                _propagate(sbar, roots[i], stored, G, cache, counters)
+                roots[i] = None
+                yield sbar
+        finally:
+            cache.children.clear()
+    else:
+        raise DomainError(f"unknown lifting algorithm {alg!r}")
 
+
+def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
+                     chain: OrderingChain, alg: str = "tree",
+                     counters: Optional[OpCounters] = None,
+                     cache: Optional[SubtreeCache] = None) -> list:
+    """The list of the liftings :func:`lift_frame_iter` yields."""
+    return list(lift_frame_iter(terms, G, chain, alg, counters, cache))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import (
     DomainError,
@@ -27,11 +27,11 @@ from .algebra import (
     vec_iadd_scaled,
     vec_interned,
 )
-from .orderings import BaseOrdering
+from .orderings import BaseOrdering, OrderingChain
 from .linalg import rank as block_rank
 from .groebner import GroebnerBasis, buchberger
 from .frame import build_frame
-from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_terms
+from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_iter
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,11 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     Computes the reduced Groebner basis of the input, then its Schreyer
     frame (:func:`~syzkit.frame.build_frame`), which fixes the leading
     terms, their order and the chain of induced orderings of every level
-    before any lifting starts.  Each frame level is then lifted against the
-    Groebner basis formed by the level before it, so every level's
-    generators come in the frame's one order (see
+    before any lifting starts, and each level takes its ordering from that
+    chain.  Each frame level is then lifted against the Groebner basis
+    formed by the level before it, as a stream: the level's basis takes
+    each lifting as it is computed, checked to keep its frame term as its
+    head, so every level's generators come in the frame's one order (see
     :func:`~syzkit.orderings.reorder_permutation`).  A given ``gb`` must be
     the reduced basis of ``gens`` in R^rank0 with ``twists0``.  ``n_terms``
     in the returned stats excludes the first differential.
@@ -211,19 +213,16 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         vec_interned(g.items(), table)
     for level, frame_level in enumerate(frame.levels, start=1):
         t0 = time.perf_counter()
-        ext = G.chain.extend(G.lms)
+        ext = OrderingChain(frame.chain.base, frame.chain.levels[:level])
         terms = frame_level.terms
-        lifted = lift_frame_terms(terms, G, ext, alg, counters,
-                                  SubtreeCache(table) if alg == "tree" else None)
-        if any(v.get(s) != 1 for s, v in zip(terms, lifted)):
-            raise RuntimeError("lifting lost its leading term")
+        lifts = lift_frame_iter(terms, G, ext, alg, counters,
+                                SubtreeCache(table) if alg == "tree" else None)
         ambient = modules[level]
-        # the basis sorts and interns each lifting once, and its generators
-        # are the columns; it takes the liftings out of ``lifted`` one by
-        # one, so that no level is ever held twice
-        lifted.reverse()
-        handed = (lifted.pop() for _ in range(len(lifted)))
-        G = GroebnerBasis(ring, ext, handed, level=level, rank=ambient.rank,
+        # the basis sorts and interns each lifting as the stream yields it,
+        # and its generators are the columns: one raw lifting is alive at a
+        # time, so that no level is ever held twice
+        G = GroebnerBasis(ring, ext, _heads_kept(terms, lifts), level=level,
+                          rank=ambient.rank,
                           twists=ambient.twists or (0,) * ambient.rank,
                           table=table)
         if G.lms != tuple(terms):
@@ -237,6 +236,15 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
                      level_times=level_times)
     res.minimal = not res.has_constant_entries()
     return res
+
+
+def _heads_kept(terms: Sequence, lifts: Iterator[Vec]) -> Iterator[Vec]:
+    """The liftings ``lifts`` of the frame terms ``terms``, passed on one at a
+    time, each checked to hold its term at coefficient 1."""
+    for i, v in enumerate(lifts):
+        if i == len(terms) or v.get(terms[i]) != 1:
+            raise RuntimeError("lifting lost its leading term")
+        yield v
 
 
 # ---------------------------------------------------------------------------

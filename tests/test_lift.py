@@ -194,6 +194,30 @@ def test_merged_heads_are_cache_key_objects(sec5, corpus):
     assert hits > 0
 
 
+def test_roots_are_canonical_objects(sec5, corpus):
+    # every key and every coefficient of every lifting's roots is the
+    # canonical table's own object, the table resolve's columns come from
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    agr = buchberger(ideal.generators, ideal.ring,
+                     BaseOrdering("dp", ideal.ring.nvars))
+    cases = [sec5.gb, agr] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
+    large = 0
+    for G in cases:
+        ring, table = G.ring, {}
+        for level, fl in enumerate(build_frame(G).levels, start=1):
+            ext = G.chain.extend(G.lms)
+            cache = SubtreeCache(table)
+            for s in fl.terms:
+                for k, c in _roots(s, G, ext.key_fn(level), cache).items():
+                    assert table.get(k) is k and table.get(c) is c
+                    large += c > 256  # smaller ints are shared by Python
+            outs = lift_frame_terms(fl.terms, G, ext, "tree", None, cache)
+            G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
+                              twists=G.degrees or (0,) * len(G.gens),
+                              table=table)
+    assert large > 1000
+
+
 def test_lifting_runs_with_asserts_stripped():
     # python -O drops assert statements, so none may carry work the lifting
     # needs (popping the unit head of a subtree expansion once did, and the

@@ -9,7 +9,8 @@ import pytest
 
 from syzkit.algebra import DomainError, OpCounters, Ring
 from syzkit.orderings import BaseOrdering
-from syzkit.groebner import buchberger
+from syzkit.groebner import GroebnerBasis, buchberger
+from syzkit.lift import SubtreeCache
 from syzkit.resolution import (
     BettiTable,
     GradedFreeModule,
@@ -306,15 +307,58 @@ def test_resolve_module_input():
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda vs, p: [{mm: 2 * c % p for mm, c in v.items()} for v in vs],
-    lambda vs, p: vs[::-1],
+    lambda vs, p: ({mm: 2 * c % p for mm, c in v.items()} for v in vs),
+    lambda vs, p: reversed(list(vs)),
 ], ids=["head-not-monic", "heads-out-of-order"])
 def test_resolve_rejects_lost_leading_term(sec5, monkeypatch, corrupt):
-    lift = resolution.lift_frame_terms
-    monkeypatch.setattr(resolution, "lift_frame_terms",
+    # corrupt the stream of liftings that resolve hands to each level's basis
+    lift = resolution.lift_frame_iter
+    monkeypatch.setattr(resolution, "lift_frame_iter",
                         lambda *a: corrupt(lift(*a), sec5.ring.p))
     with pytest.raises(RuntimeError, match="lifting lost its leading term"):
         resolve(sec5.gens, sec5.ring, sec5.base)
+
+
+@pytest.mark.parametrize("alg", ["reduce", "hybrid", "tree"])
+def test_resolve_streams_each_level(sec5, corpus, monkeypatch, alg):
+    # each level's basis takes every lifting as soon as it is yielded: when
+    # it takes lifting i, the generator has yielded exactly i + 1, so no
+    # level is ever built as a list; the tree's child lists go at each
+    # level's end
+    yielded, caches = [], []
+    lift = resolution.lift_frame_iter
+
+    def counting(*a):
+        yielded.append(0)
+        for v in lift(*a):
+            yielded[-1] += 1
+            yield v
+
+    def taking(ring, chain, gens, **kw):
+        def take():
+            for i, g in enumerate(gens):
+                assert yielded[-1] == i + 1
+                yield g
+        return GroebnerBasis(ring, chain, take(), **kw)
+
+    def cache(table):
+        caches.append(SubtreeCache(table))
+        return caches[-1]
+
+    monkeypatch.setattr(resolution, "lift_frame_iter", counting)
+    monkeypatch.setattr(resolution, "GroebnerBasis", taking)
+    monkeypatch.setattr(resolution, "SubtreeCache", cache)
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    cases = [(sec5.gens, sec5.ring, sec5.base),
+             (ideal.generators, ideal.ring, BaseOrdering("dp", 5))]
+    cases += [(e.gens, e.ring, e.base) for e in corpus[:10]]
+    ranks = []
+    for gens, ring, base in cases:
+        res = resolve(gens, ring, base, alg=alg)
+        ranks += [m.rank for m in res.modules[2:]]
+    assert yielded == ranks and max(ranks) == 171
+    assert len(caches) == (len(ranks) if alg == "tree" else 0)
+    assert all(not c.children for c in caches)
 
 
 def test_q_sparse_sec5(sec5):

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import DomainError, Ring, Vec, is_prime, mono_div, mono_mul
 from . import linalg
@@ -188,13 +187,12 @@ def contract(g: Vec, u: dict, p: int, nvars: int, d: int,
     return out
 
 
-def gen_random_homogeneous(n_vars: int, degrees, p: int, seed: int,
-                           names: Optional[tuple] = None):
+def gen_random_homogeneous(n_vars: int, degrees, p: int, seed: int):
     """Dense random forms of the given degrees: every monomial gets a
     uniform nonzero coefficient.  Deterministic per seed."""
     if not is_prime(p):
         raise DomainError("characteristic must be prime")
-    ring = Ring(p, names or tuple(f"x{i}" for i in range(n_vars)))
+    ring = Ring(p, tuple(f"x{i}" for i in range(n_vars)))
     base = BaseOrdering("dp", n_vars)
     rng = random.Random(seed)
     out = []

@@ -26,13 +26,12 @@ from .groebner import GroebnerBasis
 class FrameLevel:
     """Minimal generating set of one leading syzygy module.
 
-    ``terms[t] == m * e_i`` for the recorded ``source_pairs[t] == (i, j)``
-    with j < i and m = m_{ji}; ``degrees[t]`` is deg(m) + degree of generator
-    i one level down (homogeneous case; None when ungraded).
+    ``terms[t] == m * e_i`` with m = lcm(m_i, m_j) / m_i for some j < i;
+    ``degrees[t]`` is deg(m) + degree of generator i one level down
+    (homogeneous case; None when ungraded).
     """
 
     terms: list
-    source_pairs: list
     degrees: Optional[list] = None
 
     def __len__(self):
@@ -41,7 +40,6 @@ class FrameLevel:
     def permuted(self, perm: Sequence[int]) -> "FrameLevel":
         return FrameLevel(
             [self.terms[i] for i in perm],
-            [self.source_pairs[i] for i in perm],
             None if self.degrees is None else [self.degrees[i] for i in perm],
         )
 
@@ -54,28 +52,26 @@ def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
     The candidates of generator i are (lcm(m_i, m_j)/m_i) e_i for j < i;
     pairs with mismatched components are skipped (their lcm is zero).  A
     candidate can divide only candidates of the same i, so each i's are
-    pruned among themselves, the first j winning a tie.  The result is
-    order-normalized: ascending component, then descending base ordering on
-    the cofactor monomial.
+    pruned among themselves.  The result is order-normalized: ascending
+    component, then descending base ordering on the cofactor monomial.
     """
     lms = list(leading_monomials)
     bk = base.key_func()
-    level = FrameLevel([], [])
+    level = FrameLevel([])
     for i in range(1, len(lms)):
         mi, ci = lms[i]
-        kept: list = []  # (cofactor, j): the minimal candidates of i so far
+        kept: list = []  # the minimal candidate cofactors of i so far
         for j in range(i):
             mj, cj = lms[j]
             if ci != cj:
                 continue
             t = mono_div(mono_lcm(mi, mj), mi)
-            if any(mono_divides(s, t) for s, _ in kept):
+            if any(mono_divides(s, t) for s in kept):
                 continue
-            kept = [e for e in kept if not mono_divides(t, e[0])]
-            kept.append((t, j))
-        kept.sort(key=lambda e: bk(e[0]), reverse=True)
-        level.terms += [(t, i) for t, _ in kept]
-        level.source_pairs += [(i, j) for _, j in kept]
+            kept = [s for s in kept if not mono_divides(t, s)]
+            kept.append(t)
+        kept.sort(key=bk, reverse=True)
+        level.terms += [(t, i) for t in kept]
     if degrees is not None:
         level.degrees = [mono_deg(t[0]) + degrees[t[1]] for t in level.terms]
     return level

@@ -107,13 +107,6 @@ class GroebnerBasis:
             memo[mm] = idx
         return idx
 
-    def divisors_after(self, mm: ModMono, start: int):
-        """Generator indices > start whose leading monomial divides mm."""
-        mono = mm[0]
-        for lm_mono, i in self._by_comp.get(mm[1], ()):
-            if i > start and mono_divides(lm_mono, mono):
-                yield i
-
 
 def divide_with_remainder(g: Vec, G: GroebnerBasis,
                           counters: Optional[OpCounters] = None,

@@ -2,9 +2,9 @@
 
 Three interchangeable lifting strategies plus the driver:
 
-* ``lift_reduce`` - classical reduction: repeatedly cancel the leading term
-  of the image, keeping the whole image polynomial and paying one
-  leading-term scan (monomial comparisons) per step.
+* ``lift_reduce`` - classical reduction, the baseline: repeatedly cancel
+  the leading term of the image, keeping the whole image polynomial and
+  paying one leading-term scan (monomial comparisons) per step.
 * ``lift_hybrid`` - drops lower order terms from the image and from every
   reducer, and keeps the remaining terms as an unordered bucket popped in
   insertion order, so no monomial comparisons are needed.
@@ -18,22 +18,23 @@ Three interchangeable lifting strategies plus the driver:
   keys in a ``SubtreeCache``.  It keeps the cheaper.  Weights are pushed
   from the roots down the keys not stored in Kahn order, so each enters its
   lifting once with its summed weight.  A cache that was never planned
-  (direct ``lift_tree`` / ``lift_subtree`` calls) stores every subtree.  On
-  the 200-ideal test corpus this takes the tree lifting to 31,733 field
-  products (315,687 with every subtree stored, 51,349 with the shared keys
-  stored on every level), below hybrid's 43,790 and reduce's 168,765.  On
-  the AGR ideal (6, 5, 42) it does 151,392, as many as storing the shared
-  keys on every level, against 157,284 with every subtree stored and
-  174,852 (hybrid's count) with nothing stored.
+  (direct ``lift_tree`` / ``lift_subtree`` calls) stores every subtree.
+  Field products: 31,733 on the 200-ideal test corpus (315,687 with every
+  subtree stored, 51,349 with the shared keys stored on every level; hybrid
+  43,790, reduce 168,765), and 151,392 on the AGR ideal (6, 5, 42) (157,284
+  with every subtree stored, 174,852 with nothing stored).
+
+Every strategy reduces a term t by the generator of smallest index whose
+leading monomial divides t.  That reducer always lies below the lifted term
+in the next level's induced ordering (``_root_divisor``), so, as in the
+paper, no strategy evaluates that ordering: hybrid and tree compare nothing,
+and reduce scans its image in G's own ordering.
 
 Unit heads are known, not multiplied: a cached subtree lifting starts with
 its key at coefficient 1, so a reuse adds the coefficient to that head with
 no product and scales only the tail; a reducer m*f_i starts with the target
 term at coefficient 1, so reduce and hybrid drop the target (a known
 cancellation, not counted) and subtract the scaled tail.
-
-``lift_reduce`` is the classical step of Schreyer's algorithm and serves as
-the baseline the other two are measured against.
 """
 
 from __future__ import annotations
@@ -167,41 +168,33 @@ def lot_split(g: Vec, G: GroebnerBasis):
     return low, rest
 
 
-def _root_divisor(t_mm: ModMono, G: GroebnerBasis, s_key, key_up):
-    """Smallest generator index i with LM(f_i) | t and s > (t/LT(f_i)) e_i
-    under the induced ordering, advancing past indices that fail the
-    ordering condition."""
+def _root_divisor(t_mm: ModMono, G: GroebnerBasis, s: ModMono):
+    """(i, t/LM(f_i)) for the smallest i with LM(f_i) | t, t a term of the
+    image of s (or of what reduction leaves of it).
+
+    It is admissible, (t/LM(f_i)) e_i < s in the induced ordering, unless it
+    is s itself, and then no divisor is.  Let s = m e_j, L = m LM(f_j).  G's
+    columns are sorted, so any other term t lies below L, and so does the
+    image t of any candidate.  For t = L, the smallest divisor k <= j since
+    LM(f_j) | L: if k < j the images are equal and the tie goes to the larger
+    component, so the candidate is below s; if k = j it is s, and every later
+    divisor has an equal image and a larger component.
+    """
     i = G.divisor(t_mm)
     if i < 0:
         raise DomainError(f"no divisor for {t_mm}; input is not a leading syzygy term")
-    mono = t_mm[0]
-    cand = (mono_div(mono, G.lms[i][0]), i)
-    if key_up(cand) < s_key:
-        return i, cand[0]
-    for i in G.divisors_after(t_mm, i):
-        cand = (mono_div(mono, G.lms[i][0]), i)
-        if key_up(cand) < s_key:
-            return i, cand[0]
-    raise DomainError(f"no admissible divisor below {t_mm}; inconsistent input")
+    m = mono_div(t_mm[0], G.lms[i][0])
+    if (m, i) == s:
+        raise DomainError(f"no admissible divisor below {t_mm}; inconsistent input")
+    return i, m
 
 
-def _check_chain(G: GroebnerBasis, chain: OrderingChain) -> OrderingChain:
-    if chain is None:
-        return G.chain.extend(G.lms)
-    if len(chain) != G.level + 1:
-        raise DomainError("lifting expects the chain extended by G's leading terms")
-    return chain
-
-
-def lift_reduce(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
+def lift_reduce(s: ModMono, G: GroebnerBasis,
                 counters: Optional[OpCounters] = None) -> Vec:
     """Lifting of the leading syzygy term s by leading-term reduction of its
     image (the classical step of Schreyer's algorithm)."""
-    chain = _check_chain(G, chain)
     p = G.ring.p
-    key_up = chain.key_fn(G.level + 1)
-    key_dn = chain.key_fn(G.level)
-    s_key = key_up(s)
+    key_dn = G.chain.key_fn(G.level)
     g = psi({s: 1}, G, counters)
     sbar: Vec = {s: 1}
     keymemo: dict = {}
@@ -217,7 +210,7 @@ def lift_reduce(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
         if counters is not None:
             counters.n_monomial_cmp += len(g) - 1
         c = g.pop(best)
-        i, m = _root_divisor(best, G, s_key, key_up)
+        i, m = _root_divisor(best, G, s)
         tail = term_times_vector(1, m, G.gens[i], p, None)
         del tail[best]  # the head of m*f_i, at coefficient 1
         vec_iadd_scaled(g, p - c, tail, p, counters)
@@ -225,7 +218,7 @@ def lift_reduce(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     return sbar
 
 
-def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
+def lift_hybrid(s: ModMono, G: GroebnerBasis,
                 counters: Optional[OpCounters] = None,
                 tails: Optional[dict] = None) -> Vec:
     """Lifting of s with lower order terms dropped throughout and the
@@ -234,10 +227,7 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     ``tails`` memoizes the reducer tails by (m, i); ``lift_frame_iter``
     shares one dict across the liftings of a level.  A tail holds no field
     products, so the memo leaves the counters unchanged."""
-    chain = _check_chain(G, chain)
     p = G.ring.p
-    key_up = chain.key_fn(G.level + 1)
-    s_key = key_up(s)
     if tails is None:
         tails = {}
     _, g = lot_split(psi({s: 1}, G, counters), G)
@@ -245,7 +235,7 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
     while g:
         t_mm = next(iter(g))
         c = g.pop(t_mm)
-        i, m = _root_divisor(t_mm, G, s_key, key_up)
+        i, m = _root_divisor(t_mm, G, s)
         tail = tails.get((m, i))
         if tail is None:
             tail = tails[(m, i)] = _reducer_tail(m, i, G)
@@ -293,15 +283,14 @@ def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
     return kids
 
 
-def _roots(s: ModMono, G: GroebnerBasis, key_up, cache: SubtreeCache) -> dict:
+def _roots(s: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
     """The subtree keys of the non-lower-order terms of the image of s, with
     their coefficients, both the objects of the cache's canonical table.  A
     single-term image has no cancellation, so no field operation is done."""
-    s_key = key_up(s)
     canon = cache.canon
     roots = {}
     for t_mm, c in lot_split(psi({s: 1}, G), G)[1].items():
-        i, m = _root_divisor(t_mm, G, s_key, key_up)
+        i, m = _root_divisor(t_mm, G, s)
         roots[interned_key((m, i), canon)] = canon.setdefault(c, c)
     return roots
 
@@ -490,16 +479,15 @@ def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
     return out
 
 
-def lift_tree(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
+def lift_tree(s: ModMono, G: GroebnerBasis,
               cache: Optional[SubtreeCache] = None,
               counters: Optional[OpCounters] = None) -> Vec:
     """Lifting of s by independent subtree liftings of the non-lower-order
     terms of its image, each stored in (or served from) the cache."""
-    chain = _check_chain(G, chain)
     if cache is None:
         cache = SubtreeCache()
     p = G.ring.p
-    roots = _roots(s, G, chain.key_fn(G.level + 1), cache)
+    roots = _roots(s, G, cache)
     sbar: Vec = {s: 1}
     _merge_stored(sbar, {k: p - c for k, c in roots.items()}, G, cache,
                   counters)
@@ -507,7 +495,7 @@ def lift_tree(s: ModMono, G: GroebnerBasis, chain: OrderingChain,
 
 
 def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
-                    chain: OrderingChain, alg: str = "tree",
+                    alg: str = "tree",
                     counters: Optional[OpCounters] = None,
                     cache: Optional[SubtreeCache] = None) -> Iterator[Vec]:
     """Yield the liftings of the given frame terms in order, one at a time,
@@ -522,19 +510,17 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
     propagated.  The child lists go when the generator is exhausted or
     closed.
     """
-    chain = _check_chain(G, chain)
     if alg == "reduce":
         for s in terms:
-            yield lift_reduce(s, G, chain, counters)
+            yield lift_reduce(s, G, counters)
     elif alg == "hybrid":
         tails: dict = {}
         for s in terms:
-            yield lift_hybrid(s, G, chain, counters, tails)
+            yield lift_hybrid(s, G, counters, tails)
     elif alg == "tree":
         if cache is None:
             cache = SubtreeCache()
-        key_up = chain.key_fn(G.level + 1)
-        roots = [_roots(s, G, key_up, cache) for s in terms]
+        roots = [_roots(s, G, cache) for s in terms]
         stored = _plan(roots, G, cache)
         try:
             for i, s in enumerate(terms):
@@ -549,8 +535,11 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
 
 
 def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
-                     chain: OrderingChain, alg: str = "tree",
+                     chain: Optional[OrderingChain], alg: str = "tree",
                      counters: Optional[OpCounters] = None,
                      cache: Optional[SubtreeCache] = None) -> list:
-    """The list of the liftings :func:`lift_frame_iter` yields."""
-    return list(lift_frame_iter(terms, G, chain, alg, counters, cache))
+    """The list of the liftings :func:`lift_frame_iter` yields.  ``chain``
+    is not used: it must be None or G's chain extended by one level."""
+    if chain is not None and len(chain) != G.level + 1:
+        raise DomainError("lifting expects the chain extended by G's leading terms")
+    return list(lift_frame_iter(terms, G, alg, counters, cache))

@@ -62,8 +62,9 @@ class OrderingChain:
     Level 0 compares monomials of F_0 term-over-position (base ordering on the
     monomial, smaller component wins ties).  Level k >= 1 compares via the
     leading terms of the generators recorded one level down, breaking exact
-    ties by the larger component.  Immutable: :meth:`extend` returns a new
-    chain.
+    ties by the larger component; the lifting's choice of reducer relies on
+    this tie-break (``lift._root_divisor``).  Immutable: :meth:`extend`
+    returns a new chain.
     """
 
     __slots__ = ("base", "levels")

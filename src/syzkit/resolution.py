@@ -139,7 +139,7 @@ class Resolution:
         terms = sum(self.term_count(k) for k in range(2, self.length + 1))
         return terms / entries
 
-    def check_complex(self, counters: Optional[OpCounters] = None) -> bool:
+    def check_complex(self) -> bool:
         """phi_k o phi_{k+1} == 0, by sparse multiplication; each shifted
         column m*phi_k(e_i) is formed once per level."""
         p = self.ring.p
@@ -154,7 +154,7 @@ class Resolution:
                         m, i = mm
                         img = shifted[mm] = term_times_vector(
                             1, m, prev_cols[i], p, None)
-                    vec_iadd_scaled(acc, c, img, p, counters)
+                    vec_iadd_scaled(acc, c, img, p)
                 if acc:
                     return False
         return True
@@ -215,7 +215,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         t0 = time.perf_counter()
         ext = OrderingChain(frame.chain.base, frame.chain.levels[:level])
         terms = frame_level.terms
-        lifts = lift_frame_iter(terms, G, ext, alg, counters,
+        lifts = lift_frame_iter(terms, G, alg, counters,
                                 SubtreeCache(table) if alg == "tree" else None)
         ambient = modules[level]
         # the basis sorts and interns each lifting as the stream yields it,
@@ -477,16 +477,12 @@ def hilbert_numerator(lead_monomials, nvars: int,
     """Numerator of the Hilbert series of F_0/<lead_monomials> over the
     common denominator (1-t)^nvars, as a degree -> coefficient dict.
 
-    Accepts module monomials (grouped per component, shifted by the twist)
-    or plain monomials; uses the pivot-variable splitting recursion for
-    monomial ideals.
+    Takes module monomials, grouped per component and shifted by the
+    twist; uses the pivot-variable splitting recursion for monomial ideals.
     """
     by_comp: dict = {}
-    for mm in lead_monomials:
-        if isinstance(mm[0], tuple):
-            by_comp.setdefault(mm[1], []).append(mm[0])
-        else:
-            by_comp.setdefault(0, []).append(mm)
+    for m, comp in lead_monomials:
+        by_comp.setdefault(comp, []).append(m)
     rank = 1 + max(by_comp, default=0)
     if twists0 is None:
         twists0 = (0,) * rank

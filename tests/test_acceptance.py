@@ -37,13 +37,13 @@ def _report(num: int, ok: bool, detail: str = ""):
 
 
 def test_acceptance_01_worked_example_golden(sec5):
-    G, ext = sec5.gb, sec5.ext
+    G = sec5.gb
     lv = lead_syz(G.lms, sec5.base, G.degrees)
     ok = lv.terms == sec5.frame_terms
     for fn in (lift_reduce, lift_hybrid,
-               lambda s, g, e, c: lift_tree(s, g, e, SubtreeCache(), c)):
-        ok &= fn(sec5.frame_terms[0], G, ext, None) == sec5.syz1
-        ok &= fn(sec5.frame_terms[1], G, ext, None) == sec5.syz2
+               lambda s, g, c: lift_tree(s, g, SubtreeCache(), c)):
+        ok &= fn(sec5.frame_terms[0], G, None) == sec5.syz1
+        ok &= fn(sec5.frame_terms[1], G, None) == sec5.syz2
     res = resolve(sec5.gens, sec5.ring, sec5.base, alg="tree")
     ok &= [m.rank for m in res.modules] == [1, 3, 2]
     ok &= res.minimal
@@ -53,11 +53,11 @@ def test_acceptance_01_worked_example_golden(sec5):
         t0 = time.perf_counter()
         lead_syz(G.lms, sec5.base, G.degrees)
         for s in sec5.frame_terms:
-            lift_reduce(s, G, ext, None)
-            lift_hybrid(s, G, ext, None)
+            lift_reduce(s, G, None)
+            lift_hybrid(s, G, None)
         cache = SubtreeCache()
         for s in sec5.frame_terms:
-            lift_tree(s, G, ext, cache, None)
+            lift_tree(s, G, cache, None)
         best = min(best, time.perf_counter() - t0)
     ok &= best < 1e-3
     _report(1, ok, f"kernel best-of-20: {best * 1e6:.0f}us")
@@ -65,9 +65,9 @@ def test_acceptance_01_worked_example_golden(sec5):
 
 def test_acceptance_02_cache_behavior(sec5):
     cache = SubtreeCache()
-    lift_tree(sec5.frame_terms[0], sec5.gb, sec5.ext, cache, None)
+    lift_tree(sec5.frame_terms[0], sec5.gb, cache, None)
     hits0, exp0 = cache.hits, cache.expansions
-    out = lift_tree(sec5.frame_terms[1], sec5.gb, sec5.ext, cache, None)
+    out = lift_tree(sec5.frame_terms[1], sec5.gb, cache, None)
     ok = (out == sec5.syz2 and cache.hits - hits0 == 1
           and cache.expansions - exp0 == 0)
     _report(2, ok, f"hits +{cache.hits - hits0}, expansions +{cache.expansions - exp0}")

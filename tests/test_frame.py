@@ -17,7 +17,6 @@ from conftest import SEC5_TEXT
 def test_lead_syz_sec5(sec5):
     lv = lead_syz(sec5.gb.lms, sec5.base, sec5.gb.degrees)
     assert lv.terms == [sec5.mm("x", 2), sec5.mm("w", 3)]
-    assert lv.source_pairs == [(1, 0), (2, 0)]  # smallest j recorded
     assert lv.degrees == [3, 3]
 
 
@@ -108,7 +107,7 @@ def test_build_frame_hilbert_guard(sec5, monkeypatch, tmp_path, capsys):
     # a leading syzygy module that never runs dry must stop the frame at
     # the Hilbert syzygy bound, and main must report it as an internal error
     def endless(lms, base, degrees=None):
-        return FrameLevel([(lms[0][0], 0)], [(0, 0)],
+        return FrameLevel([(lms[0][0], 0)],
                           None if degrees is None else [degrees[0]])
 
     monkeypatch.setattr("syzkit.frame.lead_syz", endless)

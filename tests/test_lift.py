@@ -7,7 +7,8 @@ import pytest
 
 import syzkit
 
-from syzkit.algebra import DomainError, OpCounters, Ring, vec_iadd_scaled
+from syzkit.algebra import (DomainError, OpCounters, Ring, mono_div,
+                            vec_iadd_scaled)
 from syzkit.orderings import OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger
 from syzkit.frame import build_frame, lead_syz
@@ -58,43 +59,41 @@ def test_lot_examples(sec5):
 
 def test_lift_reduce_sec5(sec5):
     c = OpCounters()
-    assert lift_reduce(sec5.frame_terms[0], sec5.gb, sec5.ext, c) == sec5.syz1
-    assert lift_reduce(sec5.frame_terms[1], sec5.gb, sec5.ext, c) == sec5.syz2
+    assert lift_reduce(sec5.frame_terms[0], sec5.gb, c) == sec5.syz1
+    assert lift_reduce(sec5.frame_terms[1], sec5.gb, c) == sec5.syz2
     assert c.n_monomial_cmp > 0  # reduce pays leading-term scans
 
 
 def test_lift_reduce_koszul():
     doc = parse_input("ring 7 x,y lp\nx\ny\n")
     G = buchberger(doc.generators, doc.ring, doc.ordering)
-    ext = G.chain.extend(G.lms)
     x = doc.ring.mono([1, 0])
     y = doc.ring.mono([0, 1])
-    out = lift_reduce((x, 1), G, ext, None)
+    out = lift_reduce((x, 1), G, None)
     assert out == {(x, 1): 1, (y, 0): 6}  # x*e2 - y*e1
 
 
 def test_lift_hybrid_sec5(sec5):
     c = OpCounters()
-    assert lift_hybrid(sec5.frame_terms[0], sec5.gb, sec5.ext, c) == sec5.syz1
-    assert lift_hybrid(sec5.frame_terms[1], sec5.gb, sec5.ext, c) == sec5.syz2
+    assert lift_hybrid(sec5.frame_terms[0], sec5.gb, c) == sec5.syz1
+    assert lift_hybrid(sec5.frame_terms[1], sec5.gb, c) == sec5.syz2
     assert c.n_monomial_cmp == 0  # unordered bucket: no comparisons
 
 
 def test_lift_hybrid_single_step():
     doc = parse_input("ring 7 x,y lp\nx\ny\n")
     G = buchberger(doc.generators, doc.ring, doc.ordering)
-    ext = G.chain.extend(G.lms)
     x, y = doc.ring.mono([1, 0]), doc.ring.mono([0, 1])
-    assert lift_hybrid((x, 1), G, ext, None) == {(x, 1): 1, (y, 0): 6}
+    assert lift_hybrid((x, 1), G, None) == {(x, 1): 1, (y, 0): 6}
 
 
 def test_lift_tree_sec5_with_cache(sec5):
     cache = SubtreeCache()
     c = OpCounters()
-    out1 = lift_tree(sec5.frame_terms[0], sec5.gb, sec5.ext, cache, c)
+    out1 = lift_tree(sec5.frame_terms[0], sec5.gb, cache, c)
     assert out1 == sec5.syz1
     hits0, exp0 = cache.hits, cache.expansions
-    out2 = lift_tree(sec5.frame_terms[1], sec5.gb, sec5.ext, cache, c)
+    out2 = lift_tree(sec5.frame_terms[1], sec5.gb, cache, c)
     assert out2 == sec5.syz2
     # the wxy node is served from the cache: one hit, no new expansions
     assert cache.hits - hits0 == 1
@@ -180,10 +179,9 @@ def test_merged_heads_are_cache_key_objects(sec5, corpus):
     cases += [(e.gb, e.base) for e in corpus[:20] if len(e.gb.gens) >= 2]
     hits = 0
     for G, base in cases:
-        ext = G.chain.extend(G.lms)
         cache = SubtreeCache()
         frame = lead_syz(G.lms, base, G.degrees).terms
-        outs = [lift_tree(s, G, ext, cache, None) for s in frame]
+        outs = [lift_tree(s, G, cache, None) for s in frame]
         hits += cache.hits
         canon = {k: k for k in cache.data}
         for k, v in cache.data.items():
@@ -208,7 +206,7 @@ def test_roots_are_canonical_objects(sec5, corpus):
             ext = G.chain.extend(G.lms)
             cache = SubtreeCache(table)
             for s in fl.terms:
-                for k, c in _roots(s, G, ext.key_fn(level), cache).items():
+                for k, c in _roots(s, G, cache).items():
                     assert table.get(k) is k and table.get(c) is c
                     large += c > 256  # smaller ints are shared by Python
             outs = lift_frame_terms(fl.terms, G, ext, "tree", None, cache)
@@ -235,12 +233,12 @@ def test_lifting_runs_with_asserts_stripped():
 
 def test_cache_purity_cold_vs_warm(sec5):
     cold = SubtreeCache()
-    out_cold = [lift_tree(s, sec5.gb, sec5.ext, cold, None)
+    out_cold = [lift_tree(s, sec5.gb, cold, None)
                 for s in sec5.frame_terms]
     warm = SubtreeCache()
     warm.data.update(cold.data)
     before = warm.expansions
-    out_warm = [lift_tree(s, sec5.gb, sec5.ext, warm, None)
+    out_warm = [lift_tree(s, sec5.gb, warm, None)
                 for s in sec5.frame_terms]
     assert out_cold == out_warm
     assert warm.expansions == before  # fully served from cache
@@ -260,10 +258,10 @@ def test_planned_tree_matches_unplanned(sec5, corpus):
             cache = SubtreeCache()
             outs = lift_frame_terms(fl.terms, G, ext, "tree", planned, cache)
             full = SubtreeCache()
-            assert outs == [lift_tree(s, G, ext, SubtreeCache(), None)
+            assert outs == [lift_tree(s, G, SubtreeCache(), None)
                             for s in fl.terms]
             for s in fl.terms:
-                lift_tree(s, G, ext, full, unplanned)
+                lift_tree(s, G, full, unplanned)
             assert set(cache.data) <= set(full.data)
             assert cache.expansions == full.expansions
             assert planned.n_mult <= unplanned.n_mult
@@ -303,10 +301,9 @@ def test_plan_picks_the_cheaper_store(sec5, corpus):
         ring = G.ring
         for level, fl in enumerate(build_frame(G).levels, start=1):
             ext = G.chain.extend(G.lms)
-            key_up = ext.key_fn(G.level + 1)
             planned = OpCounters()
             outs = lift_frame_terms(fl.terms, G, ext, "tree", planned)
-            roots = [_roots(s, G, key_up, SubtreeCache()) for s in fl.terms]
+            roots = [_roots(s, G, SubtreeCache()) for s in fl.terms]
             mults = {}
             for name, stored in (("nothing", set()),
                                  ("shared", _shared_keys(G, roots))):
@@ -386,3 +383,79 @@ def test_lead_sets_agree_with_schreyer(corpus):
         for alg in ("hybrid", "tree"):
             leads = {max(s, key=key) for s in _syzygies(G, ext, alg=alg)}
             assert leads == base_leads
+
+
+def _frame_cases(sec5, corpus):
+    """(G, ext, terms) for every frame level of sec5, AGR (5, 4, 12) and
+    the first 20 corpus ideals, each G the basis of the level below."""
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    agr = buchberger(ideal.generators, ideal.ring,
+                     BaseOrdering("dp", ideal.ring.nvars))
+    for G in [sec5.gb, agr] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]:
+        for level, fl in enumerate(build_frame(G).levels, start=1):
+            ext = G.chain.extend(G.lms)
+            yield G, ext, fl.terms
+            outs = lift_frame_terms(fl.terms, G, ext, "tree")
+            G = GroebnerBasis(G.ring, ext, outs, level=level, rank=len(G.gens),
+                              twists=G.degrees or (0,) * len(G.gens))
+
+
+def test_lifting_evaluates_no_ordering(sec5, corpus, monkeypatch):
+    # hybrid and tree take the smallest divisor as every reducer, so they
+    # never evaluate an ordering key, on any frame level
+    calls = {"on": False, "n": 0}
+    key_fn = OrderingChain.key_fn
+
+    def counting(self, level):
+        key = key_fn(self, level)
+
+        def counted(mm):
+            calls["n"] += calls["on"]
+            return key(mm)
+        return counted
+
+    monkeypatch.setattr(OrderingChain, "key_fn", counting)
+    levels = 0
+    for G, ext, terms in _frame_cases(sec5, corpus):
+        calls["on"] = True
+        for alg in ("hybrid", "tree"):
+            lift_frame_terms(terms, G, ext, alg)
+        calls["on"] = False
+        levels += 1
+    assert calls["n"] == 0 and levels > 30
+
+
+def test_smallest_divisor_is_admissible(sec5, corpus):
+    # the oracle the reducer choice rests on: for every frame term s and
+    # every non-lower-order term t of its image, the smallest divisor k of
+    # t gives (t/LM(f_k)) e_k below s in the induced ordering
+    n = 0
+    for G, ext, terms in _frame_cases(sec5, corpus):
+        key_up = ext.key_fn(G.level + 1)
+        for s in terms:
+            for t in lot_split(psi({s: 1}, G), G)[1]:
+                k = G.divisor(t)
+                assert key_up((mono_div(t[0], G.lms[k][0]), k)) < key_up(s)
+                n += 1
+    assert n > 1000
+
+
+def test_unit_term_has_no_admissible_divisor(sec5):
+    # s = e_i: the image's lead is LM(f_i), whose smallest divisor is i, so
+    # the one candidate is s itself
+    G, one = sec5.gb, sec5.ring.one
+    for i in range(len(G.gens)):
+        s = (one, i)
+        for lift in (lambda: lift_reduce(s, G),
+                     lambda: lift_hybrid(s, G),
+                     lambda: lift_frame_terms([s], G, sec5.ext, "tree")):
+            with pytest.raises(DomainError, match="no admissible divisor"):
+                lift()
+
+
+def test_lift_frame_terms_rejects_wrong_chain(sec5):
+    G, terms = sec5.gb, sec5.frame_terms
+    assert lift_frame_terms(terms, G, None) == [sec5.syz1, sec5.syz2]
+    for chain in (G.chain, sec5.ext.extend(terms)):
+        with pytest.raises(DomainError, match="chain extended"):
+            lift_frame_terms(terms, G, chain)

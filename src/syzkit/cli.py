@@ -17,11 +17,12 @@ success, 1 usage error, 2 parse/math-domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import (
     DomainError,
@@ -256,34 +257,47 @@ def serialize_input(doc: InputDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_resolution(res: Resolution) -> str:
-    """Stable plain-text form: ring header, module ranks/twists, one
-    'row col polynomial' line per nonzero entry of each differential."""
+def resolution_pieces(res: Resolution) -> Iterator[str]:
+    """The serialized form of ``res`` in order, piece by piece: the header
+    (ring, flags and one 'module k rank r twists ...' line per module), then
+    per differential its 'differential k' heading and one string per column
+    holding that column's 'row col polynomial' lines, then 'end'.  The only
+    formatter of a resolution: every sink consumes these pieces."""
     ring, base = res.ring, res.base
-    lines = [f"resolution ring {ring.p} {','.join(ring.names)} {base.kind}"]
-    lines.append(f"graded {'true' if res.graded else 'false'}")
-    lines.append(f"minimal {'true' if res.minimal else 'false'}")
+    lines = [f"resolution ring {ring.p} {','.join(ring.names)} {base.kind}",
+             f"graded {'true' if res.graded else 'false'}",
+             f"minimal {'true' if res.minimal else 'false'}"]
     for k, mod in enumerate(res.modules):
         tw = ",".join(str(t) for t in mod.twists) if mod.twists is not None else "-"
         lines.append(f"module {k} rank {mod.rank} twists {tw}")
-    lines.append("")
+    yield "\n".join(lines) + "\n"
     # every monomial of the differentials, ranked by the base ordering and
-    # spelled once; one string per differential, joined once at the end
+    # spelled once
     monos = {m for cols in res.diffs for col in cols for m, _ in col}
     ranked = sorted(monos, key=base.key_func(), reverse=True)
     rank = {m: r for r, m in enumerate(ranked)}
     spelled = [mono_to_string(m, ring) for m in ranked]
-    chunks = ["\n".join(lines)]
     for k in range(1, res.length + 1):
-        lines = [f"differential {k}"]
-        for j, col in enumerate(res.diffs[k - 1]):
+        yield f"differential {k}\n"
+        for j, col in enumerate(res.diffs[k - 1], start=1):
             terms = sorted([(comp, rank[m], c) for (m, comp), c in col.items()])
-            lines += [f"{comp + 1} {j + 1} {poly}"
-                      for comp, poly in _polynomials(terms, spelled, ring.p)]
-        lines.append("")
-        chunks.append("\n".join(lines))
-    chunks.append("end\n")
-    return "".join(chunks)
+            yield "".join([f"{comp + 1} {j} {poly}\n"
+                           for comp, poly in _polynomials(terms, spelled, ring.p)])
+    yield "end\n"
+
+
+def serialize_resolution(res: Resolution) -> str:
+    """Stable plain-text form of ``res``: ring header, module ranks/twists,
+    one 'row col polynomial' line per nonzero entry of each differential.
+
+    The text is grown from ``resolution_pieces`` with ``+=`` on a string no
+    one else holds, which CPython resizes in place, so the call holds the
+    text once rather than its pieces beside their join (an interpreter
+    without that optimization copies the text at each piece)."""
+    text = ""
+    for piece in resolution_pieces(res):
+        text += piece
+    return text
 
 
 def betti_to_string(table: BettiTable, title: str) -> str:
@@ -326,18 +340,14 @@ def emit_image(res: Resolution, k: int, path: str) -> None:
     term, 0 = two or more terms."""
     rows = res.modules[k - 1].rank
     cols = res.modules[k].rank
-    counts = [[0] * cols for _ in range(rows)]
+    data = bytearray(b"\xff") * (rows * cols)
     for j, col in enumerate(res.diffs[k - 1]):
-        for (m, comp), _ in col.items():
-            counts[comp][j] += 1
-    data = bytearray()
-    for i in range(rows):
-        for j in range(cols):
-            n = counts[i][j]
-            data.append(255 if n == 0 else (128 if n == 1 else 0))
+        for _, comp in col:
+            i = comp * cols + j
+            data[i] = 128 if data[i] == 255 else 0
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(bytes(data))
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_resolve(args) -> int:
+    """``syzkit resolve``: parse, resolve, then print the requested reports.
+    ``--output`` and ``--print-resolution`` write the pieces of
+    ``resolution_pieces`` to the file and to stdout as they are formatted,
+    so the serialized text is never held whole; both get the same bytes as
+    ``serialize_resolution``.  The file is opened before anything is
+    written, so a path that cannot be opened prints no resolution."""
     if args.max_length is not None and args.max_length < 1:
         raise _UsageError(f"--max-length must be at least 1, got {args.max_length}")
     if args.input == "-":  # UTF-8 whatever the locale, as files are read
@@ -429,12 +445,14 @@ def cmd_resolve(args) -> int:
         for k in range(1, out_res.length + 1):
             emit_image(out_res, k, f"{args.image}_phi{k}.pgm")
     if args.output or args.print_resolution:
-        text = serialize_resolution(out_res)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        if args.print_resolution:
-            print(text, end="")
+        with contextlib.ExitStack() as stack:
+            sinks = [sys.stdout.write] if args.print_resolution else []
+            if args.output:
+                sinks.append(stack.enter_context(
+                    open(args.output, "w", encoding="utf-8")).write)
+            for piece in resolution_pieces(out_res):
+                for write in sinks:
+                    write(piece)
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: the lex worked example over F_32003 and the seeded
-random-ideal corpus with precomputed resolutions."""
+"""Shared fixtures: the lex worked example over F_32003, the seeded
+random-ideal corpus with precomputed resolutions, and the AGR ideal
+(5, 4, 12) resolved and minimized."""
 
 import random
 from dataclasses import dataclass, field
@@ -9,8 +10,8 @@ import pytest
 from syzkit.algebra import OpCounters, Ring
 from syzkit.orderings import BaseOrdering
 from syzkit.groebner import GroebnerBasis, buchberger, monomials_of_degree
-from syzkit.examples_gen import gen_random_homogeneous
-from syzkit.resolution import resolve
+from syzkit.examples_gen import AgrSpec, gen_agr, gen_random_homogeneous
+from syzkit.resolution import minimize, resolve
 from syzkit.cli import parse_input, parse_polynomial
 
 SEC5_TEXT = """ring 32003 w,x,y,z lp
@@ -107,3 +108,13 @@ def make_corpus_entry(seed: int, algs=("reduce", "hybrid", "tree")):
 @pytest.fixture(scope="session")
 def corpus():
     return [make_corpus_entry(seed) for seed in range(CORPUS_SIZE)]
+
+
+@pytest.fixture(scope="session")
+def agr_5_4_12():
+    """The tree resolution of AGR (5, 4, 12), p=10007, seed 0, and its
+    minimization."""
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    res = resolve(ideal.generators, ideal.ring,
+                  BaseOrdering("dp", ideal.ring.nvars))
+    return res, minimize(res)

@@ -1,7 +1,10 @@
+import hashlib
 import io
 import os
+import platform
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -181,6 +184,48 @@ def test_main_print_resolution(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(text)
 
 
+@pytest.mark.parametrize("case", ["sec5", "ungraded", "agr-5-4-12-minimized"])
+def test_output_and_print_resolution_agree(case, tmp_path, capsys):
+    # --output and --print-resolution consume one stream of pieces: the file,
+    # the tail of stdout and serialize_resolution are the same text
+    inp = tmp_path / "in.txt"
+    flags = []
+    if case == "sec5":
+        inp.write_text(SEC5)
+    elif case == "ungraded":
+        inp.write_text("ring 7 x,y lp\nx^2+y\nx*y^2+x\n")
+    else:
+        assert main(["gen", "agr", "--n", "5", "--d", "4", "--s", "12",
+                     "-o", str(inp)]) == 0
+        flags = ["--minimize"]
+    path = tmp_path / "res.txt"
+    assert main(["resolve", str(inp), "--output", str(path),
+                 "--print-resolution", *flags]) == 0
+    out = capsys.readouterr().out
+    doc = parse_input(inp.read_text())
+    res = resolve(doc.generators, doc.ring, doc.ordering)
+    text = serialize_resolution(minimize(res) if flags else res)
+    assert ("twists -" in text) == (case == "ungraded")
+    # compared as bytes: pytest reports a bytes mismatch without a line diff
+    assert path.read_bytes() == text.encode("utf-8")
+    assert out[out.index("resolution ring "):].encode("utf-8") == text.encode("utf-8")
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="in-place growth of an unshared str is CPython's")
+def test_serialize_resolution_holds_text_once(agr_5_4_12):
+    # the serializer's allocation peak is the text plus small transients,
+    # not its pieces beside their join (which peaks at about twice the text)
+    res = agr_5_4_12[0]
+    tracemalloc.start()
+    try:
+        text = serialize_resolution(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * len(text), peak / len(text)
+
+
 def test_emit_image_sec5(sec5, tmp_path):
     res = resolve(sec5.gens, sec5.ring, sec5.base)
     path = tmp_path / "phi2.pgm"
@@ -191,6 +236,27 @@ def test_emit_image_sec5(sec5, tmp_path):
     emit_image(res, 1, str(path1))
     header = path1.read_bytes().split(b"\n", 3)
     assert header[1] == b"3 1"
+
+
+# sha256 of the PGM of each differential phi_1 ... phi_6 of the non-minimal
+# AGR (5, 4, 12) resolution, as written by the count-table emit_image
+AGR_5_4_12_IMAGE_DIGESTS = [
+    "3deed34ad5f5f827a40f1c65f15b0ddf70e6e1c78c81028681b29b684ef6cef9",
+    "41159af6fb7b24e4873088c2c40e103e68f9fad1adf0c5224bbbf5b9eac7a070",
+    "410153847f684db7f310693456237f318602773c7ea8fe1000f233ee7e7274e4",
+    "a81f832945d4ba6c3dcab9470396d0686682c208c442d4069e6e9020cc222f94",
+    "f9446e5918d8e6e2fb93a9a1a54bbe25e083da71e8003c5590155b9626e3654f",
+    "bb1dae30cc06f6ec0d37dd3730d03225a6d9ebce1fd501358c90d7f03da4c928",
+]
+
+
+def test_emit_image_agr_pinned(agr_5_4_12, tmp_path):
+    res = agr_5_4_12[0]
+    assert res.length == len(AGR_5_4_12_IMAGE_DIGESTS)
+    for k, digest in enumerate(AGR_5_4_12_IMAGE_DIGESTS, start=1):
+        path = tmp_path / f"phi{k}.pgm"
+        emit_image(res, k, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, k
 
 
 def test_stats_report(sec5):

@@ -430,14 +430,6 @@ CORPUS_MIN_DIGEST = "009a5cf1d13d8618865af22cb9efb406659e478cef55d69cfd3035273a6
 AGR_5_4_12_MIN_DIGEST = "1457501c4932551ce89f4f1266e77168d11a0f5a8e29edde111453db3e49a4c2"
 
 
-@pytest.fixture(scope="module")
-def agr_5_4_12():
-    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
-    res = resolve(ideal.generators, ideal.ring,
-                  BaseOrdering("dp", ideal.ring.nvars))
-    return res, minimize(res)
-
-
 def test_tree_ranking(corpus, agr_5_4_12):
     # the paper's tree < hybrid in field operations on AGR (5, 4, 12) and
     # over the whole corpus, and tree < reduce in products over the corpus

@@ -23,8 +23,9 @@ that equal base monomials, module monomials and coefficients are one object
 each.  The three kinds never compare equal to one another, so one dict
 holds all three.  Each ``resolve`` call owns one table: its Groebner bases
 intern their columns when they normalize them (:func:`vec_interned`), and
-its tree liftings intern their subtree keys (:func:`interned_key`) and the
-coefficients of their roots in the same table.  Each ``minimize`` call owns another, filled when it
+its hybrid and tree liftings intern their subtree keys
+(:func:`interned_key`) and the coefficients of their child lists and roots
+in the same table.  Each ``minimize`` call owns another, filled when it
 renumbers its output.  A table lives only as long as its call; what
 outlives it is the sharing of the stored columns.
 """
@@ -99,11 +100,6 @@ class Ring:
             if e < 0 or e > MAX_EXPONENT:
                 raise DomainError(f"exponent {e} out of range [0, {MAX_EXPONENT}]")
         return (sum(exps),) + exps
-
-    def var(self, i: int) -> Mono:
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return self.mono(exps)
 
     def inv(self, c: int) -> int:
         c %= self.p

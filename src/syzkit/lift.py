@@ -9,20 +9,27 @@ Three interchangeable lifting strategies plus the driver:
   reducer, and keeps the remaining terms as an unordered bucket popped in
   insertion order, so no monomial comparisons are needed.
 * ``lift_tree`` / ``lift_subtree`` - treats each non-lower-order term of the
-  image as the root of a subtree lifting, whose children are the subtree
-  keys of its reducer tail.  ``lift_frame_iter`` first plans the level:
-  it walks the DAG of subtree keys below the roots of all its liftings
-  (monomial operations only), counts how many liftings reach each key, and
-  prices two choices in products: storing nothing, or storing the keys
-  that at least two liftings reach, once each, under coefficient-normalized
-  keys in a ``SubtreeCache``.  It keeps the cheaper.  Weights are pushed
-  from the roots down the keys not stored in Kahn order, so each enters its
-  lifting once with its summed weight.  A cache that was never planned
-  (direct ``lift_tree`` / ``lift_subtree`` calls) stores every subtree.
-  Field products: 31,733 on the 200-ideal test corpus (315,687 with every
-  subtree stored, 51,349 with the shared keys stored on every level; hybrid
-  43,790, reduce 168,765), and 151,392 on the AGR ideal (6, 5, 42) (157,284
-  with every subtree stored, 174,852 with nothing stored).
+  image as the root of a subtree lifting.  ``lift_frame_iter`` first plans
+  the level: it walks the DAG of subtree keys below the roots of all its
+  liftings (monomial operations only), counts how many liftings reach each
+  key, and prices two choices in products: storing nothing, or storing the
+  keys that at least two liftings reach, once each, under
+  coefficient-normalized keys in a ``SubtreeCache``.  It keeps the cheaper.
+  Weights are pushed from the roots down the keys not stored in Kahn order,
+  so each enters its lifting once with its summed weight.  A cache that was
+  never planned (direct ``lift_tree`` / ``lift_subtree`` calls) stores every
+  subtree.  Field products: 31,733 on the 200-ideal test corpus (315,687
+  with every subtree stored, 51,349 with the shared keys stored on every
+  level; hybrid 43,790, reduce 168,765), and 151,392 on the AGR ideal
+  (6, 5, 42) (157,284 with every subtree stored, 174,852 with nothing
+  stored).
+
+Hybrid and tree expand one thing, a key's child list.  A non-lower-order
+term t = q*LM(f_i), i its smallest divisor, is held as its subtree key
+(q, i), one key per term.  The children of a key (m, i) are the keys of the
+non-lower-order tail of m*f_i, formed once per level (``_children``); the
+roots of s are the key of its image's head, then s's own tail keys.
+Hybrid subtracts each popped key's child list; tree pushes weights down.
 
 Every strategy reduces a term t by the generator of smallest index whose
 leading monomial divides t.  That reducer always lies below the lifted term
@@ -79,53 +86,31 @@ def _sub_term(dst: Vec, mm: ModMono, c: int, p: int,
 
 def _iadd_monic(dst: Vec, c: int, src: Vec, p: int,
                 counters: Optional[OpCounters] = None) -> None:
-    """dst += c*src for a src whose first term is its head at coefficient 1.
-
-    The head enters as c with no product, under src's own key object (so
-    every output shares the cache's key tuples), and only the tail is
-    scaled.  Counts as ``vec_iadd_scaled`` less the head's product.
-    """
-    items = iter(src.items())
-    head, _ = next(items)
-    _sub_term(dst, head, p - c, p, counters)
-    n_add = n_canc = 0
-    for mm, v in items:
-        w = (c * v) % p
-        old = dst.get(mm)
-        if old is None:
-            dst[mm] = w
-        else:
-            n_add += 1
-            nv = (old + w) % p
-            if nv:
-                dst[mm] = nv
-            else:
-                n_canc += 1
-                del dst[mm]
-    if counters is not None:
-        if c != 1 and c != p - 1:
-            counters.n_mult += len(src) - 1
-        counters.n_add += n_add
-        counters.n_canc += n_canc
+    """dst += c*src for a src whose first term is its head at coefficient 1:
+    ``vec_iadd_scaled`` less the head's product, which is c*1 = c."""
+    vec_iadd_scaled(dst, c, src, p, counters)
+    if counters is not None and c != 1 and c != p - 1:
+        counters.n_mult -= 1
 
 
 class SubtreeCache:
-    """Cache of subtree liftings keyed by coefficient-normalized module
-    monomials.
+    """A level's child lists and stored subtree liftings, keyed by
+    coefficient-normalized module monomials; hybrid and tree liftings share
+    it.
 
-    Values are complete subtree liftings whose first term is their key at
-    coefficient 1 (children are strictly smaller, so nothing removes or
-    reorders that head); a reuse adds the requested coefficient to the head
-    with no product and scales only the tail.  ``children`` holds the child
-    lists not yet used up: each maps the keys of a key's reducer tail to
-    their coefficients.  It is dropped once its key is stored, or once the
-    one lifting that reaches it has propagated it; when a planned level
-    stores nothing, the lists stay until :func:`lift_frame_iter` is
-    exhausted or closed, which clears them.
-    ``canon`` is the canonical table the keys and the root coefficients are
-    interned in (see :mod:`syzkit.algebra`): ``resolve`` passes its own, so
-    that its liftings are built from the objects its columns keep; a fresh
-    one when None.
+    ``children`` maps each key expanded so far to its child list: the keys
+    of the non-lower-order tail of its reducer, with their coefficients.
+    The tree lifting drops a list once its key is stored, or once the one
+    lifting that reaches it has propagated it; every other list stays until
+    :func:`lift_frame_iter` is exhausted or closed, which clears them.
+    ``data`` holds the tree's stored subtree liftings, each starting with
+    its key at coefficient 1 (children are strictly smaller, so nothing
+    removes or reorders that head); a reuse adds the requested coefficient
+    to the head with no product and scales only the tail.
+    ``canon`` is the canonical table the keys and the coefficients of the
+    child lists and roots are interned in (see :mod:`syzkit.algebra`):
+    ``resolve`` passes its own, so that its liftings are built from the
+    objects its columns keep; a fresh one when None.
     ``hits`` counts reads of stored liftings, ``expansions`` computed child
     lists.
     """
@@ -152,20 +137,6 @@ def psi(v: Vec, G: GroebnerBasis, counters: Optional[OpCounters] = None) -> Vec:
         vec_iadd_scaled(out, c, term_times_vector(1, m, G.gens[i], p, None),
                         p, counters)
     return out
-
-
-def lot_split(g: Vec, G: GroebnerBasis):
-    """Split g into (lower order part, rest): a term is of lower order when
-    no leading monomial of G divides it."""
-    low: Vec = {}
-    rest: Vec = {}
-    divisor = G.divisor
-    for mm, c in g.items():
-        if divisor(mm) < 0:
-            low[mm] = c
-        else:
-            rest[mm] = c
-    return low, rest
 
 
 def _root_divisor(t_mm: ModMono, G: GroebnerBasis, s: ModMono):
@@ -220,78 +191,69 @@ def lift_reduce(s: ModMono, G: GroebnerBasis,
 
 def lift_hybrid(s: ModMono, G: GroebnerBasis,
                 counters: Optional[OpCounters] = None,
-                tails: Optional[dict] = None) -> Vec:
+                cache: Optional[SubtreeCache] = None) -> Vec:
     """Lifting of s with lower order terms dropped throughout and the
-    remaining terms kept unordered (popped in insertion order).
-
-    ``tails`` memoizes the reducer tails by (m, i); ``lift_frame_iter``
-    shares one dict across the liftings of a level.  A tail holds no field
-    products, so the memo leaves the counters unchanged."""
+    remaining terms kept unordered (popped in insertion order), each as its
+    subtree key, reduced by the key's child list with no divisor search.
+    ``cache`` (a fresh one when None) memoizes the child lists, which hold
+    no field products, so the memo leaves the counters unchanged."""
+    if cache is None:
+        cache = SubtreeCache()
     p = G.ring.p
-    if tails is None:
-        tails = {}
-    _, g = lot_split(psi({s: 1}, G, counters), G)
+    g = _roots(s, G, cache)
     sbar: Vec = {s: 1}
     while g:
-        t_mm = next(iter(g))
-        c = g.pop(t_mm)
-        i, m = _root_divisor(t_mm, G, s)
-        tail = tails.get((m, i))
-        if tail is None:
-            tail = tails[(m, i)] = _reducer_tail(m, i, G)
-        # coefficient products are only performed (and counted) for the
-        # kept terms of the reducer
-        vec_iadd_scaled(g, p - c, tail, p, counters)
-        _sub_term(sbar, (m, i), c, p, counters)
+        k = next(iter(g))
+        c = g.pop(k)
+        vec_iadd_scaled(g, p - c, _children(k, G, cache), p, counters)
+        _sub_term(sbar, k, c, p, counters)
     return sbar
 
 
-def _reducer_tail(m, i: int, G: GroebnerBasis) -> Vec:
-    """The non-lower-order tail of m*f_i: its terms after the head (which is
-    at coefficient 1) that some leading monomial of G divides, in order.
-    Terms in a component that holds no leading monomial are skipped before
-    any product.  Only monomials are multiplied, so no field products are
-    performed."""
+def _tail_keys(key: ModMono, G: GroebnerBasis, canon: dict) -> dict:
+    """The non-lower-order tail of m*f_i, key = (m, i), as subtree keys, in
+    order: each term t after the head (at coefficient 1) becomes the key of
+    its smallest divisor with t's coefficient, both ``canon``'s objects.
+    Components that hold no leading monomial are skipped before any product;
+    only monomials are multiplied, so no field product is performed."""
+    m, i = key
     items = iter(G.gens[i].items())
     _, head_c = next(items)
     assert head_c == 1, "generators must be monic"
-    divisor = G.divisor
-    comps = G._by_comp
-    tail: Vec = {}
+    divisor, lms, comps = G.divisor, G.lms, G._by_comp
+    kids = {}
     for (fm, fc), fv in items:
         if fc not in comps:
             continue
-        prod = (mono_mul(m, fm), fc)
-        if divisor(prod) >= 0:
-            tail[prod] = fv
-    return tail
+        t = mono_mul(m, fm)
+        j = divisor((t, fc))
+        if j >= 0:
+            k = interned_key((mono_div(t, lms[j][0]), j), canon)
+            kids[k] = canon.setdefault(fv, fv)
+    return kids
 
 
 def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
-    """The children of a subtree key: the terms of the reducer tail of the
-    key, each mapped to the key of its smallest divisor, with its
-    coefficient.  Computed once per cache; only monomials are multiplied."""
+    """The child list of a subtree key, ``_tail_keys`` computed once per
+    cache."""
     kids = cache.children.get(key)
     if kids is None:
         cache.expansions += 1
-        lms, canon = G.lms, cache.canon
-        kids = {}
-        for mm, c in _reducer_tail(*key, G).items():
-            i = G.divisor(mm)
-            kids[interned_key((mono_div(mm[0], lms[i][0]), i), canon)] = c
-        cache.children[key] = kids
+        kids = cache.children[key] = _tail_keys(key, G, cache.canon)
     return kids
 
 
 def _roots(s: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
-    """The subtree keys of the non-lower-order terms of the image of s, with
-    their coefficients, both the objects of the cache's canonical table.  A
-    single-term image has no cancellation, so no field operation is done."""
+    """The subtree keys of the non-lower-order terms of the image m*f_j of
+    s = (m, j), with their coefficients, both the objects of the cache's
+    canonical table: the head's admissible divisor at coefficient 1, then
+    the keys of the tail.  A single-term image has no cancellation, so no
+    field operation is done."""
     canon = cache.canon
-    roots = {}
-    for t_mm, c in lot_split(psi({s: 1}, G), G)[1].items():
-        i, m = _root_divisor(t_mm, G, s)
-        roots[interned_key((m, i), canon)] = canon.setdefault(c, c)
+    lm, comp = G.lms[s[1]]
+    i, q = _root_divisor((mono_mul(s[0], lm), comp), G, s)
+    roots = {interned_key((q, i), canon): canon.setdefault(1, 1)}
+    roots.update(_tail_keys(s, G, canon))
     return roots
 
 
@@ -502,36 +464,35 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
     with strategy ``alg``; each is computed when it is asked for, so a
     consumer that keeps none holds one raw lifting at a time.
 
-    Hybrid liftings share one memo of reducer tails for the call.  Tree
-    liftings share ``cache`` (a fresh one when None), planned for the
-    whole list first: ``_plan`` stores either nothing or the subtrees that at
-    least two of the liftings reach, whichever it prices cheaper; the rest
-    are propagated by weight, and each lifting's roots are dropped once
-    propagated.  The child lists go when the generator is exhausted or
-    closed.
+    Hybrid and tree liftings share ``cache`` (a fresh one when None), whose
+    child lists stay until the generator is exhausted or closed.  Tree
+    liftings are planned for the whole list first: ``_plan`` stores either
+    nothing or the subtrees that at least two of the liftings reach,
+    whichever it prices cheaper; the rest are propagated by weight, and each
+    lifting's roots are dropped once propagated.
     """
     if alg == "reduce":
         for s in terms:
             yield lift_reduce(s, G, counters)
-    elif alg == "hybrid":
-        tails: dict = {}
-        for s in terms:
-            yield lift_hybrid(s, G, counters, tails)
-    elif alg == "tree":
-        if cache is None:
-            cache = SubtreeCache()
+        return
+    if alg not in ("hybrid", "tree"):
+        raise DomainError(f"unknown lifting algorithm {alg!r}")
+    if cache is None:
+        cache = SubtreeCache()
+    try:
+        if alg == "hybrid":
+            for s in terms:
+                yield lift_hybrid(s, G, counters, cache)
+            return
         roots = [_roots(s, G, cache) for s in terms]
         stored = _plan(roots, G, cache)
-        try:
-            for i, s in enumerate(terms):
-                sbar: Vec = {s: 1}
-                _propagate(sbar, roots[i], stored, G, cache, counters)
-                roots[i] = None
-                yield sbar
-        finally:
-            cache.children.clear()
-    else:
-        raise DomainError(f"unknown lifting algorithm {alg!r}")
+        for i, s in enumerate(terms):
+            sbar: Vec = {s: 1}
+            _propagate(sbar, roots[i], stored, G, cache, counters)
+            roots[i] = None
+            yield sbar
+    finally:
+        cache.children.clear()
 
 
 def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,

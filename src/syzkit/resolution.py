@@ -216,7 +216,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         ext = OrderingChain(frame.chain.base, frame.chain.levels[:level])
         terms = frame_level.terms
         lifts = lift_frame_iter(terms, G, alg, counters,
-                                SubtreeCache(table) if alg == "tree" else None)
+                                None if alg == "reduce" else SubtreeCache(table))
         ambient = modules[level]
         # the basis sorts and interns each lifting as the stream yields it,
         # and its generators are the columns: one raw lifting is alive at a

@@ -18,17 +18,26 @@ from syzkit.lift import (
     _iadd_monic,
     _propagate,
     _roots,
+    lift_frame_iter,
     lift_frame_terms,
     lift_hybrid,
     lift_reduce,
     lift_subtree,
     lift_tree,
-    lot_split,
     psi,
 )
 from syzkit.cli import parse_input
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.orderings import BaseOrdering
+
+
+def lot_split(g, G):
+    """The lower-order-term oracle: g split into (lower order part, rest),
+    a term being of lower order when no leading monomial of G divides it."""
+    low, rest = {}, {}
+    for mm, c in g.items():
+        (low if G.divisor(mm) < 0 else rest)[mm] = c
+    return low, rest
 
 
 def _syzygies(G, chain=None, alg="tree", cache=None):
@@ -194,26 +203,41 @@ def test_merged_heads_are_cache_key_objects(sec5, corpus):
 
 def test_roots_are_canonical_objects(sec5, corpus):
     # every key and every coefficient of every lifting's roots is the
-    # canonical table's own object, the table resolve's columns come from
+    # canonical table's own object, the table resolve's columns come from;
+    # the roots are, item for item and in order, the smallest-divisor keys
+    # of the non-lower-order terms of the image, with their coefficients;
+    # and every hybrid lifting is built from the same table's keys
     ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
     agr = buchberger(ideal.generators, ideal.ring,
                      BaseOrdering("dp", ideal.ring.nvars))
     cases = [sec5.gb, agr] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
-    large = 0
+    large = hybrid_terms = 0
     for G in cases:
         ring, table = G.ring, {}
         for level, fl in enumerate(build_frame(G).levels, start=1):
             ext = G.chain.extend(G.lms)
             cache = SubtreeCache(table)
             for s in fl.terms:
-                for k, c in _roots(s, G, cache).items():
+                roots = _roots(s, G, cache)
+                for k, c in roots.items():
                     assert table.get(k) is k and table.get(c) is c
                     large += c > 256  # smaller ints are shared by Python
+                image = lot_split(psi({s: 1}, G), G)[1]
+                want = [((mono_div(t[0], G.lms[G.divisor(t)][0]),
+                          G.divisor(t)), c) for t, c in image.items()]
+                assert list(roots.items()) == want
+            hybrid = SubtreeCache(table)
+            for s, out in zip(fl.terms,
+                              lift_frame_iter(fl.terms, G, "hybrid", None,
+                                              hybrid)):
+                assert all(table.get(mm) is mm for mm in out if mm is not s)
+                hybrid_terms += len(out) - 1
+            assert not hybrid.children and hybrid.expansions > 0
             outs = lift_frame_terms(fl.terms, G, ext, "tree", None, cache)
             G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
                               twists=G.degrees or (0,) * len(G.gens),
                               table=table)
-    assert large > 1000
+    assert large > 1000 and hybrid_terms > 1000
 
 
 def test_lifting_runs_with_asserts_stripped():

@@ -357,7 +357,7 @@ def test_resolve_streams_each_level(sec5, corpus, monkeypatch, alg):
         res = resolve(gens, ring, base, alg=alg)
         ranks += [m.rank for m in res.modules[2:]]
     assert yielded == ranks and max(ranks) == 171
-    assert len(caches) == (len(ranks) if alg == "tree" else 0)
+    assert len(caches) == (len(ranks) if alg != "reduce" else 0)
     assert all(not c.children for c in caches)
 
 

@@ -26,7 +26,6 @@ from .resolution import (
     betti_minimal_from_nonminimal,
     betti_nonminimal,
     block_rank,
-    constant_block,
     hilbert_numerator,
     minimize,
     resolve,

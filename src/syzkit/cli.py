@@ -482,10 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ParseError, DomainError, UnicodeDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, DomainError, UnicodeDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -257,9 +257,6 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
     by_comp: dict = {}  # component -> [(lead monomial, basis index)]
     pairs: dict = {}  # degree of the lcm -> [(i, j)]
 
-    def times(k, t):
-        return {(mono_mul(t, m), c): v for (m, c), v in basis[k].items()}
-
     while pairs or inputs:
         e = min(itertools.chain(pairs, inputs))
         mults: dict = {}  # (k, t) for the rows t * g_k, deduplicated
@@ -272,7 +269,7 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
                 continue  # chain criterion
             mults[(i, mono_div(lcm, a))] = None
             mults[(j, mono_div(lcm, b))] = None
-        rows = [times(k, t) for k, t in mults]
+        rows = [term_times_vector(1, t, basis[k], ring.p) for k, t in mults]
         # columns that an earlier lead divides, each the lead of some row
         known = {(mono_mul(t, lms[k][0]), lms[k][1]) for k, t in mults}
         rows.extend(inputs.pop(e, ()))
@@ -290,7 +287,8 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
             for lm, k in by_comp.get(mm[1], ()):
                 if mono_divides(lm, m):
                     known.add(mm)
-                    rows.append(times(k, mono_div(m, lm)))
+                    rows.append(term_times_vector(1, mono_div(m, lm), basis[k],
+                                                   ring.p))
                     todo.extend(rows[-1])
                     break
         order = sorted(cols, key=key, reverse=True)

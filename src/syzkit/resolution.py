@@ -28,7 +28,7 @@ from .algebra import (
     vec_interned,
 )
 from .orderings import BaseOrdering, OrderingChain
-from .linalg import rank as block_rank
+from .linalg import echelon, rank as block_rank
 from .groebner import GroebnerBasis, buchberger
 from .frame import build_frame
 from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_iter
@@ -261,42 +261,32 @@ def betti_nonminimal(res: Resolution) -> BettiTable:
     return BettiTable(data)
 
 
-def constant_block(res: Resolution, k: int, j: int) -> list:
-    """Degree-j constant strand of phi_k over F_p: one row {column: value}
-    per degree-j basis element of F_{k-1}, with a column for each degree-j
-    basis element of F_k, both in basis order."""
-    if not res.graded:
-        raise DomainError("constant strands require a graded resolution")
-    rows = [i for i, t in enumerate(res.modules[k - 1].twists) if t == j]
-    cols = [c for c, t in enumerate(res.modules[k].twists) if t == j]
-    row_pos = {i: a for a, i in enumerate(rows)}
-    mat: list = [{} for _ in rows]
+def _strands(res: Resolution, k: int) -> dict:
+    """The constant strands of phi_k over F_p: degree j -> {column: its
+    constant part {row: value}} for the degree-j basis elements of F_k
+    whose column has a constant entry, in basis order.  By homogeneity the
+    rows of a degree-j strand are degree-j basis elements of F_{k-1}."""
     one = res.ring.one
-    for b, c in enumerate(cols):
-        for (m, comp), v in res.diffs[k - 1][c].items():
-            if m == one and comp in row_pos:
-                mat[row_pos[comp]][b] = v
-    return mat
+    out: dict = {}
+    for c, (t, col) in enumerate(zip(res.modules[k].twists, res.diffs[k - 1])):
+        const = {i: v for (m, i), v in col.items() if m == one}
+        if const:
+            out.setdefault(t, {})[c] = const
+    return out
 
 
 def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
     """Minimal Betti numbers from the constant strands: beta^min_{k,j} =
-    beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}."""
+    beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}, with B_{k,j} the degree-j
+    strand of phi_k (:func:`_strands`)."""
     nonmin = betti_nonminimal(res)
     p = res.ring.p
-    ranks: dict = {}
-
-    def strand_rank(k, j):
-        if k < 1 or k > res.length:
-            return 0
-        r = ranks.get((k, j))
-        if r is None:
-            r = ranks[(k, j)] = block_rank(constant_block(res, k, j), p)
-        return r
-
+    ranks = {(k, j): block_rank(list(strand.values()), p)
+             for k in range(1, res.length + 1)
+             for j, strand in _strands(res, k).items()}
     data: dict = {}
     for (k, j), v in nonmin.data.items():
-        m = v - strand_rank(k, j) - strand_rank(k + 1, j)
+        m = v - ranks.get((k, j), 0) - ranks.get((k + 1, j), 0)
         if m < 0:
             raise RuntimeError("negative minimal Betti number; invalid strand data")
         if m:
@@ -308,14 +298,14 @@ def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
 # minimization
 
 
-def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
+def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
     """One backward elimination sweep over the columns of phi_k, in place.
 
     ``cols`` holds the columns of phi_k, with None for the columns to skip;
     each other column is replaced by a copy without the rows j0 of
-    ``gone``, level k-1's pivots {j0: i0}.  From the last column to the
-    first, a column j0 with a unit entry takes the one in its lowest row i0
-    as its pivot c: every other column j with an entry in row i0 becomes
+    ``gone``, level k-1's pivots {j0: i0}.  The pivots {j0: i0} of phi_k
+    are applied from the last to the first: with c the unit entry of col_{j0}
+    in row i0, every other column j with an entry in row i0 becomes
     col_j - q*col_{j0} with q = entry(i0, j)/c, which clears row i0 outside
     j0.  The row-i0 terms are found in a row index, kept up to date on
     fill-in, of the columns and keys that may hold a term in each row.  By
@@ -323,7 +313,7 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
     of col_j are deleted, not recomputed, and m*col_{j0} is formed once per
     monomial m of some q, its keys interned in a table of the sweep so that
     the column updates find their keys by identity.  The used pivot column
-    is set to None.  Returns the pivots as {j0: i0}.
+    is set to None.
     """
     p = ring.p
     one = ring.one
@@ -344,15 +334,9 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
             js, ks = at[mm[1]]
             js.append(j)
             ks.append(mm)
-    pivots: dict = {}
-    for j0 in range(len(cols) - 1, -1, -1):
+    for j0 in sorted(pivots, reverse=True):
+        i0 = pivots[j0]
         pivot = cols[j0]
-        if pivot is None:
-            continue
-        units = [i for m, i in pivot if m == one]
-        if not units:
-            continue
-        i0 = min(units)
         cols[j0] = None
         cinv = ring.inv(pivot[(one, i0)])
         qs: dict = {}  # column -> q, its row-i0 terms (cleared by q * c)
@@ -387,26 +371,36 @@ def _sweep(cols: list, gone: dict, ring: Ring) -> dict:
                             col[mm] = w
                         else:
                             del col[mm]
-        pivots[j0] = i0
-    return pivots
 
 
 def _plan_pivots(res: Resolution) -> list:
-    """The pivots of every level, {j0: i0} per differential, from a sweep of
-    the constant entries alone.
+    """The pivots of every level, {j0: i0} per differential, by elimination
+    of its constant strands (:func:`_strands`) without the rows of level
+    k-1's pivots.
 
     By homogeneity deg q = deg e_j - deg e_{j0}, so q*col_{j0} has a
-    constant entry only when q is a constant: the constant part of a column
-    changes only through the constant part of the pivot.  Sweeping the
-    constant parts therefore finds the same units, hence the same pivots,
-    as sweeping the full columns.
+    constant entry only when q is a constant and both columns lie in one
+    strand: the constant part of a column changes only through the
+    constant part of a pivot of its strand.  The sweep of :func:`minimize`
+    gives each column, from the last to the first, the lowest row of its
+    constant part once the later pivots are cleared; ``linalg.echelon``,
+    given the strand's columns last first, goes through the rows lowest
+    first and gives each to the first column still nonzero there.  Both
+    give a column the one row that is lowest in some vector of the span of
+    it and the columns after it, and in none of the span of those after
+    it, so the plan is the sweep's pivots.
     """
-    one = res.ring.one
+    p = res.ring.p
     plan: list = []
-    for cols in res.diffs:
-        consts = [{mm: v for mm, v in col.items() if mm[0] == one}
-                  for col in cols]
-        plan.append(_sweep(consts, plan[-1] if plan else {}, res.ring))
+    for k in range(1, res.length + 1):
+        gone = plan[-1] if plan else {}
+        pivots: dict = {}
+        for strand in _strands(res, k).values():
+            cols = list(strand)[::-1]
+            rows = [{i: v for i, v in strand[j].items() if i not in gone}
+                    for j in cols]
+            pivots.update((cols[r], i0) for r, i0 in echelon(rows, p))
+        plan.append(pivots)
     return plan
 
 
@@ -415,24 +409,26 @@ def minimize(res: Resolution) -> Resolution:
     unit entries, in two passes over the levels.
 
     Level k (phi_k: F_k -> F_{k-1}) is swept from its last column to its
-    first (:func:`_sweep`).  A column j0 with a unit entry takes the one in
-    its lowest row i0 as its pivot and clears row i0 outside j0.  Then
-    e_{j0} of F_k and e_{i0} of F_{k-1} are dropped: in the new basis of
-    F_{k-1}, whose element phi_k(e_{j0}) replaces e_{i0}, column i0 of
-    phi_{k-1} is zero; and since row i0 of phi_k is now c at j0 alone,
-    phi_k o phi_{k+1} = 0 forces the e_{j0}-coordinates of phi_{k+1} to
-    vanish, so those rows are stripped when level k+1's sweep starts.  One
-    sweep per level is enough: a swept column without a unit never gains
-    one, and the levels below only lose columns.
+    first (:func:`_sweep`).  A column j0 with a unit entry once the later
+    pivots are cleared takes the one in its lowest row i0 as its pivot and
+    clears row i0 outside j0.  Then e_{j0} of F_k and e_{i0} of F_{k-1} are
+    dropped: in the new basis of F_{k-1}, whose element phi_k(e_{j0})
+    replaces e_{i0}, column i0 of phi_{k-1} is zero; and since row i0 of
+    phi_k is now c at j0 alone, phi_k o phi_{k+1} = 0 forces the
+    e_{j0}-coordinates of phi_{k+1} to vanish, so those rows are stripped
+    when level k+1's sweep starts.  One sweep per level is enough: a swept
+    column without a unit never gains one, and the levels below only lose
+    columns.
 
-    The first pass (:func:`_plan_pivots`) sweeps the constant entries only
-    and finds every level's pivots.  The second sweeps the full columns,
-    but skips every column of phi_k that is a pivot row of level k+1: such a
-    column is never a pivot at level k (level k+1 strips level k's pivot
-    columns from its rows), so its values never enter another column, and
-    the output drops it.  It is neither copied, indexed nor updated.  Each
-    level is renumbered as soon as it is swept, into columns built from the
-    objects of the call's canonical table (see :mod:`syzkit.algebra`).
+    The first pass (:func:`_plan_pivots`) eliminates the constant strands
+    with ``linalg`` and finds every level's pivots.  The second applies
+    them to the full columns, but skips every column of phi_k that is a
+    pivot row of level k+1: such a column is never a pivot at level k
+    (level k+1 strips level k's pivot columns from its rows), so its values
+    never enter another column, and the output drops it.  It is neither
+    copied, indexed nor updated.  Each level is renumbered as soon as it is
+    swept, into columns built from the objects of the call's canonical
+    table (see :mod:`syzkit.algebra`).
     """
     if not res.graded:
         raise DomainError("minimization requires a graded resolution")
@@ -451,8 +447,7 @@ def minimize(res: Resolution) -> Resolution:
     for k, cols in enumerate(res.diffs, start=1):
         doomed = set(plan[k].values()) if k < len(plan) else set()
         cols = [None if j in doomed else col for j, col in enumerate(cols)]
-        pivots = _sweep(cols, plan[k - 2] if k > 1 else {}, res.ring)
-        assert pivots == plan[k - 1]
+        _sweep(cols, plan[k - 2] if k > 1 else {}, plan[k - 1], res.ring)
         ren = renum[k - 1]
         out_diffs.append([vec_interned((((m, ren[i]), v)
                                         for (m, i), v in col.items()), table)

@@ -129,23 +129,38 @@ def test_lift_subtree_sec5(sec5):
     assert scaled == {z_e3: 2} and cache.hits == hits0 + 1
 
 
-def test_subtree_cache_contract(sec5, corpus):
-    # every cached value is a subtree lifting of its key
+def _check_subtree_liftings(G, cache):
+    """Check that every stored value is a subtree lifting of its key;
+    return how many were checked."""
+    key_up = G.chain.extend(G.lms).key_fn(1)
+    key_dn = G.chain.key_fn(0)
+    for k, v in cache.data.items():
+        assert max(v, key=key_up) == k and v[k] == 1
+        img = psi(v, G)
+        if img:
+            img.pop(max(img, key=key_dn))
+            assert lot_split(img, G)[0] == img
+    return len(cache.data)
+
+
+def test_subtree_cache_contract(corpus):
+    # every cached value is a subtree lifting of its key: the unplanned
+    # lift_tree stores every subtree; the planned level 1 of AGR (5, 4, 12)
+    # stores the subtrees two of its liftings share
+    checked = 0
     for entry in corpus[:10]:
         G = entry.gb
-        if len(G.gens) < 2:
-            continue
-        ext = G.chain.extend(G.lms)
         cache = SubtreeCache()
-        _syzygies(G, ext, alg="tree", cache=cache)
-        key_up = ext.key_fn(1)
-        key_dn = G.chain.key_fn(0)
-        for k, v in cache.data.items():
-            assert max(v, key=key_up) == k and v[k] == 1
-            img = psi(v, G)
-            if img:
-                img.pop(max(img, key=key_dn))
-                assert lot_split(img, G)[0] == img
+        for s in lead_syz(G.lms, G.chain.base, G.degrees).terms:
+            lift_tree(s, G, cache)
+        checked += _check_subtree_liftings(G, cache)
+    assert checked > 0
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    G = buchberger(ideal.generators, ideal.ring,
+                   BaseOrdering("dp", ideal.ring.nvars))
+    cache = SubtreeCache()
+    _syzygies(G, alg="tree", cache=cache)
+    assert _check_subtree_liftings(G, cache) > 0
 
 
 def test_monic_merge_matches_vec_iadd_scaled():

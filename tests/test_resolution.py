@@ -18,12 +18,11 @@ from syzkit.resolution import (
     betti_minimal_from_nonminimal,
     betti_nonminimal,
     block_rank,
-    constant_block,
     hilbert_numerator,
     minimize,
     resolve,
 )
-from syzkit.resolution import _plan_pivots
+from syzkit.resolution import _plan_pivots, _strands
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.cli import parse_input, serialize_resolution
 from syzkit import resolution
@@ -160,31 +159,41 @@ def test_minimize_unit_ideal():
     assert betti_nonminimal(out) == BettiTable({})
 
 
-def test_constant_block_examples(sec5):
+def test_strands_examples(sec5):
     res = resolve(sec5.gens, sec5.ring, sec5.base)
-    for k in (1, 2):
-        for j in range(0, 5):
-            assert not any(constant_block(res, k, j))
+    assert _strands(res, 1) == _strands(res, 2) == {}
     dup = _dup_generator_resolution()
-    blk = constant_block(dup, 2, 1)
-    assert blk == [{0: 1}, {0: 32002}]
-    assert block_rank(blk, 32003) == 1
+    assert _strands(dup, 1) == {}
+    assert _strands(dup, 2) == {1: {0: {0: 1, 1: 32002}}}
+    assert block_rank(list(_strands(dup, 2)[1].values()), 32003) == 1
 
 
-def test_constant_block_dimensions_agr():
-    # block dimensions match the Betti counts of the matching degree on
-    # both sides of each differential
+def test_strands_dimensions_agr():
+    # a degree-j strand of phi_k holds, in basis order, each degree-j
+    # column of phi_k with a constant entry, and its rows are degree-j
+    # basis elements of F_{k-1}
     from syzkit.examples_gen import AgrSpec, gen_agr
     ideal = gen_agr(AgrSpec(n=2, d=3, s=3, p=10007, seed=4))
     base = BaseOrdering("dp", 3)
     res = resolve(ideal.generators, ideal.ring, base)
-    table = betti_nonminimal(res)
+    one = res.ring.one
+    held = 0
     for k in range(1, res.length + 1):
-        degrees = set(res.modules[k].twists) | set(res.modules[k - 1].twists)
-        for j in degrees:
-            blk = constant_block(res, k, j)
-            assert len(blk) == table.get(k - 1, j)
-            assert all(0 <= c < table.get(k, j) for row in blk for c in row)
+        twists = res.modules[k].twists
+        strands = _strands(res, k)
+        assert sorted(c for strand in strands.values() for c in strand) == [
+            c for c, col in enumerate(res.diffs[k - 1])
+            if any(m == one for m, _ in col)]
+        for j, strand in strands.items():
+            assert list(strand) == sorted(strand)
+            assert all(twists[c] == j for c in strand)
+            assert all(res.modules[k - 1].twists[i] == j
+                       for col in strand.values() for i in col)
+            assert all(strand[c] == {i: v for (m, i), v
+                                     in res.diffs[k - 1][c].items() if m == one}
+                       for c in strand)
+            held += len(strand)
+    assert held > 0
 
 
 def test_block_rank_oracle():
@@ -531,9 +540,52 @@ def test_minimize_pivots_match_strand_ranks(corpus, agr_5_4_12):
         for k, pivots in enumerate(_plan_pivots(res), start=1):
             twists = res.modules[k].twists
             count = Counter(twists[j] for j in pivots)
-            for j in set(twists):
-                assert count[j] == block_rank(constant_block(res, k, j),
+            for j, strand in _strands(res, k).items():
+                assert count[j] == block_rank(list(strand.values()),
                                               res.ring.p), (k, j)
+
+
+def _reference_pivots(res):
+    """The pivot rule of minimize as a dict elimination of the constant
+    parts: from the last column of phi_k to the first, a column takes its
+    lowest remaining constant row once the later pivots are cleared, with
+    the rows of level k-1's pivots removed."""
+    p, one = res.ring.p, res.ring.one
+    plan = []
+    for cols in res.diffs:
+        gone = plan[-1] if plan else {}
+        consts = [{i: v for (m, i), v in col.items()
+                   if m == one and i not in gone} for col in cols]
+        pivots = {}
+        for j0 in range(len(consts) - 1, -1, -1):
+            pivot = consts[j0]
+            if not pivot:
+                continue
+            i0 = min(pivot)
+            pivots[j0] = i0
+            inv = pow(pivot[i0], p - 2, p)
+            for col in consts[:j0]:
+                q = col.get(i0, 0) * inv % p
+                if not q:
+                    continue
+                for i, v in pivot.items():
+                    w = (col.get(i, 0) - q * v) % p
+                    if w:
+                        col[i] = w
+                    else:
+                        del col[i]
+        plan.append(pivots)
+    return plan
+
+
+def test_plan_pivots_follow_the_pivot_rule(corpus, agr_5_4_12):
+    reference = 0
+    for res in [e.resolutions[alg] for e in corpus
+                for alg in ("reduce", "hybrid", "tree")] + [agr_5_4_12[0]]:
+        plan = _plan_pivots(res)
+        assert plan == _reference_pivots(res)
+        reference += sum(map(len, plan))
+    assert reference > 0
 
 
 def test_minimize_agr_6_5_18():

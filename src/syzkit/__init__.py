@@ -2,6 +2,7 @@
 lifting the Schreyer frame of leading syzygy terms."""
 
 from .algebra import (
+    Column,
     DomainError,
     OpCounters,
     Ring,

@@ -6,10 +6,15 @@ Representation conventions shared by the whole package:
   with its cached total degree.
 * A module monomial is a pair ``(mono, comp)`` with a 0-based component index
   into the ambient free module.
-* A vector (element of a free module) is a dict mapping module monomials to
-  nonzero coefficients in ``[1, p)``.  Dict insertion order is meaningful: a
-  vector is "normalized" when its keys are strictly decreasing under the
-  active ordering, in which case the first stored term is the leading term.
+* A vector (element of a free module) maps module monomials to nonzero
+  coefficients in ``[1, p)``.  A raw vector, one being computed, is a dict.
+  Dict insertion order is meaningful: a vector is "normalized" when its
+  keys are strictly decreasing under the active ordering, in which case the
+  first stored term is the leading term.
+* A stored column (a generator of a Groebner basis, a column of a
+  resolution) is a :class:`Column`: a normalized vector frozen into one
+  tuple of keys and one of coefficients, head first.  Nothing writes to a
+  finished column, and two tuples take less than half the memory of a dict.
 * A plain polynomial (element of R) is a dict mapping monomials to nonzero
   coefficients.
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -253,18 +259,67 @@ def interned_key(mm: ModMono, table: dict) -> ModMono:
     return k
 
 
-def vec_interned(terms: Iterable[tuple], table: dict) -> Vec:
-    """The vector of the (module monomial, coefficient) pairs ``terms``, in
+class Column(Mapping):
+    """A finished, normalized vector: a read-only mapping from module
+    monomials to coefficients, held as a tuple of keys and a tuple of
+    coefficients in term order, head first.
+
+    Reading is iteration: ``items()`` zips the two tuples, and ``dict(col)``
+    is slow, since a lookup ``col[mm]`` scans the keys; copy a column with
+    ``dict(col.items())``.  The keys are fixed: assigning to an existing key
+    rebuilds the coefficient tuple, and adding or deleting a key raises.
+    :func:`vec_interned` builds every column.
+    """
+
+    __slots__ = ("_keys", "_coeffs")
+
+    def __init__(self, keys: tuple, coeffs: tuple):
+        self._keys = keys
+        self._coeffs = coeffs
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __getitem__(self, mm):
+        try:
+            return self._coeffs[self._keys.index(mm)]
+        except ValueError:
+            raise KeyError(mm) from None
+
+    def __setitem__(self, mm, c):
+        try:
+            i = self._keys.index(mm)
+        except ValueError:
+            raise KeyError(f"a column's keys are fixed: {mm!r}") from None
+        self._coeffs = self._coeffs[:i] + (c,) + self._coeffs[i + 1:]
+
+    def __delitem__(self, mm):
+        raise TypeError("a column's keys are fixed")
+
+    def items(self):
+        return zip(self._keys, self._coeffs)
+
+    def __repr__(self):
+        return f"Column({dict(self.items())!r})"
+
+
+def vec_interned(terms: Iterable[tuple], table: dict) -> Column:
+    """The column of the (module monomial, coefficient) pairs ``terms``, in
     their order, built from the objects of ``table``."""
-    out: Vec = {}
+    keys = []
+    coeffs = []
     get = table.get
     intern = table.setdefault
     for mm, c in terms:
         k = get(mm)
         if k is None:
             k = interned_key(mm, table)
-        out[k] = intern(c, c)
-    return out
+        keys.append(k)
+        coeffs.append(intern(c, c))
+    return Column(tuple(keys), tuple(coeffs))
 
 
 def vec_degrees(f: Vec, twists=None) -> set:

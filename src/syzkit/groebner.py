@@ -40,8 +40,9 @@ class GroebnerBasis:
 
     `level` is the module level of the elements (0 for vectors of F_0 = R^s);
     `chain` carries exactly `level` induced-ordering levels.  Each generator
-    is copied once: sorted, made monic and built from the objects of
-    ``table`` (a fresh one when None; see :mod:`syzkit.algebra`).  The
+    is copied once into a :class:`~syzkit.algebra.Column`: sorted, made
+    monic and built from the objects of ``table`` (a fresh one when None;
+    see :mod:`syzkit.algebra`), so ``gens`` holds columns only.  The
     divisor lookup (smallest generator index whose leading monomial divides
     a given module monomial) is memoized.
     """
@@ -130,7 +131,7 @@ def divide_with_remainder(g: Vec, G: GroebnerBasis,
 
     quots = [dict() for _ in G.gens]
     rem: Vec = {}
-    work = dict(g)
+    work = dict(g.items())
     bound = None
     if check and g:
         bound = max(map(mkey, g))
@@ -234,7 +235,8 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
     reduced echelon form of these rows, a pivot that no earlier lead
     divides is a new reduced basis element: every column an earlier lead
     divides is a pivot column, and homogeneity keeps the earlier elements
-    reduced.  Dehomogenized, the basis is a Groebner basis of the input;
+    reduced.  Only these rows are reduced; the other pivot rows stay in
+    echelon form.  Dehomogenized, the basis is a Groebner basis of the input;
     only the elements whose lead no other lead divides are kept, and the
     tail of each is reduced once against them, which suffices since no
     term below LM(g) is divisible by LM(g).
@@ -294,10 +296,9 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
         order = sorted(cols, key=key, reverse=True)
         index = {mm: c for c, mm in enumerate(order)}
         reduced, pivcols = linalg.rref(
-            [{index[mm]: v for mm, v in row.items()} for row in rows], ring.p)
+            [{index[mm]: v for mm, v in row.items()} for row in rows], ring.p,
+            keep=lambda c: order[c] not in known)
         for row, c in zip(reduced, pivcols):
-            if order[c] in known:
-                continue  # an earlier lead divides the pivot
             new = len(basis)
             basis.append({order[ci]: v for ci, v in row.items()})
             lm, comp = order[c]

@@ -11,7 +11,9 @@ every other row not yet used.  Rows are never swapped, so the pivot rows
 are exactly the rows that, taken in order, enlarge the span of the rows
 above them.  The unused rows wait in buckets keyed by their leading
 column, so a column touches only the rows that lead there.  The reduced
-form comes from back-substitution on packed rows, last pivot first.
+form comes from back-substitution on packed rows, last pivot first; when
+only some of its rows are wanted, each of those is reduced alone against
+the echelon rows, first column first (:func:`_reduced_alone`).
 
 A row is held sparse, as a dict, or packed into one Python int with the
 value of column j in the 64-bit slot ``top - j`` counted from the least
@@ -35,6 +37,7 @@ p = 2^31 - 1, about 1.8e11 at p = 10007.  p < 2^31, as for a Ring.
 from __future__ import annotations
 
 from array import array
+from typing import Callable, Optional
 
 SLOT_BITS = 64
 
@@ -67,10 +70,11 @@ def _iadd_sparse(row: dict, f: int, tail: dict, p: int) -> None:
             del row[j]
 
 
-def _eliminate(rows: list, p: int, reduced: bool):
-    """Pivots (row, column) in column order and, with ``reduced``, the RREF
-    row of each pivot as {column: value} in ascending column order (else
-    None).  ``rows`` is not modified."""
+def _eliminate(rows: list, p: int):
+    """Forward elimination: the pivots (row, column) in column order, and
+    the echelon form as (top, limit, tails, packed_tails), the last column,
+    the slot bound and each pivot's scaled row right of its column, as a
+    dict or packed.  ``rows`` is not modified."""
     if p >= 1 << 31:
         raise ValueError("linalg needs p < 2^31")
     w = SLOT_BITS
@@ -150,10 +154,15 @@ def _eliminate(rows: list, p: int, reduced: bool):
                 buckets.setdefault(top - lead, []).append(o)
             else:
                 packed[o] = None
-    if not reduced:
-        return pivots, None
-    # back-substitution on packed rows: done[c] is pivot c's RREF row right
-    # of c, which is zero at every later pivot column
+    return pivots, (top, limit, tails, packed_tails)
+
+
+def _back_substituted(pivots: list, form: tuple, p: int) -> list:
+    """The RREF row of every pivot, from the echelon ``form`` of
+    :func:`_eliminate`, by back-substitution, last pivot first."""
+    top, limit, tails, packed_tails = form
+    # done[c] is pivot c's RREF row right of c, which is zero at every
+    # later pivot column
     done: dict = {}
     done_int: dict = {}  # the packed form of {c: 1, **done[c]}, on demand
     for _, c in reversed(pivots):
@@ -171,14 +180,44 @@ def _eliminate(rows: list, p: int, reduced: bool):
                     n = 0
         done[c] = {j: y for j, x in zip(range(c + 1, top + 1), _unpack(v, s)[::-1])
                    if (y := x % p)}
-    return pivots, [{c: 1, **done[c]} for _, c in pivots]
+    return [{c: 1, **done[c]} for _, c in pivots]
+
+
+def _reduced_alone(c: int, pivcols: set, form: tuple, p: int) -> dict:
+    """The RREF row of pivot c, from the echelon ``form`` of
+    :func:`_eliminate` alone: its packed tail is cleared at the pivot
+    columns in ascending order, each by its echelon row, which changes only
+    the columns after it, and every other column it reaches is final."""
+    w = SLOT_BITS
+    top, limit, tails, packed_tails = form
+    v = packed_tails[c] if c in packed_tails else _pack(tails[c], top, top - c)
+    row = {c: 1}
+    n = 0
+    while v:
+        lead = (v.bit_length() - 1) // w
+        x = (v >> (w * lead)) % p
+        v &= (1 << (w * lead)) - 1
+        if not x:
+            continue
+        c2 = top - lead
+        if c2 not in pivcols:
+            row[c2] = x
+            continue
+        if c2 not in packed_tails:
+            packed_tails[c2] = _pack(tails[c2], top, lead)
+        v += (p - x) * packed_tails[c2]
+        n += 1
+        if n == limit:
+            v = _repack([y % p for y in _unpack(v, lead)])
+            n = 0
+    return row
 
 
 def echelon(rows: list, p: int) -> list:
     """The pivots (row, column) of the rows {column: value} over F_p, in
     column order.  The pivot rows are the rows that enlarge the span of
     the rows above them."""
-    return _eliminate(rows, p, False)[0]
+    return _eliminate(rows, p)[0]
 
 
 def rank(rows: list, p: int) -> int:
@@ -186,12 +225,18 @@ def rank(rows: list, p: int) -> int:
     return len(echelon(rows, p))
 
 
-def rref(rows: list, p: int):
+def rref(rows: list, p: int, keep: Optional[Callable[[int], bool]] = None):
     """Reduced row echelon form over F_p of the rows {column: value}: its
-    nonzero rows, each in ascending column order, and their pivot
-    columns."""
-    pivots, reduced = _eliminate(rows, p, True)
-    return reduced, [c for _, c in pivots]
+    nonzero rows, each in ascending column order, and their pivot columns.
+    With ``keep``, a predicate on pivot columns, only the rows whose pivot
+    column it accepts, and no other row is back-substituted."""
+    pivots, form = _eliminate(rows, p)
+    pivcols = [c for _, c in pivots]
+    if keep is None:
+        return _back_substituted(pivots, form, p), pivcols
+    kept = [c for c in pivcols if keep(c)]
+    is_pivot = set(pivcols)
+    return [_reduced_alone(c, is_pivot, form, p) for c in kept], kept
 
 
 def kernel_basis(rows: list, ncols: int, p: int):

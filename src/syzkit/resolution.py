@@ -3,7 +3,8 @@ constant strands and the Hilbert-series consistency oracle.
 
 A resolution stores its differentials column-wise: ``diffs[k-1]`` is the list
 of columns of the map F_k -> F_{k-1}, each column a module vector normalized
-under the level-(k-1) induced ordering.  Reordering generators between levels
+under the level-(k-1) induced ordering and frozen into a
+:class:`~syzkit.algebra.Column`.  Reordering generators between levels
 permutes columns only; component indices always refer to the previous level's
 (already fixed) basis, so no index rewriting is ever needed.
 """
@@ -302,7 +303,7 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
     """One backward elimination sweep over the columns of phi_k, in place.
 
     ``cols`` holds the columns of phi_k, with None for the columns to skip;
-    each other column is replaced by a copy without the rows j0 of
+    each other column is replaced by a dict copy without the rows j0 of
     ``gone``, level k-1's pivots {j0: i0}.  The pivots {j0: i0} of phi_k
     are applied from the last to the first: with c the unit entry of col_{j0}
     in row i0, every other column j with an entry in row i0 becomes
@@ -326,7 +327,7 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
             cols[j] = col = {mm: v for mm, v in col.items()
                              if mm[1] not in gone}
         else:
-            cols[j] = col = dict(col)
+            cols[j] = col = dict(col.items())
         for mm in col:
             keys[mm] = mm
             if mm[1] not in at:
@@ -375,8 +376,7 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
 
 def _plan_pivots(res: Resolution) -> list:
     """The pivots of every level, {j0: i0} per differential, by elimination
-    of its constant strands (:func:`_strands`) without the rows of level
-    k-1's pivots.
+    of its constant strands (:func:`_strands`).
 
     By homogeneity deg q = deg e_j - deg e_{j0}, so q*col_{j0} has a
     constant entry only when q is a constant and both columns lie in one
@@ -389,17 +389,26 @@ def _plan_pivots(res: Resolution) -> list:
     give a column the one row that is lowest in some vector of the span of
     it and the columns after it, and in none of the span of those after
     it, so the plan is the sweep's pivots.
+
+    The sweep first strips the rows of level k-1's pivots; the plan need
+    not, as no vector of a strand's span is lowest in such a row.  Let A
+    and B be the degree-d strands of phi_{k-1} and phi_k.  A constant entry
+    of phi_{k-1} o phi_k = 0 comes from constant entries alone, so AB = 0
+    and the span of B lies in ker A.  A vector v of ker A lowest in row j0
+    gives v_{j0} A_{j0} = -sum_{j > j0} v_j A_j: column j0 of A lies in the
+    span of the columns after it, while level k-1's pivots are the columns
+    of A that enlarge that span.  Every row the elimination of B holds lies
+    in the span of B, so none is lowest in a stripped row, and stripping
+    them changes no leading row, multiplier or pivot.
     """
     p = res.ring.p
     plan: list = []
     for k in range(1, res.length + 1):
-        gone = plan[-1] if plan else {}
         pivots: dict = {}
         for strand in _strands(res, k).values():
             cols = list(strand)[::-1]
-            rows = [{i: v for i, v in strand[j].items() if i not in gone}
-                    for j in cols]
-            pivots.update((cols[r], i0) for r, i0 in echelon(rows, p))
+            pivots.update((cols[r], i0)
+                          for r, i0 in echelon([strand[j] for j in cols], p))
         plan.append(pivots)
     return plan
 
@@ -427,8 +436,10 @@ def minimize(res: Resolution) -> Resolution:
     (level k+1 strips level k's pivot columns from its rows), so its values
     never enter another column, and the output drops it.  It is neither
     copied, indexed nor updated.  Each level is renumbered as soon as it is
-    swept, into columns built from the objects of the call's canonical
-    table (see :mod:`syzkit.algebra`).
+    swept, into :class:`~syzkit.algebra.Column` objects built from the
+    objects of the call's canonical table (see :mod:`syzkit.algebra`), so
+    the output's differentials hold columns only, as those of ``resolve``
+    do.
     """
     if not res.graded:
         raise DomainError("minimization requires a graded resolution")

@@ -77,6 +77,17 @@ def as_dense(row, cols):
     return [row.get(c, 0) for c in range(cols)]
 
 
+def _check_kept_rows(a, p, cols, ref_rows, ref_piv):
+    """rref with ``keep`` returns the reference rows of the kept pivots
+    alone: every pivot, the odd columns, none."""
+    for keep in (lambda c: True, lambda c: c % 2 == 1, lambda c: False):
+        r, pivcols = linalg.rref(a, p, keep=keep)
+        assert pivcols == [c for c in ref_piv if keep(c)]
+        assert ([as_dense(row, cols) for row in r]
+                == [row for row, c in zip(ref_rows, ref_piv) if keep(c)])
+        assert all(list(row) == sorted(row) and all(row.values()) for row in r)
+
+
 def check_all(p, mat, shape):
     cols = shape[1]
     ref_rows, ref_piv = ref_rref(mat, p)
@@ -90,6 +101,7 @@ def check_all(p, mat, shape):
     assert pivcols == ref_piv
     assert [as_dense(row, cols) for row in r] == ref_rows
     assert all(list(row) == sorted(row) and all(row.values()) for row in r)
+    _check_kept_rows(a, p, cols, ref_rows, ref_piv)
     basis, kfree = linalg.kernel_basis(a, cols, p)
     assert a == before  # none of these modifies its argument
     free = [c for c in range(cols) if c not in ref_piv]
@@ -207,6 +219,7 @@ def test_slot_overflow_on_one_row():
     assert linalg.echelon(as_rows(mat), p) == [(i, i) for i in range(len(ref_piv))]
     r, pivcols = linalg.rref(as_rows(mat), p)
     assert ([as_dense(row, n) for row in r], pivcols) == (ref_rows, ref_piv)
+    _check_kept_rows(as_rows(mat), p, n, ref_rows, ref_piv)
 
 
 def test_pivots_are_topmost_rows():

@@ -579,6 +579,9 @@ def _reference_pivots(res):
 
 
 def test_plan_pivots_follow_the_pivot_rule(corpus, agr_5_4_12):
+    # the reference strips level k-1's pivot rows, as the sweep does, and
+    # the plan does not, so this also checks that those rows never hold a
+    # pivot (the argument is in _plan_pivots' docstring)
     reference = 0
     for res in [e.resolutions[alg] for e in corpus
                 for alg in ("reduce", "hybrid", "tree")] + [agr_5_4_12[0]]:

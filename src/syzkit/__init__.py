@@ -2,7 +2,6 @@
 lifting the Schreyer frame of leading syzygy terms."""
 
 from .algebra import (
-    Column,
     DomainError,
     OpCounters,
     Ring,

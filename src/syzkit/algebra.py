@@ -297,6 +297,8 @@ class Column(Mapping):
         self._coeffs = self._coeffs[:i] + (c,) + self._coeffs[i + 1:]
 
     def __delitem__(self, mm):
+        # __setitem__ fills the type's assignment slot, so without this
+        # method ``del col[mm]`` would raise AttributeError('__delitem__')
         raise TypeError("a column's keys are fixed")
 
     def items(self):

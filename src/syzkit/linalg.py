@@ -11,9 +11,9 @@ every other row not yet used.  Rows are never swapped, so the pivot rows
 are exactly the rows that, taken in order, enlarge the span of the rows
 above them.  The unused rows wait in buckets keyed by their leading
 column, so a column touches only the rows that lead there.  The reduced
-form comes from back-substitution on packed rows, last pivot first; when
-only some of its rows are wanted, each of those is reduced alone against
-the echelon rows, first column first (:func:`_reduced_alone`).
+form is read off the echelon rows one row at a time: a pivot row is
+cleared at each later pivot column, first column first, by that pivot's
+echelon row (:func:`_rref_row`), so a row nobody asks for costs nothing.
 
 A row is held sparse, as a dict, or packed into one Python int with the
 value of column j in the 64-bit slot ``top - j`` counted from the least
@@ -37,6 +37,8 @@ p = 2^31 - 1, about 1.8e11 at p = 10007.  p < 2^31, as for a Ring.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from itertools import compress
 from typing import Callable, Optional
 
 SLOT_BITS = 64
@@ -157,37 +159,12 @@ def _eliminate(rows: list, p: int):
     return pivots, (top, limit, tails, packed_tails)
 
 
-def _back_substituted(pivots: list, form: tuple, p: int) -> list:
-    """The RREF row of every pivot, from the echelon ``form`` of
-    :func:`_eliminate`, by back-substitution, last pivot first."""
-    top, limit, tails, packed_tails = form
-    # done[c] is pivot c's RREF row right of c, which is zero at every
-    # later pivot column
-    done: dict = {}
-    done_int: dict = {}  # the packed form of {c: 1, **done[c]}, on demand
-    for _, c in reversed(pivots):
-        s = top - c
-        v = packed_tails[c] if c in packed_tails else _pack(tails[c], top, s)
-        n = 0
-        for c2, x in zip(range(c + 1, top + 1), _unpack(v, s)[::-1]):
-            if x and c2 in done:
-                if c2 not in done_int:
-                    done_int[c2] = _pack({c2: 1, **done[c2]}, top, s)
-                v += (p - x) * done_int[c2]
-                n += 1
-                if n == limit:
-                    v = _repack([y % p for y in _unpack(v, s)])
-                    n = 0
-        done[c] = {j: y for j, x in zip(range(c + 1, top + 1), _unpack(v, s)[::-1])
-                   if (y := x % p)}
-    return [{c: 1, **done[c]} for _, c in pivots]
-
-
-def _reduced_alone(c: int, pivcols: set, form: tuple, p: int) -> dict:
+def _rref_row(c: int, pivcols: list, form: tuple, p: int) -> dict:
     """The RREF row of pivot c, from the echelon ``form`` of
-    :func:`_eliminate` alone: its packed tail is cleared at the pivot
-    columns in ascending order, each by its echelon row, which changes only
-    the columns after it, and every other column it reaches is final."""
+    :func:`_eliminate` alone.  Its packed tail is cleared at the pivot
+    columns ``pivcols`` (ascending) in ascending order, each by its echelon
+    row, which changes only the columns after it; so the columns up to the
+    next pivot column are final, and are read off in one piece."""
     w = SLOT_BITS
     top, limit, tails, packed_tails = form
     v = packed_tails[c] if c in packed_tails else _pack(tails[c], top, top - c)
@@ -195,13 +172,20 @@ def _reduced_alone(c: int, pivcols: set, form: tuple, p: int) -> dict:
     n = 0
     while v:
         lead = (v.bit_length() - 1) // w
+        c2 = top - lead
+        k = bisect_left(pivcols, c2)
+        if k == len(pivcols) or pivcols[k] != c2:
+            # slots s..lead hold the columns c2 .. before the next pivot
+            s = top - pivcols[k] + 1 if k < len(pivcols) else 0
+            final = _unpack(v >> (w * s), lead + 1 - s)[::-1]  # c2 + i at i
+            for i in compress(range(len(final)), final):
+                if y := final[i] % p:
+                    row[c2 + i] = y
+            v &= (1 << (w * s)) - 1
+            continue
         x = (v >> (w * lead)) % p
         v &= (1 << (w * lead)) - 1
         if not x:
-            continue
-        c2 = top - lead
-        if c2 not in pivcols:
-            row[c2] = x
             continue
         if c2 not in packed_tails:
             packed_tails[c2] = _pack(tails[c2], top, lead)
@@ -229,14 +213,11 @@ def rref(rows: list, p: int, keep: Optional[Callable[[int], bool]] = None):
     """Reduced row echelon form over F_p of the rows {column: value}: its
     nonzero rows, each in ascending column order, and their pivot columns.
     With ``keep``, a predicate on pivot columns, only the rows whose pivot
-    column it accepts, and no other row is back-substituted."""
+    column it accepts, and no other row is reduced."""
     pivots, form = _eliminate(rows, p)
     pivcols = [c for _, c in pivots]
-    if keep is None:
-        return _back_substituted(pivots, form, p), pivcols
-    kept = [c for c in pivcols if keep(c)]
-    is_pivot = set(pivcols)
-    return [_reduced_alone(c, is_pivot, form, p) for c in kept], kept
+    kept = [c for c in pivcols if keep is None or keep(c)]
+    return [_rref_row(c, pivcols, form, p) for c in kept], kept
 
 
 def kernel_basis(rows: list, ncols: int, p: int):

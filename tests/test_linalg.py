@@ -190,8 +190,8 @@ def test_tall_sparse_matrix(p, monkeypatch):
 def test_dense_full_rank(p, monkeypatch):
     # a random dense 40 x 60 matrix of rank 40: the rows are packed, the
     # last row takes an update at every column, and each packed pivot row
-    # is back-substituted against every later pivot, which leaves it dense
-    # in the 20 free columns.  At p = 2^31 - 1 a 64-bit slot holds only
+    # is cleared at every later pivot column, which leaves it dense in the
+    # 20 free columns.  At p = 2^31 - 1 a 64-bit slot holds only
     # four updates, so both phases reduce their rows
     rng = random.Random(p)
     rows, cols = 40, 60

@@ -12,9 +12,11 @@ Representation conventions shared by the whole package:
   keys are strictly decreasing under the active ordering, in which case the
   first stored term is the leading term.
 * A stored column (a generator of a Groebner basis, a column of a
-  resolution) is a :class:`Column`: a normalized vector frozen into one
-  tuple of keys and one of coefficients, head first.  Nothing writes to a
-  finished column, and two tuples take less than half the memory of a dict.
+  resolution) is a :class:`Column`: a vector frozen into one tuple of keys
+  and one of coefficients.  ``resolve``'s columns are normalized, head
+  first; ``minimize``'s keep its sweep's fill-in order, so their first term
+  need not lead.  Nothing writes to a finished column, and two tuples take
+  less than half the memory of a dict.
 * A plain polynomial (element of R) is a dict mapping monomials to nonzero
   coefficients.
 
@@ -223,6 +225,24 @@ def vec_iadd_scaled(dst: Vec, c: int, src: Vec, p: int,
         counters.n_canc += n_canc
 
 
+def vec_sub_term(dst: Vec, mm: ModMono, c: int, p: int,
+                 counters: Optional[OpCounters] = None) -> None:
+    """dst -= c*mm, a single bookkeeping term (negation, no product)."""
+    old = dst.get(mm)
+    if old is None:
+        dst[mm] = p - c
+        return
+    if counters is not None:
+        counters.n_add += 1
+    v = (old - c) % p
+    if v:
+        dst[mm] = v
+    else:
+        if counters is not None:
+            counters.n_canc += 1
+        del dst[mm]
+
+
 def term_times_vector(c: int, mono: Mono, f: Vec, p: int,
                       counters: Optional[OpCounters] = None) -> Vec:
     """Product of the scalar term c*mono with a vector.
@@ -260,9 +280,9 @@ def interned_key(mm: ModMono, table: dict) -> ModMono:
 
 
 class Column(Mapping):
-    """A finished, normalized vector: a read-only mapping from module
-    monomials to coefficients, held as a tuple of keys and a tuple of
-    coefficients in term order, head first.
+    """A finished vector: a read-only mapping from module monomials to
+    coefficients, held as a tuple of keys and a tuple of coefficients in
+    term order, head first (in ``minimize``'s output, in fill-in order).
 
     Reading is iteration: ``items()`` zips the two tuples, and ``dict(col)``
     is slow, since a lookup ``col[mm]`` scans the keys; copy a column with

@@ -31,6 +31,7 @@ from .algebra import (
     term_times_vector,
     vec_iadd_scaled,
     vec_interned,
+    vec_sub_term,
 )
 from .orderings import BaseOrdering, OrderingChain, reorder_permutation
 
@@ -110,57 +111,44 @@ class GroebnerBasis:
 
 
 def divide_with_remainder(g: Vec, G: GroebnerBasis,
-                          counters: Optional[OpCounters] = None,
-                          check: bool = False):
-    """Full normal-form division of g by G.
+                          counters: Optional[OpCounters] = None):
+    """Full normal-form division of g by G: (q, h) with g the sum of
+    c*m*f_i over the terms c*(m, i) of q, plus h, no term of h divisible by
+    a leading monomial of G, and q a vector of the next module, in step order.
 
-    Returns (quotients, remainder) with g = sum(q_i f_i) + h, no term of h
-    divisible by any leading monomial of G, and LM(g) >= LM(q_i f_i) whenever
-    both sides are nonzero.  The divisor with the smallest index is chosen at
-    every step.  With check=True the degree bound is asserted per step.
+    Each step scans for the largest term t left, then subtracts c*m*f_i for
+    the smallest i with LM(f_i) | t (t goes to h if there is none) less its
+    head, whose cancellation is known and not counted.  Every subtracted
+    term is below t, so key(m*LM(f_i)) <= key(LM(g)) for every term of q.
     """
     p = G.ring.p
     key = G.chain.key_fn(G.level)
     keymemo: dict = {}
-
-    def mkey(mm):
-        k = keymemo.get(mm)
-        if k is None:
-            k = keymemo[mm] = key(mm)
-        return k
-
-    quots = [dict() for _ in G.gens]
-    rem: Vec = {}
+    q: Vec = {}
+    h: Vec = {}
     work = dict(g.items())
-    bound = None
-    if check and g:
-        bound = max(map(mkey, g))
     while work:
         best = None
         best_key = None
         for mm in work:
-            k = mkey(mm)
+            k = keymemo.get(mm)
+            if k is None:
+                k = keymemo[mm] = key(mm)
             if best_key is None or k > best_key:
                 best, best_key = mm, k
         if counters is not None:
             counters.n_monomial_cmp += len(work) - 1
-        c = work[best]
-        if check and best_key > bound:
-            raise AssertionError("division increased the leading term")
+        c = work.pop(best)
         i = G.divisor(best)
         if i < 0:
-            rem[best] = c
-            del work[best]
+            h[best] = c
             continue
         m = mono_div(best[0], G.lms[i][0])
-        q = quots[i]
-        q[m] = (q.get(m, 0) + c) % p
-        if not q[m]:
-            del q[m]
-        vec_iadd_scaled(work, p - c, term_times_vector(1, m, G.gens[i], p, None),
-                        p, counters)
-        assert best not in work
-    return quots, rem
+        tail = term_times_vector(1, m, G.gens[i], p, None)
+        del tail[best]  # the head of m*f_i, at coefficient 1
+        vec_iadd_scaled(work, p - c, tail, p, counters)
+        vec_sub_term(q, (m, i), p - c, p, counters)
+    return q, h
 
 
 # ---------------------------------------------------------------------------

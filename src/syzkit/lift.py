@@ -2,9 +2,10 @@
 
 Three interchangeable lifting strategies plus the driver:
 
-* ``lift_reduce`` - classical reduction, the baseline: repeatedly cancel
-  the leading term of the image, keeping the whole image polynomial and
-  paying one leading-term scan (monomial comparisons) per step.
+* ``lift_reduce`` - classical reduction, the baseline: s minus the quotient
+  of the division of its image by G (``groebner.divide_with_remainder``),
+  which keeps the whole image polynomial and pays one leading-term scan
+  (monomial comparisons) per step.
 * ``lift_hybrid`` - drops lower order terms from the image and from every
   reducer, and keeps the remaining terms as an unordered bucket popped in
   insertion order, so no monomial comparisons are needed.
@@ -59,29 +60,12 @@ from .algebra import (
     mono_mul,
     term_times_vector,
     vec_iadd_scaled,
+    vec_sub_term,
 )
 from .orderings import OrderingChain
-from .groebner import GroebnerBasis
+from .groebner import GroebnerBasis, divide_with_remainder
 
 LIFT_ALGORITHMS = ("reduce", "hybrid", "tree")
-
-
-def _sub_term(dst: Vec, mm: ModMono, c: int, p: int,
-              counters: Optional[OpCounters] = None) -> None:
-    """dst -= c*mm (single syzygy bookkeeping term; negation, no product)."""
-    old = dst.get(mm)
-    if old is None:
-        dst[mm] = p - c
-        return
-    if counters is not None:
-        counters.n_add += 1
-    v = (old - c) % p
-    if v:
-        dst[mm] = v
-    else:
-        if counters is not None:
-            counters.n_canc += 1
-        del dst[mm]
 
 
 def _iadd_monic(dst: Vec, c: int, src: Vec, p: int,
@@ -139,53 +123,43 @@ def psi(v: Vec, G: GroebnerBasis, counters: Optional[OpCounters] = None) -> Vec:
     return out
 
 
-def _root_divisor(t_mm: ModMono, G: GroebnerBasis, s: ModMono):
-    """(i, t/LM(f_i)) for the smallest i with LM(f_i) | t, t a term of the
-    image of s (or of what reduction leaves of it).
+def _root_divisor(s: ModMono, G: GroebnerBasis):
+    """(i, L/LM(f_i)) for the smallest i with LM(f_i) | L, the head
+    L = m LM(f_j) of the image of s = m e_j.
 
-    It is admissible, (t/LM(f_i)) e_i < s in the induced ordering, unless it
-    is s itself, and then no divisor is.  Let s = m e_j, L = m LM(f_j).  G's
-    columns are sorted, so any other term t lies below L, and so does the
-    image t of any candidate.  For t = L, the smallest divisor k <= j since
-    LM(f_j) | L: if k < j the images are equal and the tie goes to the larger
+    It is admissible, (L/LM(f_i)) e_i < s in the induced ordering, unless it
+    is s itself, and then no divisor is: the smallest divisor k <= j since
+    LM(f_j) | L; if k < j the images are equal and the tie goes to the larger
     component, so the candidate is below s; if k = j it is s, and every later
-    divisor has an equal image and a larger component.
-    """
-    i = G.divisor(t_mm)
-    if i < 0:
-        raise DomainError(f"no divisor for {t_mm}; input is not a leading syzygy term")
-    m = mono_div(t_mm[0], G.lms[i][0])
-    if (m, i) == s:
-        raise DomainError(f"no admissible divisor below {t_mm}; inconsistent input")
-    return i, m
+    divisor has an equal image and a larger component.  Any other term t of
+    the image, or of what reduction leaves of it, lies below L (G's columns
+    are sorted), and so does the image t of any candidate for t."""
+    lm, comp = G.lms[s[1]]
+    L = (mono_mul(s[0], lm), comp)
+    i = G.divisor(L)
+    q = mono_div(L[0], G.lms[i][0])
+    if (q, i) == s:
+        raise DomainError(f"no admissible divisor below {L}; inconsistent input")
+    return i, q
 
 
 def lift_reduce(s: ModMono, G: GroebnerBasis,
                 counters: Optional[OpCounters] = None) -> Vec:
-    """Lifting of the leading syzygy term s by leading-term reduction of its
-    image (the classical step of Schreyer's algorithm)."""
+    """Lifting of the leading syzygy term s = (m, j): s minus the quotient
+    of the division of its image m*f_j by G, whose remainder must be empty
+    (the classical step of Schreyer's algorithm).
+
+    Only the image's head L = m*LM(f_j) is tested for admissibility: every
+    step subtracts terms below the one it removes, so every later term lies
+    strictly below L, the only monomial whose reducer could be s."""
+    _root_divisor(s, G)
     p = G.ring.p
-    key_dn = G.chain.key_fn(G.level)
-    g = psi({s: 1}, G, counters)
+    q, h = divide_with_remainder(
+        term_times_vector(1, s[0], G.gens[s[1]], p, None), G, counters)
+    if h:
+        raise DomainError(f"no divisor for {next(iter(h))}: not a leading syzygy term")
     sbar: Vec = {s: 1}
-    keymemo: dict = {}
-    while g:
-        best = None
-        best_key = None
-        for mm in g:
-            k = keymemo.get(mm)
-            if k is None:
-                k = keymemo[mm] = key_dn(mm)
-            if best_key is None or k > best_key:
-                best, best_key = mm, k
-        if counters is not None:
-            counters.n_monomial_cmp += len(g) - 1
-        c = g.pop(best)
-        i, m = _root_divisor(best, G, s)
-        tail = term_times_vector(1, m, G.gens[i], p, None)
-        del tail[best]  # the head of m*f_i, at coefficient 1
-        vec_iadd_scaled(g, p - c, tail, p, counters)
-        _sub_term(sbar, (m, i), c, p, counters)
+    sbar.update((k, p - c) for k, c in q.items())
     return sbar
 
 
@@ -206,7 +180,7 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis,
         k = next(iter(g))
         c = g.pop(k)
         vec_iadd_scaled(g, p - c, _children(k, G, cache), p, counters)
-        _sub_term(sbar, k, c, p, counters)
+        vec_sub_term(sbar, k, c, p, counters)
     return sbar
 
 
@@ -250,11 +224,33 @@ def _roots(s: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
     the keys of the tail.  A single-term image has no cancellation, so no
     field operation is done."""
     canon = cache.canon
-    lm, comp = G.lms[s[1]]
-    i, q = _root_divisor((mono_mul(s[0], lm), comp), G, s)
+    i, q = _root_divisor(s, G)
     roots = {interned_key((q, i), canon): canon.setdefault(1, 1)}
     roots.update(_tail_keys(s, G, canon))
     return roots
+
+
+def _below(roots, G: GroebnerBasis, cache: SubtreeCache,
+           stop) -> Iterator[ModMono]:
+    """Every key below ``roots`` (roots included) that is not in ``stop``,
+    once, after every key below it; a key's child list is expanded when the
+    walk first reaches it.  ``stop`` may grow while the walk runs."""
+    seen = set()
+    for r in roots:
+        if r in seen or r in stop:
+            continue
+        seen.add(r)
+        stack = [(r, iter(_children(r, G, cache)))]
+        while stack:
+            k, it = stack[-1]
+            for ck in it:
+                if ck not in seen and ck not in stop:
+                    seen.add(ck)
+                    stack.append((ck, iter(_children(ck, G, cache))))
+                    break
+            else:
+                stack.pop()
+                yield k
 
 
 def _plan(roots: Sequence[dict], G: GroebnerBasis, cache: SubtreeCache) -> set:
@@ -270,26 +266,9 @@ def _plan(roots: Sequence[dict], G: GroebnerBasis, cache: SubtreeCache) -> set:
     of k's tail.  The cheaper set is returned (nothing on a tie).
     No field operation is done.
     """
-    data = cache.data
     children = cache.children
-    post = []  # the keys below the roots, children before parents
-    seen = set()
-    for rs in roots:
-        for r in rs:
-            if r in seen or r in data:
-                continue
-            seen.add(r)
-            stack = [(r, iter(_children(r, G, cache)))]
-            while stack:
-                k, it = stack[-1]
-                for ck in it:
-                    if ck not in seen and ck not in data:
-                        seen.add(ck)
-                        stack.append((ck, iter(_children(ck, G, cache))))
-                        break
-                else:
-                    stack.pop()
-                    post.append(k)
+    # the keys below the roots, children before parents
+    post = list(_below((r for rs in roots for r in rs), G, cache, cache.data))
     # bitsets of liftings: those that reach a key, and those that merge it
     reach: dict = {}
     for i, rs in enumerate(roots):
@@ -326,41 +305,21 @@ def _plan(roots: Sequence[dict], G: GroebnerBasis, cache: SubtreeCache) -> set:
     return shared if price_shared < price_none else set()
 
 
-def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
-           counters: Optional[OpCounters] = None) -> None:
-    """Store the subtree lifting of every key in ``keys`` and below that is
-    not stored yet, children first: each is its key at coefficient 1 plus
-    its children's stored liftings, merged in child order."""
-    data = cache.data
-    p = G.ring.p
-    stack = [k for k in keys if k not in data]
-    while stack:
-        k = stack[-1]
-        if k in data:
-            stack.pop()
-            continue
-        kids = _children(k, G, cache)
-        missing = [ck for ck in kids if ck not in data]
-        if missing:
-            stack.extend(missing)
-            continue
-        stack.pop()
-        v = {k: 1}
-        for ck, c in kids.items():
-            cache.hits += 1
-            _iadd_monic(v, p - c, data[ck], p, counters)
-        data[k] = v
-        del cache.children[k]
-
-
 def _merge_stored(out: Vec, weights: dict, G: GroebnerBasis,
                   cache: SubtreeCache,
                   counters: Optional[OpCounters] = None) -> None:
     """out += w * (stored subtree lifting of k) for every (k, w) in
-    ``weights``, storing first the liftings not stored yet."""
+    ``weights``.  The liftings not stored yet are stored first, children
+    first: each is its key at coefficient 1 plus its children's stored
+    liftings, merged in child order, and its child list is dropped."""
     p = G.ring.p
-    _store(weights, G, cache, counters)
     data = cache.data
+    for k in _below(weights, G, cache, data):
+        v = {k: 1}
+        for ck, c in cache.children.pop(k).items():
+            cache.hits += 1
+            _iadd_monic(v, p - c, data[ck], p, counters)
+        data[k] = v
     for k, w in weights.items():
         cache.hits += 1
         _iadd_monic(out, w, data[k], p, counters)
@@ -378,7 +337,10 @@ def _propagate(out: Vec, roots: dict, stored: set, G: GroebnerBasis,
     per edge.  When ``stored`` is empty, other liftings of the level walk the
     same keys, so their child lists are kept; otherwise each is dropped once
     used.
-    """
+
+    The Kahn order is load-bearing: when a proper prefix of a key's weights
+    cancels, the order they arrive in changes its ``n_add`` and ``n_canc``
+    (reverse post-order does)."""
     p = G.ring.p
     data = cache.data
     left: dict = {}
@@ -411,7 +373,7 @@ def _propagate(out: Vec, roots: dict, stored: set, G: GroebnerBasis,
                 ready.append(k)
             acc = weight
         if w:
-            _sub_term(acc, k, p - w, p, counters)
+            vec_sub_term(acc, k, p - w, p, counters)
 
     for k, c in roots.items():
         feed(k, p - c)

@@ -439,7 +439,8 @@ def minimize(res: Resolution) -> Resolution:
     swept, into :class:`~syzkit.algebra.Column` objects built from the
     objects of the call's canonical table (see :mod:`syzkit.algebra`), so
     the output's differentials hold columns only, as those of ``resolve``
-    do.
+    do; unlike those, they are not normalized: each keeps ``_sweep``'s
+    fill-in order, so its first term need not be its leading term.
     """
     if not res.graded:
         raise DomainError("minimization requires a graded resolution")

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from syzkit.algebra import (DomainError, OpCounters, Ring, Vec, is_homogeneous,
-                            mono_div, mono_divides, mono_lcm, term_times_vector,
+                            mono_div, mono_divides, mono_lcm, mono_mul,
+                            term_times_vector,
                             vec_component, vec_iadd_scaled)
 from syzkit.orderings import BaseOrdering, OrderingChain
 from syzkit.groebner import (
@@ -96,27 +97,37 @@ def test_s_vector_sec5(sec5):
         s_vector(G, 0, 1, None)
 
 
+def assert_quotient_bound(q, g, G):
+    # the degree bound: key(m*LM(f_i)) <= key(LM(g)) for every quotient term
+    key = G.chain.key_fn(G.level)
+    top = max(map(key, g))
+    for m, i in q:
+        lm, comp = G.lms[i]
+        assert key((mono_mul(m, lm), comp)) <= top
+
+
 def test_divide_examples(sec5):
     G = sec5.gb
     c = OpCounters()
     # dividing a basis element by itself
     q, r = divide_with_remainder(sec5.gens[0], GroebnerBasis(
         sec5.ring, OrderingChain(sec5.base), [sec5.gens[0]]), c)
-    assert r == {} and q[0] == {sec5.ring.one: 1}
+    assert r == {} and q == {(sec5.ring.one, 0): 1}
     # psi(x*e2) = x*f2 divides to zero with the worked-example quotients
     x = sec5.mono("x")
     g = term_times_vector(1, x, sec5.gens[1], sec5.ring.p, None)
-    q, r = divide_with_remainder(g, G, c, check=True)
+    q, r = divide_with_remainder(g, G, c)
     assert r == {}
-    to_poly = lambda expr: {m: cc for (m, _), cc in parse_polynomial(expr, sec5.ring).items()}
-    assert q[0] == to_poly("y-z")
-    assert q[1] == to_poly("-z")
-    assert q[2] == to_poly("-x-3*z")
+    to_quot = lambda expr, i: {(m, i): cc for (m, _), cc
+                               in parse_polynomial(expr, sec5.ring).items()}
+    assert q == {**to_quot("y-z", 0), **to_quot("-z", 1), **to_quot("-x-3*z", 2)}
+    assert_quotient_bound(q, g, G)
     # remainder keeps non-divisible terms
     doc = parse_input("ring 7 x,y dp\nx*y\n")
     Gm = buchberger(doc.generators, doc.ring, doc.ordering)
     q, r = divide_with_remainder(parse_polynomial("x*y+y^2", doc.ring), Gm, None)
     assert r == parse_polynomial("y^2", doc.ring)
+    assert q == {(doc.ring.one, 0): 1}
 
 
 def test_divide_reconstruction(corpus):
@@ -128,12 +139,12 @@ def test_divide_reconstruction(corpus):
         p = entry.ring.p
         probe = dict(entry.gens[0])
         vec_iadd_scaled(probe, 1, entry.gens[-1], p, None)
-        q, r = divide_with_remainder(probe, G, None, check=True)
+        q, r = divide_with_remainder(probe, G, None)
         recon: Vec = dict(r)
-        for qi, gi in zip(q, G.gens):
-            for m, c in qi.items():
-                vec_iadd_scaled(recon, c, term_times_vector(1, m, gi, p, None), p, None)
+        for (m, i), c in q.items():
+            vec_iadd_scaled(recon, c, term_times_vector(1, m, G.gens[i], p, None), p, None)
         assert recon == probe
+        assert_quotient_bound(q, probe, G)
         # no remainder term is divisible by any leading monomial
         assert all(G.divisor(mm) < 0 for mm in r)
 

@@ -8,9 +8,9 @@ import pytest
 import syzkit
 
 from syzkit.algebra import (DomainError, OpCounters, Ring, mono_div,
-                            vec_iadd_scaled)
+                            term_times_vector, vec_iadd_scaled)
 from syzkit.orderings import OrderingChain
-from syzkit.groebner import GroebnerBasis, buchberger
+from syzkit.groebner import GroebnerBasis, buchberger, divide_with_remainder
 from syzkit.frame import build_frame, lead_syz
 from syzkit.lift import (
     SubtreeCache,
@@ -430,13 +430,40 @@ def _frame_cases(sec5, corpus):
     ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
     agr = buchberger(ideal.generators, ideal.ring,
                      BaseOrdering("dp", ideal.ring.nvars))
-    for G in [sec5.gb, agr] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]:
-        for level, fl in enumerate(build_frame(G).levels, start=1):
-            ext = G.chain.extend(G.lms)
-            yield G, ext, fl.terms
-            outs = lift_frame_terms(fl.terms, G, ext, "tree")
-            G = GroebnerBasis(G.ring, ext, outs, level=level, rank=len(G.gens),
-                              twists=G.degrees or (0,) * len(G.gens))
+    for G in [sec5.gb, agr] + _corpus_bases(corpus):
+        yield from _levels(G)
+
+
+def _corpus_bases(corpus):
+    return [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
+
+
+def _levels(G):
+    """(G, ext, terms) for every frame level above the basis G, each G the
+    basis of the level below."""
+    for level, fl in enumerate(build_frame(G).levels, start=1):
+        ext = G.chain.extend(G.lms)
+        yield G, ext, fl.terms
+        outs = lift_frame_terms(fl.terms, G, ext, "tree")
+        G = GroebnerBasis(G.ring, ext, outs, level=level, rank=len(G.gens),
+                          twists=G.degrees or (0,) * len(G.gens))
+
+
+def test_lift_reduce_is_s_minus_the_quotient(sec5, corpus):
+    # reduce lifts by dividing: for every frame term s = (m, j), the division
+    # of m*f_j leaves no remainder, its quotient never holds s, and the
+    # lifting is s minus the quotient
+    n = 0
+    for G0 in [sec5.gb] + _corpus_bases(corpus):
+        for G, _, terms in _levels(G0):
+            p = G.ring.p
+            for s in terms:
+                image = term_times_vector(1, s[0], G.gens[s[1]], p, None)
+                q, h = divide_with_remainder(image, G)
+                assert h == {} and s not in q
+                assert lift_reduce(s, G) == {s: 1, **{k: p - c for k, c in q.items()}}
+                n += 1
+    assert n > 100
 
 
 def test_lifting_evaluates_no_ordering(sec5, corpus, monkeypatch):

@@ -73,17 +73,27 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_characteristic(p: int) -> None:
+    """Raise DomainError unless p is a prime below 2^31, the one rule for a
+    field characteristic (:mod:`syzkit.linalg` packs values into 64-bit
+    slots).  The bound is tested first, so no trial division runs above it."""
+    if p >= 1 << 31:
+        raise DomainError(f"characteristic {p} is not below 2^31")
+    if not is_prime(p):
+        raise DomainError(f"characteristic {p} is not prime")
+
+
 @dataclass(frozen=True)
 class Ring:
-    """The polynomial ring F_p[names] with a prime characteristic p < 2^31
-    and distinct variable names matching :data:`NAME`."""
+    """The polynomial ring F_p[names] with a characteristic p that passes
+    :func:`check_characteristic` and distinct variable names matching
+    :data:`NAME`."""
 
     p: int
     names: tuple
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p >= 1 << 31:
-            raise DomainError(f"characteristic must be a prime < 2^31, got {self.p}")
+        check_characteristic(self.p)
         if not self.names or len(set(self.names)) != len(self.names):
             raise DomainError("variable names must be nonempty and distinct")
         for name in self.names:
@@ -120,11 +130,13 @@ class OpCounters:
     """Counters for ground-field operations and monomial comparisons.
 
     ``n_canc <= n_add`` always holds: a cancellation is an addition whose
-    result is zero.  A counted product is a computed one: a coefficient
-    times a known unit head costs no product, and a cancellation known in
-    advance (the target term of a reduction step) is neither computed nor
-    counted.  ``n_terms`` is filled in once per resolution (terms of all
-    differentials except the first).
+    result is zero.  The one product rule: ``n_mult`` counts the field
+    products computed, one per coefficient scaled by a factor other than
+    +-1.  A coefficient times +-1 or times a known unit head costs no
+    product, a monomial shift (:func:`term_times_vector`) costs none, and a
+    cancellation known in advance (the target term of a reduction step) is
+    neither computed nor counted.  ``n_terms`` is filled in once per
+    resolution (terms of all differentials except the first).
     """
 
     __slots__ = ("n_terms", "n_mult", "n_add", "n_canc", "n_monomial_cmp")
@@ -243,22 +255,11 @@ def vec_sub_term(dst: Vec, mm: ModMono, c: int, p: int,
         del dst[mm]
 
 
-def term_times_vector(c: int, mono: Mono, f: Vec, p: int,
-                      counters: Optional[OpCounters] = None) -> Vec:
-    """Product of the scalar term c*mono with a vector.
-
-    One counted multiplication per term of f (identity coefficients
-    included).  Multiplication by a monomial is injective and
-    order-preserving, so the result keeps f's term order.
-    """
-    c %= p
-    if c == 0:
-        raise DomainError("term_times_vector requires a nonzero coefficient")
-    if counters is not None:
-        counters.n_mult += len(f)
-    if c == 1:
-        return {(mono_mul(mono, mm[0]), mm[1]): v for mm, v in f.items()}
-    return {(mono_mul(mono, mm[0]), mm[1]): (c * v) % p for mm, v in f.items()}
+def term_times_vector(mono: Mono, f: Vec) -> Vec:
+    """The vector mono*f: a monomial shift, which forms no field product.
+    Multiplication by a monomial is injective and order-preserving, so the
+    result keeps f's term order."""
+    return {(mono_mul(mono, mm[0]), mm[1]): v for mm, v in f.items()}
 
 
 def vec_normalized(f: Vec, key: Callable[[ModMono], tuple]) -> Vec:

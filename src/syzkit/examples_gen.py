@@ -42,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import DomainError, Ring, Vec, is_prime, mono_div, mono_mul
+from .algebra import DomainError, Ring, Vec, check_characteristic, mono_div, mono_mul
 from . import linalg
 from .orderings import BaseOrdering
 from .groebner import monomials_of_degree
@@ -62,8 +62,9 @@ class AgrSpec:
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.s < 1:
             raise DomainError("AGR parameters must satisfy n, d, s >= 1")
-        if not is_prime(self.p) or self.p <= self.d:
-            raise DomainError("AGR characteristic must be a prime > d")
+        check_characteristic(self.p)
+        if self.p <= self.d:
+            raise DomainError("AGR characteristic must exceed d")
 
 
 @dataclass
@@ -190,8 +191,6 @@ def contract(g: Vec, u: dict, p: int, nvars: int, d: int,
 def gen_random_homogeneous(n_vars: int, degrees, p: int, seed: int):
     """Dense random forms of the given degrees: every monomial gets a
     uniform nonzero coefficient.  Deterministic per seed."""
-    if not is_prime(p):
-        raise DomainError("characteristic must be prime")
     ring = Ring(p, tuple(f"x{i}" for i in range(n_vars)))
     base = BaseOrdering("dp", n_vars)
     rng = random.Random(seed)

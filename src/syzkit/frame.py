@@ -34,9 +34,6 @@ class FrameLevel:
     terms: list
     degrees: Optional[list] = None
 
-    def __len__(self):
-        return len(self.terms)
-
     def permuted(self, perm: Sequence[int]) -> "FrameLevel":
         return FrameLevel(
             [self.terms[i] for i in perm],
@@ -85,9 +82,6 @@ class SchreyerFrame:
 
     levels: list = field(default_factory=list)
     chain: Optional[OrderingChain] = None
-
-    def __len__(self):
-        return len(self.levels)
 
 
 def build_frame(G: GroebnerBasis,

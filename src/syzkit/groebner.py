@@ -89,12 +89,6 @@ class GroebnerBasis:
         self._by_comp = by_comp
         self._div_memo: dict = {}
 
-    def __len__(self):
-        return len(self.gens)
-
-    def __iter__(self):
-        return iter(self.gens)
-
     def divisor(self, mm: ModMono) -> int:
         """Smallest generator index whose leading monomial divides mm, or -1."""
         memo = self._div_memo
@@ -144,8 +138,9 @@ def divide_with_remainder(g: Vec, G: GroebnerBasis,
             h[best] = c
             continue
         m = mono_div(best[0], G.lms[i][0])
-        tail = term_times_vector(1, m, G.gens[i], p, None)
-        del tail[best]  # the head of m*f_i, at coefficient 1
+        # m*f_i less its head, which is best at coefficient 1
+        tail = {(mono_mul(m, mm[0]), mm[1]): v
+                for mm, v in itertools.islice(G.gens[i].items(), 1, None)}
         vec_iadd_scaled(work, p - c, tail, p, counters)
         vec_sub_term(q, (m, i), p - c, p, counters)
     return q, h
@@ -180,8 +175,7 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     if not cleaned:
         return GroebnerBasis(ring, chain, [], level=0, rank=rank, twists=twists)
     out = _gb_f4(cleaned, ring, base, twists)
-    key = chain.key_fn(0)
-    lms = [max(g, key=key) for g in out]
+    lms = [next(iter(g)) for g in out]  # F4's rows are head first
     out = [out[i] for i in reorder_permutation(lms, chain, 0)]
     return GroebnerBasis(ring, chain, out, level=0, rank=rank, twists=twists)
 
@@ -259,7 +253,7 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
                 continue  # chain criterion
             mults[(i, mono_div(lcm, a))] = None
             mults[(j, mono_div(lcm, b))] = None
-        rows = [term_times_vector(1, t, basis[k], ring.p) for k, t in mults]
+        rows = [term_times_vector(t, basis[k]) for k, t in mults]
         # columns that an earlier lead divides, each the lead of some row
         known = {(mono_mul(t, lms[k][0]), lms[k][1]) for k, t in mults}
         rows.extend(inputs.pop(e, ()))
@@ -277,8 +271,7 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
             for lm, k in by_comp.get(mm[1], ()):
                 if mono_divides(lm, m):
                     known.add(mm)
-                    rows.append(term_times_vector(1, mono_div(m, lm), basis[k],
-                                                   ring.p))
+                    rows.append(term_times_vector(mono_div(m, lm), basis[k]))
                     todo.extend(rows[-1])
                     break
         order = sorted(cols, key=key, reverse=True)
@@ -308,7 +301,7 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
         if not any(lm != mm and monomial_divides(lm, mm) for lm in lms)],
         rank=len(twists))
     out = []
-    for g in minimal:
+    for g in minimal.gens:
         lead = next(iter(g))
         _, tail = divide_with_remainder(
             dict(itertools.islice(g.items(), 1, None)), minimal)

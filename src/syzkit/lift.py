@@ -108,9 +108,6 @@ class SubtreeCache:
         self.hits = 0
         self.expansions = 0
 
-    def __len__(self):
-        return len(self.data)
-
 
 def psi(v: Vec, G: GroebnerBasis, counters: Optional[OpCounters] = None) -> Vec:
     """Image of v under the homomorphism sending basis element i to the i-th
@@ -118,8 +115,7 @@ def psi(v: Vec, G: GroebnerBasis, counters: Optional[OpCounters] = None) -> Vec:
     p = G.ring.p
     out: Vec = {}
     for (m, i), c in v.items():
-        vec_iadd_scaled(out, c, term_times_vector(1, m, G.gens[i], p, None),
-                        p, counters)
+        vec_iadd_scaled(out, c, term_times_vector(m, G.gens[i]), p, counters)
     return out
 
 
@@ -154,8 +150,7 @@ def lift_reduce(s: ModMono, G: GroebnerBasis,
     strictly below L, the only monomial whose reducer could be s."""
     _root_divisor(s, G)
     p = G.ring.p
-    q, h = divide_with_remainder(
-        term_times_vector(1, s[0], G.gens[s[1]], p, None), G, counters)
+    q, h = divide_with_remainder(term_times_vector(s[0], G.gens[s[1]]), G, counters)
     if h:
         raise DomainError(f"no divisor for {next(iter(h))}: not a leading syzygy term")
     sbar: Vec = {s: 1}

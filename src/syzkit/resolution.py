@@ -153,8 +153,7 @@ class Resolution:
                     img = shifted.get(mm)
                     if img is None:
                         m, i = mm
-                        img = shifted[mm] = term_times_vector(
-                            1, m, prev_cols[i], p, None)
+                        img = shifted[mm] = term_times_vector(m, prev_cols[i])
                     vec_iadd_scaled(acc, c, img, p)
                 if acc:
                     return False

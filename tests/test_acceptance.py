@@ -95,8 +95,7 @@ def test_acceptance_03_lifting_contract_corpus(corpus):
                     acc = {}
                     from syzkit.algebra import term_times_vector, vec_iadd_scaled
                     for (m, i), c in col.items():
-                        vec_iadd_scaled(acc, c,
-                                        term_times_vector(1, m, prev[i], p, None),
+                        vec_iadd_scaled(acc, c, term_times_vector(m, prev[i]),
                                         p, None)
                     ok &= acc == {}
                     ok &= col[s] == 1

@@ -2,14 +2,17 @@ import hashlib
 import io
 import os
 import platform
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 import syzkit
 from syzkit.algebra import Ring
+from syzkit.examples_gen import AgrSpec
 from syzkit.cli import (
     ParseError,
     emit_image,
@@ -36,7 +39,7 @@ x*y+z^2
 
 def test_parse_input_sec5(sec5):
     doc = parse_input(SEC5)
-    assert doc.p == 32003 and doc.names == ("w", "x", "y", "z")
+    assert doc.ring.p == 32003 and doc.ring.names == ("w", "x", "y", "z")
     assert doc.ordering.kind == "lp"
     assert doc.generators == sec5.gens
 
@@ -61,7 +64,7 @@ def test_parse_errors():
     # a name holding an operator would print ambiguously: x*y as x**y
     with pytest.raises(ParseError, match="line 1.*invalid variable name 'x\\*'"):
         parse_input("ring 7 x*,y dp\nx*y\n")
-    assert parse_input("ring 7 _a,B_1,c2d dp\n").names == ("_a", "B_1", "c2d")
+    assert parse_input("ring 7 _a,B_1,c2d dp\n").ring.names == ("_a", "B_1", "c2d")
 
 
 def test_parse_coefficient_reduction():
@@ -309,6 +312,98 @@ def test_main_exit_codes(tmp_path, capsys):
         out = capsys.readouterr()
         assert "usage error" in out.err and "--reorder" in out.err
         assert "Traceback" not in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ring 7 x,y dp\n2^3\n", "line 2, column 2: '^' without a variable"),
+    ("ring 7 x,y dp\nx^y\n", "line 2, column 3: expected an exponent after '^'"),
+    ("ring 7 x,y dp\nx^+1\n", "line 2, column 3: expected an exponent after '^'"),
+    ("ring 7 x,y dp\n*x\n", "line 2, column 1: '*' without a left factor"),
+    ("ring x7 x,y dp\nx\n", "line 1, column 1: invalid characteristic 'x7'"),
+    ("", "missing ring declaration"),
+    ("# no ring here\n\n   # nor here\n", "missing ring declaration"),
+    ("ring 7 x,y dp\nx^40000\n",
+     "line 2, column 3: exponent 40000 out of range [0, 32768]"),
+], ids=["caret-after-number", "caret-then-variable", "caret-then-sign",
+        "leading-star", "bad-characteristic", "empty", "comments-only",
+        "exponent-too-large"])
+def test_main_input_errors(tmp_path, capsys, text, message):
+    # every input error exits 2 with one 'error:' line, at its position
+    # wherever the parser knows it
+    inp = tmp_path / "in.txt"
+    inp.write_text(text)
+    assert main(["resolve", str(inp)]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+
+
+def test_parse_input_comments_blank_lines_and_cancellation():
+    plain = parse_input("ring 7 x,y dp\nx^2\ny\n")
+    commented = parse_input("# header\n\nring 7 x,y dp  # the ring\n\n"
+                            "  x^2 # a square\n#\nx - x\n\ny\n")
+    assert commented.generators == plain.generators  # x - x adds none
+    ring = plain.ring
+    y = {(ring.mono([0, 1]), 0): 1}
+    assert parse_polynomial("0*x+y", ring) == y
+    assert parse_polynomial("x+y-x", ring) == y
+
+
+def test_main_stats_verbose_prints_each_differential(tmp_path, capsys):
+    inp = tmp_path / "in.txt"
+    inp.write_text(SEC5)
+    assert main(["resolve", str(inp), "--stats", "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("   i  #Generators     #Terms   Q_sparse   time[s]")
+    # phi_2 of the worked example: 2 generators, 11 terms in 6 entries
+    assert re.fullmatch(r"   2            2         11      1\.833 +\d+\.\d{3}",
+                        lines[header + 1])
+    assert header + 2 == len(lines)
+
+
+def test_main_gen_stdout_equals_output_file(tmp_path, capsys):
+    args = ["gen", "agr", "--n", "3", "--d", "3", "--s", "5", "--seed", "2"]
+    path = tmp_path / "agr.txt"
+    assert main(args + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+
+
+HUGE_P = 2**61 - 1  # a Mersenne prime: trial division to its root takes minutes
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_input(f"ring {HUGE_P} x dp\nx\n"),
+    lambda: Ring(HUGE_P, ("x",)),
+    lambda: AgrSpec(1, 1, 1, p=HUGE_P),
+], ids=["parse_input", "Ring", "AgrSpec"])
+def test_huge_characteristic_fails_at_once(make):
+    # the bound p < 2^31 is tested before any trial division
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="not below 2\\^31"):
+        make()
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("command", [
+    ["resolve", "IN"],
+    ["gen", "agr", "--n", "1", "--d", "1", "--s", "1", "--p", str(HUGE_P)],
+], ids=["resolve", "gen-agr"])
+def test_main_huge_characteristic_exits_2(tmp_path, command):
+    # in a fresh process, so that a hang fails by the timeout: the error
+    # path itself takes about 0.15 s on a 2-vCPU Xeon VM, interpreter start
+    # included
+    inp = tmp_path / "in.txt"
+    inp.write_text(f"ring {HUGE_P} x dp\nx\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
+    cli = [sys.executable, "-c",
+           "import sys; from syzkit.cli import main; sys.exit(main())"]
+    run = subprocess.run(cli + [str(inp) if a == "IN" else a for a in command],
+                         env=env, capture_output=True, text=True, timeout=5)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and "not below 2^31" in run.stderr
+    assert "Traceback" not in run.stderr and run.stdout == ""
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

@@ -44,9 +44,9 @@ def s_vector(G, i, j, counters=None):
     if mi is None or mj is None:
         raise DomainError("S-vector of generators with mismatched components")
     p = G.ring.p
-    out = term_times_vector(mi[0], mi[1], G.gens[i], p, counters)
-    vec_iadd_scaled(out, p - mj[0], term_times_vector(1, mj[1], G.gens[j], p, None),
-                    p, counters)
+    out = {}
+    vec_iadd_scaled(out, mi[0], term_times_vector(mi[1], G.gens[i]), p, counters)
+    vec_iadd_scaled(out, p - mj[0], term_times_vector(mj[1], G.gens[j]), p, counters)
     head = (mono_lcm(G.lms[i][0], G.lms[j][0]), G.lms[i][1])
     assert head not in out, "S-vector leading terms failed to cancel"
     return out
@@ -115,7 +115,7 @@ def test_divide_examples(sec5):
     assert r == {} and q == {(sec5.ring.one, 0): 1}
     # psi(x*e2) = x*f2 divides to zero with the worked-example quotients
     x = sec5.mono("x")
-    g = term_times_vector(1, x, sec5.gens[1], sec5.ring.p, None)
+    g = term_times_vector(x, sec5.gens[1])
     q, r = divide_with_remainder(g, G, c)
     assert r == {}
     to_quot = lambda expr, i: {(m, i): cc for (m, _), cc
@@ -142,7 +142,7 @@ def test_divide_reconstruction(corpus):
         q, r = divide_with_remainder(probe, G, None)
         recon: Vec = dict(r)
         for (m, i), c in q.items():
-            vec_iadd_scaled(recon, c, term_times_vector(1, m, G.gens[i], p, None), p, None)
+            vec_iadd_scaled(recon, c, term_times_vector(m, G.gens[i]), p, None)
         assert recon == probe
         assert_quotient_bound(q, probe, G)
         # no remainder term is divisible by any leading monomial

@@ -82,6 +82,15 @@ def test_lift_reduce_koszul():
     assert out == {(x, 1): 1, (y, 0): 6}  # x*e2 - y*e1
 
 
+def test_lift_reduce_rejects_a_remainder():
+    # e2's image x + y has the admissible divisor e1 at its head x, but the
+    # division leaves y: e2 is no leading syzygy term of these generators
+    doc = parse_input("ring 7 x,y dp\nx\nx+y\n")
+    G = GroebnerBasis(doc.ring, OrderingChain(doc.ordering), doc.generators)
+    with pytest.raises(DomainError, match="no divisor for .*not a leading syzygy term"):
+        lift_reduce((doc.ring.one, 1), G)
+
+
 def test_lift_hybrid_sec5(sec5):
     c = OpCounters()
     assert lift_hybrid(sec5.frame_terms[0], sec5.gb, c) == sec5.syz1
@@ -458,7 +467,7 @@ def test_lift_reduce_is_s_minus_the_quotient(sec5, corpus):
         for G, _, terms in _levels(G0):
             p = G.ring.p
             for s in terms:
-                image = term_times_vector(1, s[0], G.gens[s[1]], p, None)
+                image = term_times_vector(s[0], G.gens[s[1]])
                 q, h = divide_with_remainder(image, G)
                 assert h == {} and s not in q
                 assert lift_reduce(s, G) == {s: 1, **{k: p - c for k, c in q.items()}}

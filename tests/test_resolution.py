@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from syzkit.algebra import DomainError, OpCounters, Ring
+from syzkit.algebra import DomainError, OpCounters, Ring, mono_mul, vec_interned
 from syzkit.orderings import BaseOrdering
 from syzkit.groebner import GroebnerBasis, buchberger
 from syzkit.lift import SubtreeCache
@@ -315,10 +315,20 @@ def test_resolve_module_input():
     assert betti_nonminimal(res).euler() == num == {0: 2, 1: -3, 2: 1}
 
 
+def _tail_above_head(vs, p):
+    """Each lifting, head s first, with x*s added at coefficient 1: s keeps
+    coefficient 1, but x*s outranks it (x the first variable)."""
+    for v in vs:
+        m, j = next(iter(v))
+        x = (1, 1) + (0,) * (len(m) - 2)
+        yield {(mono_mul(m, x), j): 1, **v}
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda vs, p: ({mm: 2 * c % p for mm, c in v.items()} for v in vs),
     lambda vs, p: reversed(list(vs)),
-], ids=["head-not-monic", "heads-out-of-order"])
+    _tail_above_head,
+], ids=["head-not-monic", "heads-out-of-order", "tail-above-head"])
 def test_resolve_rejects_lost_leading_term(sec5, monkeypatch, corrupt):
     # corrupt the stream of liftings that resolve hands to each level's basis
     lift = resolution.lift_frame_iter
@@ -326,6 +336,30 @@ def test_resolve_rejects_lost_leading_term(sec5, monkeypatch, corrupt):
                         lambda *a: corrupt(lift(*a), sec5.ring.p))
     with pytest.raises(RuntimeError, match="lifting lost its leading term"):
         resolve(sec5.gens, sec5.ring, sec5.base)
+
+
+def test_resolve_rejects_unknown_algorithm_first(sec5, monkeypatch):
+    def no_basis(*a, **kw):
+        raise AssertionError("buchberger ran")
+
+    monkeypatch.setattr(resolution, "buchberger", no_basis)
+    with pytest.raises(DomainError, match="unknown lifting algorithm 'bogus'"):
+        resolve(sec5.gens, sec5.ring, sec5.base, alg="bogus")
+
+
+def test_check_complex_detects_a_changed_coefficient(sec5):
+    res = resolve(sec5.gens, sec5.ring, sec5.base)
+    assert res.check_complex()
+    p = sec5.ring.p
+    for j, col in enumerate(res.diffs[1]):
+        for t in range(len(col)):
+            terms = list(col.items())
+            mm, c = terms[t]
+            terms[t] = (mm, c % (p - 1) + 1)  # another nonzero coefficient
+            res.diffs[1][j] = vec_interned(terms, {})
+            assert not res.check_complex(), (j, mm)
+        res.diffs[1][j] = col
+    assert res.check_complex()
 
 
 @pytest.mark.parametrize("alg", ["reduce", "hybrid", "tree"])

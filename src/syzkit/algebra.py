@@ -34,7 +34,10 @@ its hybrid and tree liftings intern their subtree keys
 (:func:`interned_key`) and the coefficients of their child lists and roots
 in the same table.  Each ``minimize`` call owns another, filled when it
 renumbers its output.  A table lives only as long as its call; what
-outlives it is the sharing of the stored columns.
+outlives it is the sharing of the stored columns.  Likewise the memos of
+a level's lifting, its child lists and its divisor memo, live only as long
+as that lifting (:func:`~syzkit.lift.lift_frame_iter`), so a Groebner basis
+passed to ``resolve`` keeps only what it held before.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 Mono = tuple  # (deg, e1, ..., en)
 ModMono = tuple  # (Mono, component)
@@ -83,23 +85,22 @@ def check_characteristic(p: int) -> None:
         raise DomainError(f"characteristic {p} is not prime")
 
 
-@dataclass(frozen=True)
 class Ring:
     """The polynomial ring F_p[names] with a characteristic p that passes
     :func:`check_characteristic` and distinct variable names matching
     :data:`NAME`."""
 
-    p: int
-    names: tuple
+    __slots__ = ("p", "names")
 
-    def __post_init__(self):
-        check_characteristic(self.p)
-        if not self.names or len(set(self.names)) != len(self.names):
+    def __init__(self, p: int, names: Sequence[str]):
+        check_characteristic(p)
+        if not names or len(set(names)) != len(names):
             raise DomainError("variable names must be nonempty and distinct")
-        for name in self.names:
+        for name in names:
             if not NAME.fullmatch(name):
                 raise DomainError(f"invalid variable name {name!r}")
-        object.__setattr__(self, "names", tuple(self.names))
+        self.p = p
+        self.names = tuple(names)
 
     @property
     def nvars(self) -> int:

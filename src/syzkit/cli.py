@@ -21,7 +21,6 @@ import contextlib
 import re
 import sys
 import time
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -54,11 +53,13 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
 class InputDocument:
-    ring: Ring
-    ordering: BaseOrdering
-    generators: list  # vectors with component 0
+    __slots__ = ("ring", "ordering", "generators")
+
+    def __init__(self, ring: Ring, ordering: BaseOrdering, generators: list):
+        self.ring = ring
+        self.ordering = ordering
+        self.generators = generators  # vectors with component 0
 
 
 def _tokenizer(names: Sequence[str]):

@@ -40,7 +40,6 @@ h_1 >= 2 no such F exists and R_1 * Ann_d = R_{d+1}.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import DomainError, Ring, Vec, check_characteristic, mono_div, mono_mul
 from . import linalg
@@ -48,35 +47,38 @@ from .orderings import BaseOrdering
 from .groebner import monomials_of_degree
 
 
-@dataclass(frozen=True)
 class AgrSpec:
     """Parameters for an apolar Gorenstein ideal: n+1 variables, socle degree
     d, s random linear forms over F_p, seeded RNG."""
 
-    n: int
-    d: int
-    s: int
-    p: int
-    seed: int = 0
+    __slots__ = ("n", "d", "s", "p", "seed")
 
-    def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.s < 1:
+    def __init__(self, n: int, d: int, s: int, p: int, seed: int = 0):
+        if n < 1 or d < 1 or s < 1:
             raise DomainError("AGR parameters must satisfy n, d, s >= 1")
-        check_characteristic(self.p)
-        if self.p <= self.d:
+        check_characteristic(p)
+        if p <= d:
             raise DomainError("AGR characteristic must exceed d")
+        self.n = n
+        self.d = d
+        self.s = s
+        self.p = p
+        self.seed = seed
 
 
-@dataclass
 class AgrIdeal:
     """Generated apolar ideal with the data needed for verification."""
 
-    spec: AgrSpec
-    ring: Ring
-    generators: list          # minimal homogeneous generators, as vectors
-    hilbert: list             # h_e = rank of Cat_e for e = 0..d
-    forms: list               # coefficient rows of the linear forms
-    contraction: dict         # divided-power coordinates u_beta, |beta| <= d
+    __slots__ = ("spec", "ring", "generators", "hilbert", "forms", "contraction")
+
+    def __init__(self, spec: AgrSpec, ring: Ring, generators: list,
+                 hilbert: list, forms: list, contraction: dict):
+        self.spec = spec
+        self.ring = ring
+        self.generators = generators    # minimal homogeneous generators, as vectors
+        self.hilbert = hilbert          # h_e = rank of Cat_e for e = 0..d
+        self.forms = forms              # coefficient rows of the linear forms
+        self.contraction = contraction  # divided-power coordinates u_beta, |beta| <= d
 
 
 MAX_RETRIES = 5  # fresh draws of the linear forms before giving up

@@ -8,7 +8,6 @@ Betti numbers) is available before any actual lifting happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -22,7 +21,6 @@ from .orderings import BaseOrdering, OrderingChain, reorder_permutation
 from .groebner import GroebnerBasis
 
 
-@dataclass
 class FrameLevel:
     """Minimal generating set of one leading syzygy module.
 
@@ -31,8 +29,11 @@ class FrameLevel:
     (homogeneous case; None when ungraded).
     """
 
-    terms: list
-    degrees: Optional[list] = None
+    __slots__ = ("terms", "degrees")
+
+    def __init__(self, terms: list, degrees: Optional[list] = None):
+        self.terms = terms
+        self.degrees = degrees
 
     def permuted(self, perm: Sequence[int]) -> "FrameLevel":
         return FrameLevel(
@@ -74,14 +75,16 @@ def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
     return level
 
 
-@dataclass
 class SchreyerFrame:
     """Frame levels in generator order, each sorted by
     :func:`~syzkit.orderings.reorder_permutation`, together with the chain
     of induced orderings they define."""
 
-    levels: list = field(default_factory=list)
-    chain: Optional[OrderingChain] = None
+    __slots__ = ("levels", "chain")
+
+    def __init__(self, levels: list, chain: Optional[OrderingChain] = None):
+        self.levels = levels
+        self.chain = chain
 
 
 def build_frame(G: GroebnerBasis,

@@ -45,7 +45,10 @@ class GroebnerBasis:
     monic and built from the objects of ``table`` (a fresh one when None;
     see :mod:`syzkit.algebra`), so ``gens`` holds columns only.  The
     divisor lookup (smallest generator index whose leading monomial divides
-    a given module monomial) is memoized.
+    a given module monomial) is memoized on the basis, one dict lookup per
+    hit; :func:`~syzkit.lift.lift_frame_iter` lifts against
+    :meth:`with_own_memo`, so the memo of a level's lifting dies with it
+    and a basis given to ``resolve`` keeps only what it held before.
     """
 
     def __init__(self, ring: Ring, chain: OrderingChain, gens: Iterable[Vec],
@@ -102,6 +105,12 @@ class GroebnerBasis:
                     break
             memo[mm] = idx
         return idx
+
+    def with_own_memo(self) -> "GroebnerBasis":
+        """This basis, every attribute shared but an empty divisor memo."""
+        view = object.__new__(GroebnerBasis)
+        view.__dict__ = {**self.__dict__, "_div_memo": {}}
+        return view
 
 
 def divide_with_remainder(g: Vec, G: GroebnerBasis,

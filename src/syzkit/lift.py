@@ -86,7 +86,9 @@ class SubtreeCache:
     of the non-lower-order tail of its reducer, with their coefficients.
     The tree lifting drops a list once its key is stored, or once the one
     lifting that reaches it has propagated it; every other list stays until
-    :func:`lift_frame_iter` is exhausted or closed, which clears them.
+    :func:`lift_frame_iter` is exhausted or closed, which clears them.  The
+    divisor memo they are expanded with lives exactly as long: it is kept
+    on the generator's own copy of G, not in the cache.
     ``data`` holds the tree's stored subtree liftings, each starting with
     its key at coefficient 1 (children are strictly smaller, so nothing
     removes or reorders that head); a reuse adds the requested coefficient
@@ -398,13 +400,10 @@ def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
     return out
 
 
-def lift_tree(s: ModMono, G: GroebnerBasis,
-              cache: Optional[SubtreeCache] = None,
+def lift_tree(s: ModMono, G: GroebnerBasis, cache: SubtreeCache,
               counters: Optional[OpCounters] = None) -> Vec:
     """Lifting of s by independent subtree liftings of the non-lower-order
     terms of its image, each stored in (or served from) the cache."""
-    if cache is None:
-        cache = SubtreeCache()
     p = G.ring.p
     roots = _roots(s, G, cache)
     sbar: Vec = {s: 1}
@@ -421,6 +420,9 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
     with strategy ``alg``; each is computed when it is asked for, so a
     consumer that keeps none holds one raw lifting at a time.
 
+    The liftings share one divisor memo, kept on a copy of G
+    (:meth:`~syzkit.groebner.GroebnerBasis.with_own_memo`) that dies with
+    the generator, so G holds afterwards exactly what it held before.
     Hybrid and tree liftings share ``cache`` (a fresh one when None), whose
     child lists stay until the generator is exhausted or closed.  Tree
     liftings are planned for the whole list first: ``_plan`` stores either
@@ -428,6 +430,7 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
     whichever it prices cheaper; the rest are propagated by weight, and each
     lifting's roots are dropped once propagated.
     """
+    G = G.with_own_memo()
     if alg == "reduce":
         for s in terms:
             yield lift_reduce(s, G, counters)

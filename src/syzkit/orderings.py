@@ -38,10 +38,6 @@ class BaseOrdering:
     def __repr__(self):
         return f"BaseOrdering({self.kind!r}, nvars={self.nvars})"
 
-    def __eq__(self, other):
-        return (isinstance(other, BaseOrdering)
-                and self.kind == other.kind and self.nvars == other.nvars)
-
 
 class _Level:
     __slots__ = ("lms", "path_monos", "tails")

@@ -12,7 +12,6 @@ permutes columns only; component indices always refer to the previous level's
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -35,16 +34,16 @@ from .frame import build_frame
 from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_iter
 
 
-@dataclass(frozen=True)
 class GradedFreeModule:
-    rank: int
-    twists: Optional[tuple] = None  # None when ungraded
+    __slots__ = ("rank", "twists")
 
-    def __post_init__(self):
-        if self.twists is not None:
-            object.__setattr__(self, "twists", tuple(self.twists))
-            if len(self.twists) != self.rank:
+    def __init__(self, rank: int, twists: Optional[Sequence[int]] = None):
+        if twists is not None:
+            twists = tuple(twists)
+            if len(twists) != rank:
                 raise DomainError("rank and twist count differ")
+        self.rank = rank
+        self.twists = twists  # None when ungraded
 
 
 class BettiTable:

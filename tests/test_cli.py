@@ -541,6 +541,20 @@ print("numpy" in sys.modules)
 """
 
 
+def test_import_loads_no_dataclass_machinery():
+    # the record classes are plain classes, so importing the package and its
+    # command line loads neither dataclasses nor the inspect, ast and dis
+    # modules it pulls in (about 1 MB of resident memory per process)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
+    code = ("import sys, syzkit, syzkit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_pipeline_never_imports_numpy():
     # generation, parsing, the Groebner basis, tree resolve, the minimal
     # Betti table, minimize, serialization and the gen | resolve commands,

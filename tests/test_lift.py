@@ -13,6 +13,7 @@ from syzkit.orderings import OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger, divide_with_remainder
 from syzkit.frame import build_frame, lead_syz
 from syzkit.lift import (
+    LIFT_ALGORITHMS,
     SubtreeCache,
     _children,
     _iadd_monic,
@@ -534,3 +535,15 @@ def test_lift_frame_terms_rejects_wrong_chain(sec5):
     for chain in (G.chain, sec5.ext.extend(terms)):
         with pytest.raises(DomainError, match="chain extended"):
             lift_frame_terms(terms, G, chain)
+
+
+@pytest.mark.parametrize("alg", LIFT_ALGORITHMS)
+def test_lift_frame_iter_leaves_the_basis_memo_as_it_was(sec5, alg):
+    # a level's divisor memo dies with its lifting: the given basis holds
+    # the same memo afterwards, with exactly the entries it held before
+    G = buchberger(sec5.gens, sec5.ring, sec5.base)
+    G.divisor(sec5.frame_terms[0])
+    memo, held = G._div_memo, dict(G._div_memo)
+    assert lift_frame_terms(sec5.frame_terms, G, None, alg) == [sec5.syz1,
+                                                                sec5.syz2]
+    assert G._div_memo is memo and memo == held

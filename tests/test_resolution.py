@@ -535,12 +535,15 @@ def test_resolutions_share_equal_objects(corpus, agr_5_4_12):
 
 
 def test_repeated_calls_do_not_retain_memory():
-    # resolve and minimize keep no table beyond their call: five rounds on
-    # the same ideal, each result dropped, leave the traced memory where it
-    # was before the first (a table kept across calls would hold every
-    # distinct object of the first round, some 20 KB here)
+    # resolve and minimize keep no table beyond their call, and a basis
+    # given to resolve keeps no memo of its liftings: five rounds on the
+    # same ideal, each result dropped, leave the traced memory where it was
+    # before the first (a table kept across calls would hold every distinct
+    # object of the first round, some 20 KB here; a divisor memo left on
+    # the given basis, 5-6 KB)
     ideal = gen_agr(AgrSpec(3, 3, 5, p=10007, seed=0))
     base = BaseOrdering("dp", ideal.ring.nvars)
+    G = buchberger(ideal.generators, ideal.ring, base)
     tracemalloc.start()
     try:
         gc.collect()
@@ -551,6 +554,10 @@ def test_repeated_calls_do_not_retain_memory():
             mres = minimize(res)
             assert res.length == mres.length == 4
             del res, mres
+            for alg in ("reduce", "hybrid", "tree"):
+                res = resolve(ideal.generators, ideal.ring, base, alg=alg, gb=G)
+                assert res.length == 4
+                del res
             gc.collect()
             grown.append(tracemalloc.get_traced_memory()[0] - before)
     finally:

@@ -16,7 +16,9 @@ Representation conventions shared by the whole package:
   and one of coefficients.  ``resolve``'s columns are normalized, head
   first; ``minimize``'s keep its sweep's fill-in order, so their first term
   need not lead.  Nothing writes to a finished column, and two tuples take
-  less than half the memory of a dict.
+  less than half the memory of a dict.  So is every term list the lifting
+  keeps beyond one step: a subtree key's child list and a lifting's roots
+  (:mod:`syzkit.lift`), read only by iteration.
 * A plain polynomial (element of R) is a dict mapping monomials to nonzero
   coefficients.
 

@@ -48,18 +48,20 @@ cancellation, not counted) and subtract the scaled tail.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
+    Column,
     DomainError,
     ModMono,
     OpCounters,
     Vec,
-    interned_key,
     mono_div,
     mono_mul,
     term_times_vector,
     vec_iadd_scaled,
+    vec_interned,
     vec_sub_term,
 )
 from .orderings import OrderingChain
@@ -83,7 +85,9 @@ class SubtreeCache:
     it.
 
     ``children`` maps each key expanded so far to its child list: the keys
-    of the non-lower-order tail of its reducer, with their coefficients.
+    of the non-lower-order tail of its reducer, with their coefficients,
+    frozen into a :class:`~syzkit.algebra.Column` (two tuples, not a dict,
+    since nothing writes to a child list once it is formed).
     The tree lifting drops a list once its key is stored, or once the one
     lifting that reaches it has propagated it; every other list stays until
     :func:`lift_frame_iter` is exhausted or closed, which clears them.  The
@@ -171,7 +175,7 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis,
     if cache is None:
         cache = SubtreeCache()
     p = G.ring.p
-    g = _roots(s, G, cache)
+    g = dict(_roots(s, G, cache).items())
     sbar: Vec = {s: 1}
     while g:
         k = next(iter(g))
@@ -181,30 +185,34 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis,
     return sbar
 
 
-def _tail_keys(key: ModMono, G: GroebnerBasis, canon: dict) -> dict:
+def _tail_terms(key: ModMono, G: GroebnerBasis) -> Iterator[tuple]:
     """The non-lower-order tail of m*f_i, key = (m, i), as subtree keys, in
-    order: each term t after the head (at coefficient 1) becomes the key of
-    its smallest divisor with t's coefficient, both ``canon``'s objects.
-    Components that hold no leading monomial are skipped before any product;
-    only monomials are multiplied, so no field product is performed."""
+    order: each term t after the head (at coefficient 1) yields the key of
+    its smallest divisor with t's coefficient.  Components that hold no
+    leading monomial are skipped before any product; only monomials are
+    multiplied, so no field product is performed."""
     m, i = key
     items = iter(G.gens[i].items())
     _, head_c = next(items)
     assert head_c == 1, "generators must be monic"
     divisor, lms, comps = G.divisor, G.lms, G._by_comp
-    kids = {}
     for (fm, fc), fv in items:
         if fc not in comps:
             continue
         t = mono_mul(m, fm)
         j = divisor((t, fc))
         if j >= 0:
-            k = interned_key((mono_div(t, lms[j][0]), j), canon)
-            kids[k] = canon.setdefault(fv, fv)
-    return kids
+            yield (mono_div(t, lms[j][0]), j), fv
 
 
-def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
+def _tail_keys(key: ModMono, G: GroebnerBasis, canon: dict) -> Column:
+    """The child list of a subtree key: the keys of the non-lower-order tail
+    of its reducer, with their coefficients (``_tail_terms``), frozen into
+    a :class:`~syzkit.algebra.Column` of ``canon``'s objects."""
+    return vec_interned(_tail_terms(key, G), canon)
+
+
+def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> Column:
     """The child list of a subtree key, ``_tail_keys`` computed once per
     cache."""
     kids = cache.children.get(key)
@@ -214,17 +222,16 @@ def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
     return kids
 
 
-def _roots(s: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> dict:
+def _roots(s: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> Column:
     """The subtree keys of the non-lower-order terms of the image m*f_j of
-    s = (m, j), with their coefficients, both the objects of the cache's
-    canonical table: the head's admissible divisor at coefficient 1, then
-    the keys of the tail.  A single-term image has no cancellation, so no
-    field operation is done."""
-    canon = cache.canon
+    s = (m, j), with their coefficients, frozen into a
+    :class:`~syzkit.algebra.Column` of the cache's canonical table's
+    objects: the head's admissible divisor at coefficient 1, then the keys
+    of the tail.  The keys are distinct, since their images are the
+    distinct terms of m*f_j.  A single-term image has no cancellation, so
+    no field operation is done."""
     i, q = _root_divisor(s, G)
-    roots = {interned_key((q, i), canon): canon.setdefault(1, 1)}
-    roots.update(_tail_keys(s, G, canon))
-    return roots
+    return vec_interned(chain((((q, i), 1),), _tail_terms(s, G)), cache.canon)
 
 
 def _below(roots, G: GroebnerBasis, cache: SubtreeCache,
@@ -250,7 +257,7 @@ def _below(roots, G: GroebnerBasis, cache: SubtreeCache,
                 yield k
 
 
-def _plan(roots: Sequence[dict], G: GroebnerBasis, cache: SubtreeCache) -> set:
+def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> set:
     """Choose the keys to store for a level whose liftings have the given
     roots, pricing two candidates in products from the subtree DAG alone.
 
@@ -322,7 +329,7 @@ def _merge_stored(out: Vec, weights: dict, G: GroebnerBasis,
         _iadd_monic(out, w, data[k], p, counters)
 
 
-def _propagate(out: Vec, roots: dict, stored: set, G: GroebnerBasis,
+def _propagate(out: Vec, roots: Column, stored: set, G: GroebnerBasis,
                cache: SubtreeCache, counters: Optional[OpCounters] = None) -> None:
     """out -= c * (subtree lifting of k) for every root (k, c).
 

@@ -10,7 +10,14 @@ used as a pivot that is nonzero there, and it clears that column from
 every other row not yet used.  Rows are never swapped, so the pivot rows
 are exactly the rows that, taken in order, enlarge the span of the rows
 above them.  The unused rows wait in buckets keyed by their leading
-column, so a column touches only the rows that lead there.  The reduced
+column, so a column touches only the rows that lead there.  A row stays
+the caller's dict, read mod p where it is read, until the loop first
+writes to it: the first pivot that updates it copies it, reduced mod p,
+and the copy is updated entry by entry or packed.  A pivot row is never
+copied: its scaled tail, the part right of its column, is all of it that
+outlives its column.  The loop yields
+each pivot with its tail as its column is done; :func:`echelon` and
+:func:`rank` keep no tail, :func:`rref` keeps each once.  The reduced
 form is read off the echelon rows one row at a time: a pivot row is
 cleared at each later pivot column, first column first, by that pivot's
 echelon row (:func:`_rref_row`), so a row nobody asks for costs nothing.
@@ -39,7 +46,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import compress
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 SLOT_BITS = 64
 
@@ -72,58 +79,71 @@ def _iadd_sparse(row: dict, f: int, tail: dict, p: int) -> None:
             del row[j]
 
 
-def _eliminate(rows: list, p: int):
-    """Forward elimination: the pivots (row, column) in column order, and
-    the echelon form as (top, limit, tails, packed_tails), the last column,
-    the slot bound and each pivot's scaled row right of its column, as a
-    dict or packed.  ``rows`` is not modified."""
+def _layout(rows: list, p: int) -> tuple:
+    """(top, limit): the last column of the rows, and the updates a packed
+    row takes before it is reduced, 0 when it never needs reducing (a row
+    takes at most one update per column in either phase)."""
+    top = max((max(r) for r in rows if r), default=-1)
+    limit = ((1 << SLOT_BITS) - p) // max(1, (p - 1) ** 2)
+    return top, 0 if limit > top else limit
+
+
+def _eliminate(rows: list, p: int) -> Iterator[tuple]:
+    """Forward elimination: yield each pivot (row, column, tail) in column
+    order as soon as its column is cleared, ``tail`` the pivot row right of
+    its column scaled to 1 there, as a dict or packed in the slots below
+    ``top - column``.  Nothing here keeps a tail once it is yielded.
+    ``rows`` is not modified."""
     if p >= 1 << 31:
         raise ValueError("linalg needs p < 2^31")
     w = SLOT_BITS
-    top = max((max(r) for r in rows if r), default=-1)
-    # a row takes at most one update per column in either phase, so it
-    # needs reducing only when the slot bound is below the column count
-    limit = ((1 << w) - p) // max(1, (p - 1) ** 2)
-    if limit > top:
-        limit = 0
-    sparse: list = [None] * len(rows)  # the dict form of a row, or None
+    top, limit = _layout(rows, p)
+    # the dict form of a row, or None: the caller's own dict until the
+    # first update, then a copy reduced mod p that holds only its columns
+    # from the leading one on
+    sparse: list = [None] * len(rows)
     packed: list = [None] * len(rows)  # the int form of a row, or None
     pending = [0] * len(rows)  # updates since a packed row was reduced
     buckets: dict = {}  # leading column -> unused rows that lead there
     for i, r in enumerate(rows):
-        r = {j: y for j, x in r.items() if (y := x % p)}
         if r:
+            c = min(r)
+            if not r[c] % p:
+                c = min((j for j, x in r.items() if x % p), default=None)
+                if c is None:
+                    continue
             sparse[i] = r
-            buckets.setdefault(min(r), []).append(i)
-    pivots: list = []
-    tails: dict = {}  # pivot column -> scaled pivot row right of it, as dict
-    packed_tails: dict = {}  # the same, packed in s slots
+            buckets.setdefault(c, []).append(i)
     for c in range(top + 1):
         bucket = buckets.pop(c, None)
         if not bucket:
             continue
         r = min(bucket)
-        pivots.append((r, c))
         s = top - c  # columns right of c, slots below the leading one
         below = (1 << (w * s)) - 1
         if sparse[r] is not None:
             row = sparse[r]
-            inv = pow(row.pop(c), p - 2, p)
-            tail = tails[c] = {j: x * inv % p for j, x in row.items()}
+            inv = pow(row[c], p - 2, p)
+            tail = {j: y for j, x in row.items() if j > c and (y := x * inv % p)}
             by_entry = len(tail) <= 1 + s / 64
             tail_int = None
         else:
             v = packed[r]
             inv = pow((v >> (w * s)) % p, p - 2, p)
-            tail_int = packed_tails[c] = _repack(
-                [x * inv % p for x in _unpack(v & below, s)])
+            tail_int = _repack([x * inv % p for x in _unpack(v & below, s)])
             by_entry = False
+        sparse[r] = packed[r] = None  # the pivot row lives on as its tail
         for o in bucket:
             if o == r:
                 continue
             row = sparse[o]
             if row is not None:
-                f = p - row.pop(c)
+                if row is rows[o]:  # the first update: copy it
+                    f = p - row[c] % p
+                    row = sparse[o] = {j: y for j, x in row.items()
+                                       if j > c and (y := x % p)}
+                else:
+                    f = p - row.pop(c)
                 if by_entry:
                     _iadd_sparse(row, f, tail, p)
                     if row:
@@ -132,7 +152,7 @@ def _eliminate(rows: list, p: int):
                         sparse[o] = None
                     continue
             if tail_int is None:
-                tail_int = packed_tails[c] = _pack(tail, top, s)
+                tail_int = _pack(tail, top, s)
             if row is not None:
                 sparse[o] = None
                 v = _pack(row, top, s) + f * tail_int
@@ -156,18 +176,21 @@ def _eliminate(rows: list, p: int):
                 buckets.setdefault(top - lead, []).append(o)
             else:
                 packed[o] = None
-    return pivots, (top, limit, tails, packed_tails)
+        yield r, c, tail if tail_int is None else tail_int
 
 
 def _rref_row(c: int, pivcols: list, form: tuple, p: int) -> dict:
-    """The RREF row of pivot c, from the echelon ``form`` of
-    :func:`_eliminate` alone.  Its packed tail is cleared at the pivot
+    """The RREF row of pivot c, from the echelon ``form`` (top, limit,
+    tails) of :func:`rref` alone.  Its packed tail is cleared at the pivot
     columns ``pivcols`` (ascending) in ascending order, each by its echelon
     row, which changes only the columns after it; so the columns up to the
-    next pivot column are final, and are read off in one piece."""
+    next pivot column are final, and are read off in one piece.  A dict
+    tail is replaced by its packed form the first time it clears a row."""
     w = SLOT_BITS
-    top, limit, tails, packed_tails = form
-    v = packed_tails[c] if c in packed_tails else _pack(tails[c], top, top - c)
+    top, limit, tails = form
+    v = tails[c]
+    if isinstance(v, dict):
+        v = _pack(v, top, top - c)
     row = {c: 1}
     n = 0
     while v:
@@ -187,9 +210,10 @@ def _rref_row(c: int, pivcols: list, form: tuple, p: int) -> dict:
         v &= (1 << (w * lead)) - 1
         if not x:
             continue
-        if c2 not in packed_tails:
-            packed_tails[c2] = _pack(tails[c2], top, lead)
-        v += (p - x) * packed_tails[c2]
+        t = tails[c2]
+        if isinstance(t, dict):
+            t = tails[c2] = _pack(t, top, lead)
+        v += (p - x) * t
         n += 1
         if n == limit:
             v = _repack([y % p for y in _unpack(v, lead)])
@@ -201,7 +225,7 @@ def echelon(rows: list, p: int) -> list:
     """The pivots (row, column) of the rows {column: value} over F_p, in
     column order.  The pivot rows are the rows that enlarge the span of
     the rows above them."""
-    return _eliminate(rows, p)[0]
+    return [(r, c) for r, c, _ in _eliminate(rows, p)]
 
 
 def rank(rows: list, p: int) -> int:
@@ -214,9 +238,10 @@ def rref(rows: list, p: int, keep: Optional[Callable[[int], bool]] = None):
     nonzero rows, each in ascending column order, and their pivot columns.
     With ``keep``, a predicate on pivot columns, only the rows whose pivot
     column it accepts, and no other row is reduced."""
-    pivots, form = _eliminate(rows, p)
-    pivcols = [c for _, c in pivots]
+    tails = {c: tail for _, c, tail in _eliminate(rows, p)}
+    pivcols = list(tails)
     kept = [c for c in pivcols if keep is None or keep(c)]
+    form = _layout(rows, p) + (tails,)
     return [_rref_row(c, pivcols, form, p) for c in kept], kept
 
 

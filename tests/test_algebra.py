@@ -133,6 +133,17 @@ def test_vector_add_examples():
     assert out == {x: 5, y: 1} and c2.n_add == 1 and c2.n_canc == 0
 
 
+def test_reprs():
+    r = Ring(7, ("x", "y"))
+    c = OpCounters()
+    c.n_mult = 3
+    assert repr(c) == ("OpCounters(n_terms=0, n_mult=3, n_add=0, n_canc=0, "
+                       "n_monomial_cmp=0)")
+    x = (r.mono([1, 0]), 0)
+    col = Column((x, (r.one, 1)), (1, 6))
+    assert repr(col) == "Column({((1, 1, 0), 0): 1, ((0, 0, 0), 1): 6})"
+
+
 def test_term_times_vector_examples(sec5):
     # y * f1 from the worked example
     f1 = sec5.gens[0]

@@ -73,6 +73,10 @@ def test_apolarity_contract():
     probe = {(ideal.ring.mono([1, 0, 0]), 0): 1}
     assert contract(probe, ideal.contraction, spec.p, spec.n + 1,
                     spec.d, base) != {}
+    # a form of degree above d contracts every form of degree d to zero
+    high = {(ideal.ring.mono([spec.d + 1, 0, 0]), 0): 1}
+    assert contract(high, ideal.contraction, spec.p, spec.n + 1,
+                    spec.d, base) == {}
 
 
 def test_determinism():

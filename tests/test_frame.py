@@ -92,6 +92,15 @@ def test_build_frame_single_gen():
     assert build_frame(G).levels == []
 
 
+def test_build_frame_empty_basis():
+    # resolve never builds the frame of the zero ideal, but build_frame is
+    # exported: an empty basis has an empty frame over the basis's chain
+    doc = parse_input("ring 7 x,y dp\nx\n")
+    G = buchberger([], doc.ring, doc.ordering)
+    frame = build_frame(G)
+    assert G.gens == () and frame.levels == [] and frame.chain is G.chain
+
+
 def test_build_frame_matches_resolution(corpus):
     for entry in corpus:
         frame = build_frame(entry.gb)

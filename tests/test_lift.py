@@ -7,7 +7,7 @@ import pytest
 
 import syzkit
 
-from syzkit.algebra import (DomainError, OpCounters, Ring, mono_div,
+from syzkit.algebra import (Column, DomainError, OpCounters, Ring, mono_div,
                             term_times_vector, vec_iadd_scaled)
 from syzkit.orderings import OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger, divide_with_remainder
@@ -231,6 +231,7 @@ def test_roots_are_canonical_objects(sec5, corpus):
     # canonical table's own object, the table resolve's columns come from;
     # the roots are, item for item and in order, the smallest-divisor keys
     # of the non-lower-order terms of the image, with their coefficients;
+    # the roots and every child list hybrid and tree keep are Columns;
     # and every hybrid lifting is built from the same table's keys
     ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
     agr = buchberger(ideal.generators, ideal.ring,
@@ -244,6 +245,7 @@ def test_roots_are_canonical_objects(sec5, corpus):
             cache = SubtreeCache(table)
             for s in fl.terms:
                 roots = _roots(s, G, cache)
+                assert type(roots) is Column
                 for k, c in roots.items():
                     assert table.get(k) is k and table.get(c) is c
                     large += c > 256  # smaller ints are shared by Python
@@ -256,9 +258,13 @@ def test_roots_are_canonical_objects(sec5, corpus):
                               lift_frame_iter(fl.terms, G, "hybrid", None,
                                               hybrid)):
                 assert all(table.get(mm) is mm for mm in out if mm is not s)
+                assert {type(v) for v in hybrid.children.values()} == {Column}
                 hybrid_terms += len(out) - 1
             assert not hybrid.children and hybrid.expansions > 0
-            outs = lift_frame_terms(fl.terms, G, ext, "tree", None, cache)
+            outs = []
+            for out in lift_frame_iter(fl.terms, G, "tree", None, cache):
+                assert {type(v) for v in cache.children.values()} <= {Column}
+                outs.append(out)
             G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
                               twists=G.degrees or (0,) * len(G.gens),
                               table=table)

@@ -242,6 +242,21 @@ def test_hilbert_numerator_examples(sec5):
     assert hilbert_numerator(lead2, 2) == {0: 1, 2: -3, 3: 2}
 
 
+def test_hilbert_numerator_zero_and_unit_ideals():
+    # the zero ideal leaves all of F_0, numerator t^twist; the unit ideal
+    # leaves nothing of its component
+    ring = Ring(7, ("x", "y"))
+    assert hilbert_numerator([], 2) == {0: 1}
+    assert hilbert_numerator([], 2, (3,)) == {3: 1}
+    assert hilbert_numerator([(ring.one, 0)], 2) == {}
+    assert hilbert_numerator([(ring.one, 0)], 2, (0, 2)) == {2: 1}
+
+
+def test_betti_table_repr():
+    assert repr(BettiTable({(0, 0): 1, (1, 2): 3})) == \
+        "BettiTable({(0, 0): 1, (1, 2): 3})"
+
+
 def test_hilbert_numerator_keeps_no_module_state(sec5):
     def containers():
         return {k: len(v) for k, v in vars(resolution).items()

@@ -169,7 +169,7 @@ def parse_input(text: str) -> InputDocument:
                 p = int(parts[1])
             except ValueError:
                 raise ParseError(f"invalid characteristic {parts[1]!r}", ln, 1)
-            names = tuple(v.strip() for v in parts[2].split(",") if v.strip())
+            names = tuple(parts[2].split(","))
             try:
                 ring = Ring(p, names)
                 ordering = BaseOrdering(parts[3], len(names))

@@ -15,11 +15,11 @@ Three interchangeable lifting strategies plus the driver:
   liftings (monomial operations only), counts how many liftings reach each
   key, and prices two choices in products: storing nothing, or storing the
   keys that at least two liftings reach, once each, under
-  coefficient-normalized keys in a ``SubtreeCache``.  It keeps the cheaper.
-  Weights are pushed from the roots down the keys not stored in Kahn order,
-  so each enters its lifting once with its summed weight.  A cache that was
-  never planned (direct ``lift_tree`` / ``lift_subtree`` calls) stores every
-  subtree.  Field products: 31,733 on the 200-ideal test corpus (315,687
+  coefficient-normalized keys in a ``SubtreeCache``.  It keeps the cheaper
+  and stores it before the level's first lifting.  Weights are pushed from
+  the roots down the keys not stored in Kahn order, so each enters its
+  lifting once with its summed weight.  A cache that was never planned
+  (direct ``lift_tree`` / ``lift_subtree`` calls) stores every subtree.  Field products: 31,733 on the 200-ideal test corpus (315,687
   with every subtree stored, 51,349 with the shared keys stored on every
   level; hybrid 43,790, reduce 168,765), and 151,392 on the AGR ideal
   (6, 5, 42) (157,284 with every subtree stored, 174,852 with nothing
@@ -88,11 +88,10 @@ class SubtreeCache:
     of the non-lower-order tail of its reducer, with their coefficients,
     frozen into a :class:`~syzkit.algebra.Column` (two tuples, not a dict,
     since nothing writes to a child list once it is formed).
-    The tree lifting drops a list once its key is stored, or once the one
-    lifting that reaches it has propagated it; every other list stays until
-    :func:`lift_frame_iter` is exhausted or closed, which clears them.  The
-    divisor memo they are expanded with lives exactly as long: it is kept
-    on the generator's own copy of G, not in the cache.
+    The tree lifting drops a list once its key is stored; every other list
+    stays until :func:`lift_frame_iter` is exhausted or closed, which clears
+    them.  The divisor memo they are expanded with lives exactly as long: it
+    is kept on the generator's own copy of G, not in the cache.
     ``data`` holds the tree's stored subtree liftings, each starting with
     its key at coefficient 1 (children are strictly smaller, so nothing
     removes or reorders that head); a reuse adds the requested coefficient
@@ -205,20 +204,15 @@ def _tail_terms(key: ModMono, G: GroebnerBasis) -> Iterator[tuple]:
             yield (mono_div(t, lms[j][0]), j), fv
 
 
-def _tail_keys(key: ModMono, G: GroebnerBasis, canon: dict) -> Column:
+def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> Column:
     """The child list of a subtree key: the keys of the non-lower-order tail
     of its reducer, with their coefficients (``_tail_terms``), frozen into
-    a :class:`~syzkit.algebra.Column` of ``canon``'s objects."""
-    return vec_interned(_tail_terms(key, G), canon)
-
-
-def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> Column:
-    """The child list of a subtree key, ``_tail_keys`` computed once per
-    cache."""
+    a :class:`~syzkit.algebra.Column` of the cache's canonical table's
+    objects, computed once per cache."""
     kids = cache.children.get(key)
     if kids is None:
         cache.expansions += 1
-        kids = cache.children[key] = _tail_keys(key, G, cache.canon)
+        kids = cache.children[key] = vec_interned(_tail_terms(key, G), cache.canon)
     return kids
 
 
@@ -257,7 +251,7 @@ def _below(roots, G: GroebnerBasis, cache: SubtreeCache,
                 yield k
 
 
-def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> set:
+def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> list:
     """Choose the keys to store for a level whose liftings have the given
     roots, pricing two candidates in products from the subtree DAG alone.
 
@@ -267,8 +261,8 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> set
     key, plus n(ck) per child ck to build each stored key k, plus n(k) per
     lifting that merges k (meets it as a root or as a child of a key only it
     reaches), where n(k), the number of keys below k, stands for the length
-    of k's tail.  The cheaper set is returned (nothing on a tie).
-    No field operation is done.
+    of k's tail.  The cheaper set is returned children first (nothing on a
+    tie).  No field operation is done.
     """
     children = cache.children
     # the keys below the roots, children before parents
@@ -293,7 +287,8 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> set
                 merge[ck] = merge.get(ck, 0) | rk
         for ck in kids:
             reach[ck] = reach.get(ck, 0) | rk
-    # bitsets of the stored keys below each stored key, children first
+    # bitsets of the stored keys below each stored key, children first, so
+    # its keys are the shared keys in the order they can be stored in
     below: dict = {}
     n: dict = {}
     for k in post:
@@ -306,91 +301,94 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> set
             n[k] = b.bit_count()
             below[k] = b | 1 << len(below)
             price_shared += n[k] * merge.get(k, 0).bit_count()
-    return shared if price_shared < price_none else set()
+    return list(below) if price_shared < price_none else []
+
+
+def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
+           counters: Optional[OpCounters] = None) -> None:
+    """Store the subtree lifting of every key below ``keys`` (keys included)
+    that is not stored yet, children first: each is its key at coefficient 1
+    plus its children's stored liftings, merged in child order, and its
+    child list is dropped."""
+    p = G.ring.p
+    data = cache.data
+    for k in _below(keys, G, cache, data):
+        v = {k: 1}
+        for ck, c in cache.children.pop(k).items():
+            cache.hits += 1
+            _iadd_monic(v, p - c, data[ck], p, counters)
+        data[k] = v
 
 
 def _merge_stored(out: Vec, weights: dict, G: GroebnerBasis,
                   cache: SubtreeCache,
                   counters: Optional[OpCounters] = None) -> None:
     """out += w * (stored subtree lifting of k) for every (k, w) in
-    ``weights``.  The liftings not stored yet are stored first, children
-    first: each is its key at coefficient 1 plus its children's stored
-    liftings, merged in child order, and its child list is dropped."""
-    p = G.ring.p
-    data = cache.data
-    for k in _below(weights, G, cache, data):
-        v = {k: 1}
-        for ck, c in cache.children.pop(k).items():
-            cache.hits += 1
-            _iadd_monic(v, p - c, data[ck], p, counters)
-        data[k] = v
+    ``weights``, storing first the liftings not stored yet (``_store``)."""
+    _store(weights, G, cache, counters)
+    p, data = G.ring.p, cache.data
     for k, w in weights.items():
         cache.hits += 1
         _iadd_monic(out, w, data[k], p, counters)
 
 
-def _propagate(out: Vec, roots: Column, stored: set, G: GroebnerBasis,
-               cache: SubtreeCache, counters: Optional[OpCounters] = None) -> None:
+def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
+               counters: Optional[OpCounters] = None) -> None:
     """out -= c * (subtree lifting of k) for every root (k, c).
 
-    The keys in ``stored`` or in the cache's data are boundaries: each one
-    reached is merged once with its summed weight (stored now if need be).
-    Weights are pushed from the roots down every other key in Kahn order,
-    with in-degrees found by walking down from the roots to the boundaries,
-    so each such key enters out once with its summed weight, at one product
-    per edge.  When ``stored`` is empty, other liftings of the level walk the
-    same keys, so their child lists are kept; otherwise each is dropped once
-    used.
+    The keys in the cache's data are the boundaries: each one reached is
+    merged once with its summed weight.  Weights are pushed from the roots
+    down every other key in Kahn order, the roots being the children of a
+    source of weight 1, with in-degrees found by walking down from the roots
+    to the boundaries, so each such key enters out once with its summed
+    weight, at one product per edge.  Child lists are only read: other
+    liftings of the level may walk the same keys.
 
     The Kahn order is load-bearing: when a proper prefix of a key's weights
     cancels, the order they arrive in changes its ``n_add`` and ``n_canc``
     (reverse post-order does)."""
     p = G.ring.p
-    data = cache.data
+    data, children = cache.data, cache.children
     left: dict = {}
     stack = []
     for k in roots:
-        if k not in stored and k not in data:
+        if k not in data:
             left[k] = 1
             stack.append(k)
     while stack:
         for ck in _children(stack.pop(), G, cache):
-            if ck in stored or ck in data:
+            if ck in data:
                 continue
             n = left.get(ck)
             if n is None:
                 stack.append(ck)
                 n = 0
             left[ck] = n + 1
-    take = cache.children.pop if stored else cache.children.__getitem__
     weight: dict = {}
     bound: dict = {}
     ready = deque()
-
-    def feed(k, w):
-        n = left.get(k)
-        if n is None:
-            acc = bound
-        else:
-            left[k] = n - 1
-            if n == 1:
-                ready.append(k)
-            acc = weight
-        if w:
-            vec_sub_term(acc, k, p - w, p, counters)
-
-    for k, c in roots.items():
-        feed(k, p - c)
-    while ready:
+    w, kids = 1, roots
+    while True:
+        for ck, c in kids.items():
+            n = left.get(ck)
+            if n is None:
+                acc = bound
+            else:
+                left[ck] = n - 1
+                if n == 1:
+                    ready.append(ck)
+                acc = weight
+            if w:
+                vec_sub_term(acc, ck, w * c % p, p, counters)
+        if not ready:
+            break
         k = ready.popleft()
         w = weight.pop(k, 0)
-        kids = take(k)
+        kids = children[k]
         if w:
             out[k] = w
             if counters is not None and w != 1 and w != p - 1:
                 counters.n_mult += len(kids)
-        for ck, c in kids.items():
-            feed(ck, w * (p - c) % p)
     _merge_stored(out, bound, G, cache, counters)
 
 
@@ -432,10 +430,11 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
     the generator, so G holds afterwards exactly what it held before.
     Hybrid and tree liftings share ``cache`` (a fresh one when None), whose
     child lists stay until the generator is exhausted or closed.  Tree
-    liftings are planned for the whole list first: ``_plan`` stores either
+    liftings are planned for the whole list first: ``_plan`` chooses either
     nothing or the subtrees that at least two of the liftings reach,
-    whichever it prices cheaper; the rest are propagated by weight, and each
-    lifting's roots are dropped once propagated.
+    whichever it prices cheaper, and they are stored before the first
+    lifting; the rest are propagated by weight, and each lifting's roots are
+    dropped once propagated.
     """
     G = G.with_own_memo()
     if alg == "reduce":
@@ -452,10 +451,10 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
                 yield lift_hybrid(s, G, counters, cache)
             return
         roots = [_roots(s, G, cache) for s in terms]
-        stored = _plan(roots, G, cache)
+        _store(_plan(roots, G, cache), G, cache, counters)
         for i, s in enumerate(terms):
             sbar: Vec = {s: 1}
-            _propagate(sbar, roots[i], stored, G, cache, counters)
+            _propagate(sbar, roots[i], G, cache, counters)
             roots[i] = None
             yield sbar
     finally:

@@ -144,6 +144,17 @@ def test_reprs():
     assert repr(col) == "Column({((1, 1, 0), 0): 1, ((0, 0, 0), 1): 6})"
 
 
+def test_column_lookups_of_absent_keys():
+    # Mapping's get and ``in`` go through __getitem__'s KeyError
+    r = Ring(7, ("x", "y"))
+    x, y = (r.mono([1, 0]), 0), (r.mono([0, 1]), 0)
+    col = Column((x,), (3,))
+    assert col.get(x) == 3 and x in col
+    assert col.get(y) is None and y not in col
+    with pytest.raises(KeyError):
+        col[y]
+
+
 def test_term_times_vector_examples(sec5):
     # y * f1 from the worked example
     f1 = sec5.gens[0]

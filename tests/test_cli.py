@@ -324,9 +324,11 @@ def test_main_exit_codes(tmp_path, capsys):
     ("# no ring here\n\n   # nor here\n", "missing ring declaration"),
     ("ring 7 x,y dp\nx^40000\n",
      "line 2, column 3: exponent 40000 out of range [0, 32768]"),
+    ("ring 7 x,,y dp\nx\n", "line 1, column 1: invalid variable name ''"),
+    ("ring 7 x,y, dp\nx\n", "line 1, column 1: invalid variable name ''"),
 ], ids=["caret-after-number", "caret-then-variable", "caret-then-sign",
         "leading-star", "bad-characteristic", "empty", "comments-only",
-        "exponent-too-large"])
+        "exponent-too-large", "empty-name", "trailing-comma"])
 def test_main_input_errors(tmp_path, capsys, text, message):
     # every input error exits 2 with one 'error:' line, at its position
     # wherever the parser knows it
@@ -335,6 +337,26 @@ def test_main_input_errors(tmp_path, capsys, text, message):
     assert main(["resolve", str(inp)]) == 2
     out = capsys.readouterr()
     assert out.err == f"error: {message}\n" and out.out == ""
+
+
+def test_main_prints_an_empty_minimal_betti_table(tmp_path, capsys):
+    # the unit ideal resolves to F_0 <- F_1 with phi_1 = 1, which cancels
+    # entirely, so its minimal table has no entry
+    inp = tmp_path / "in.txt"
+    inp.write_text("ring 7 x,y dp\n1\n")
+    assert main(["resolve", str(inp), "--betti", "min"]) == 0
+    assert capsys.readouterr().out.endswith("Minimal Betti table:\n(empty)\n\n")
+
+
+def test_main_gen_degenerate_form_exits_2(capsys):
+    # in one variable over F_2 every linear form is x, so two of them give
+    # the apolar form x + x = 0 on every retry
+    args = ["gen", "agr", "--n", "1", "--d", "1", "--s", "2", "--p", "2",
+            "--seed", "5"]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: degenerate apolar form after retries\n"
+    assert out.out == ""
 
 
 def test_parse_input_comments_blank_lines_and_cancellation():

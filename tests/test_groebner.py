@@ -243,6 +243,16 @@ def test_module_groebner_basis():
     assert len(G.gens) >= 2
 
 
+def test_groebner_basis_checks_its_chain_and_generators():
+    ring = Ring(7, ("x", "y"))
+    chain = OrderingChain(BaseOrdering("dp", 2))
+    x = {(ring.mono([1, 0]), 0): 1}
+    with pytest.raises(DomainError, match="chain has 0 levels; expected 1"):
+        GroebnerBasis(ring, chain, [x], level=1)
+    with pytest.raises(DomainError, match="must be nonzero"):
+        GroebnerBasis(ring, chain, [x, {}])
+
+
 def test_monomials_of_degree_sorted():
     base = BaseOrdering("dp", 3)
     ms = monomials_of_degree(3, 2, base)

@@ -17,8 +17,10 @@ from syzkit.lift import (
     SubtreeCache,
     _children,
     _iadd_monic,
+    _plan,
     _propagate,
     _roots,
+    _store,
     lift_frame_iter,
     lift_frame_terms,
     lift_hybrid,
@@ -363,10 +365,11 @@ def test_plan_picks_the_cheaper_store(sec5, corpus):
             for name, stored in (("nothing", set()),
                                  ("shared", _shared_keys(G, roots))):
                 cache, fixed = SubtreeCache(), OpCounters()
+                _store(stored, G, cache, fixed)
                 got = []
                 for s, rs in zip(fl.terms, roots):
                     sbar = {s: 1}
-                    _propagate(sbar, rs, stored, G, cache, fixed)
+                    _propagate(sbar, rs, G, cache, fixed)
                     got.append(sbar)
                 assert got == outs
                 mults[name] = fixed.n_mult
@@ -376,6 +379,27 @@ def test_plan_picks_the_cheaper_store(sec5, corpus):
             G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
                               twists=G.degrees or (0,) * len(G.gens))
     assert wins["nothing"] > 0 and wins["shared"] > 0
+
+
+def test_plan_is_stored_before_the_first_lifting():
+    # the planned keys come children first, and by the first lifting of
+    # the level they are all stored, and nothing else is: the cache's
+    # stored liftings are the propagation's one boundary
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    G = buchberger(ideal.generators, ideal.ring,
+                   BaseOrdering("dp", ideal.ring.nvars))
+    terms = build_frame(G).levels[0].terms
+    plan_cache = SubtreeCache()
+    planned = _plan([_roots(s, G, plan_cache) for s in terms], G, plan_cache)
+    assert len(planned) == 110
+    for i, k in enumerate(planned):
+        assert set(plan_cache.children[k]) <= set(planned[:i])
+    cache = SubtreeCache()
+    lifts = lift_frame_iter(terms, G, "tree", None, cache)
+    next(lifts)
+    assert set(cache.data) == set(planned)
+    lifts.close()
+    assert not cache.children
 
 
 def test_ordering_bound_on_outputs(sec5):

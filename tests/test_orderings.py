@@ -61,6 +61,14 @@ def test_extend_chain_examples(sec5):
         sec5.ext.extend([sec5.mono("x")])  # a plain monomial
 
 
+def test_chain_checks_levels_and_components(sec5):
+    # sec5.ext has one level, induced by three generators
+    with pytest.raises(DomainError, match="no level 2"):
+        sec5.ext.key_fn(2)
+    with pytest.raises(DomainError, match="component out of range"):
+        sec5.ext.extend([(sec5.mono("x"), 3)])
+
+
 def _random_mm(rng, ring, max_comp):
     exps = [rng.randrange(0, 3) for _ in range(ring.nvars)]
     return (ring.mono(exps), rng.randrange(max_comp))

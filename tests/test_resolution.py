@@ -252,6 +252,27 @@ def test_hilbert_numerator_zero_and_unit_ideals():
     assert hilbert_numerator([(ring.one, 0)], 2, (0, 2)) == {2: 1}
 
 
+def test_free_module_and_hilbert_numerator_check_their_twists():
+    ring = Ring(7, ("x",))
+    with pytest.raises(DomainError, match="rank and twist count differ"):
+        GradedFreeModule(2, (0,))
+    with pytest.raises(DomainError, match="twist list shorter"):
+        hilbert_numerator([(ring.one, 1)], 1, (0,))
+
+
+def test_betti_minimal_rejects_a_negative_number():
+    # phi_1 and phi_2 are both the constant 1 between rank-1, twist-0
+    # modules, so two strands of rank 1 meet at F_1's one generator: not a
+    # complex, and beta_{1,0} would be 1 - 1 - 1
+    ring = Ring(7, ("x",))
+    F = GradedFreeModule(1, (0,))
+    one = [{(ring.one, 0): 1}]
+    res = Resolution(ring, BaseOrdering("dp", 1), [F, F, F], [one, one],
+                     OpCounters(), graded=True)
+    with pytest.raises(RuntimeError, match="negative minimal Betti number"):
+        betti_minimal_from_nonminimal(res)
+
+
 def test_betti_table_repr():
     assert repr(BettiTable({(0, 0): 1, (1, 2): 3})) == \
         "BettiTable({(0, 0): 1, (1, 2): 3})"

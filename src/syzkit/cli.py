@@ -25,7 +25,6 @@ from typing import Iterator, Optional, Sequence
 
 from .algebra import (
     DomainError,
-    OpCounters,
     Ring,
     Vec,
     mono_deg,
@@ -34,7 +33,6 @@ from .algebra import (
 from .orderings import BaseOrdering
 from .lift import LIFT_ALGORITHMS
 from .resolution import (
-    BettiTable,
     Resolution,
     betti_minimal_from_nonminimal,
     betti_nonminimal,
@@ -288,14 +286,12 @@ def serialize_resolution(res: Resolution) -> str:
     return text
 
 
-def betti_to_string(table: BettiTable, title: str) -> str:
-    return f"{title}\n{table.format()}"
-
-
-def stats_report(counters: OpCounters, res: Resolution,
-                 verbose: bool = False, kv: bool = False) -> str:
-    """Operation-count block, Q_sparse, and (verbose) a per-differential
-    breakdown with generator counts, term counts and timings."""
+def stats_report(res: Resolution) -> str:
+    """The statistics of a run, read from ``res``: its operation counts,
+    Q_sparse and, when it has a second differential, one line per
+    differential phi_k (k >= 2) with its generators, terms, Q_sparse and
+    lifting time."""
+    counters = res.stats
     q = res.q_sparse()
     lines = [
         f"#Terms:   {counters.n_terms}",
@@ -305,7 +301,7 @@ def stats_report(counters: OpCounters, res: Resolution,
         f"#MonCmp:  {counters.n_monomial_cmp}",
         f"Q_sparse: {q:.3f}" if q is not None else "Q_sparse: -",
     ]
-    if verbose and res.length >= 2:
+    if res.length >= 2:
         lines.append("")
         lines.append(f"{'i':>4} {'#Generators':>12} {'#Terms':>10} "
                      f"{'Q_sparse':>10} {'time[s]':>9}")
@@ -315,11 +311,6 @@ def stats_report(counters: OpCounters, res: Resolution,
             tk = res.level_times[k - 2] if k - 2 < len(res.level_times) else 0.0
             lines.append(f"{k:>4} {res.modules[k].rank:>12} {terms:>10} "
                          f"{qk:>10.3f} {tk:>9.3f}")
-    if kv:
-        lines.append("")
-        for name, val in counters.as_dict().items():
-            lines.append(f"stats.{name}={val}")
-        lines.append(f"stats.q_sparse={q if q is not None else ''}")
     return "\n".join(lines) + "\n"
 
 
@@ -365,10 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--minimize", action="store_true",
                     help="minimize the resolution before output")
     rp.add_argument("--betti", choices=("min", "nonmin", "both"), default=None)
-    rp.add_argument("--stats", action="store_true")
-    rp.add_argument("--stats-kv", action="store_true",
-                    help="append machine-readable key=value stats lines")
-    rp.add_argument("--verbose", action="store_true")
+    rp.add_argument("--stats", action="store_true",
+                    help="print the operation counts, Q_sparse and a "
+                         "per-differential breakdown")
     rp.add_argument("--image", metavar="PREFIX", default=None,
                     help="write one PGM per differential: PREFIX_phi<k>.pgm")
     rp.add_argument("--output", metavar="PATH", default=None,
@@ -397,16 +387,16 @@ def cmd_resolve(args) -> int:
     written, so a path that cannot be opened prints no resolution."""
     if args.max_length is not None and args.max_length < 1:
         raise _UsageError(f"--max-length must be at least 1, got {args.max_length}")
-    if args.input == "-":  # UTF-8 whatever the locale, as files are read
-        text = sys.stdin.buffer.read().decode("utf-8")
+    if args.input == "-":
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    doc = parse_input(text)
-    counters = OpCounters()
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+    # UTF-8 whatever the locale, a leading byte-order mark dropped
+    doc = parse_input(data.decode("utf-8-sig"))
     t0 = time.perf_counter()
     res = resolve(doc.generators, doc.ring, doc.ordering, alg=args.alg,
-                  max_length=args.max_length, counters=counters)
+                  max_length=args.max_length)
     elapsed = time.perf_counter() - t0
     shape = " <- ".join(f"F{k}(rank {m.rank})" for k, m in enumerate(res.modules))
     print(f"resolution length {res.length}: {shape}")
@@ -416,19 +406,19 @@ def cmd_resolve(args) -> int:
         if not res.graded:
             raise DomainError("Betti tables require homogeneous input")
         if args.betti in ("nonmin", "both"):
-            print(betti_to_string(betti_nonminimal(res), "Non-minimal Betti table:"))
+            print("Non-minimal Betti table:")
+            print(betti_nonminimal(res).format())
         if args.betti in ("min", "both"):
-            print(betti_to_string(betti_minimal_from_nonminimal(res),
-                                  "Minimal Betti table:"))
+            print("Minimal Betti table:")
+            print(betti_minimal_from_nonminimal(res).format())
     out_res = res
     if args.minimize:
         out_res = minimize(res)
         shape = " <- ".join(f"F{k}(rank {m.rank})"
                             for k, m in enumerate(out_res.modules))
         print(f"minimized: {shape}")
-    if args.stats or args.stats_kv:
-        print(stats_report(counters, res, verbose=args.verbose,
-                           kv=args.stats_kv), end="")
+    if args.stats:
+        print(stats_report(res), end="")
     if args.image:
         for k in range(1, out_res.length + 1):
             emit_image(out_res, k, f"{args.image}_phi{k}.pgm")

@@ -263,15 +263,12 @@ def test_emit_image_agr_pinned(agr_5_4_12, tmp_path):
 
 
 def test_stats_report(sec5):
-    ctr = OpCounters()
-    res = resolve(sec5.gens, sec5.ring, sec5.base, counters=ctr)
-    text = stats_report(ctr, res)
+    res = resolve(sec5.gens, sec5.ring, sec5.base)
+    text = stats_report(res)
     assert "#Terms:   11" in text
     assert "Q_sparse: 1.833" in text
-    kv = stats_report(ctr, res, kv=True)
-    assert "stats.n_terms=11" in kv
-    empty = resolve([], sec5.ring, sec5.base, counters=OpCounters())
-    assert "Q_sparse: -" in stats_report(OpCounters(), empty)
+    empty = resolve([], sec5.ring, sec5.base)
+    assert "Q_sparse: -" in stats_report(empty)
 
 
 def test_main_resolve(tmp_path, capsys):
@@ -306,6 +303,12 @@ def test_main_exit_codes(tmp_path, capsys):
     good.write_text(SEC5)
     assert main(["resolve", str(good), "--alg", "schreyer"]) == 1
     assert main(["resolve", str(good), "--threads", "2"]) == 1
+    for removed in ("--verbose", "--stats-kv"):  # --stats prints it all
+        capsys.readouterr()
+        assert main(["resolve", str(good), "--stats", removed]) == 1
+        out = capsys.readouterr()
+        assert "usage error" in out.err and removed in out.err
+        assert "Traceback" not in out.err and out.out == ""
     for order in ("input", "none"):  # one generator order, no flag
         capsys.readouterr()
         assert main(["resolve", str(good), "--reorder", order]) == 1
@@ -373,7 +376,7 @@ def test_parse_input_comments_blank_lines_and_cancellation():
 def test_main_stats_verbose_prints_each_differential(tmp_path, capsys):
     inp = tmp_path / "in.txt"
     inp.write_text(SEC5)
-    assert main(["resolve", str(inp), "--stats", "--verbose"]) == 0
+    assert main(["resolve", str(inp), "--stats"]) == 0
     lines = capsys.readouterr().out.splitlines()
     header = lines.index("   i  #Generators     #Terms   Q_sparse   time[s]")
     # phi_2 of the worked example: 2 generators, 11 terms in 6 entries
@@ -450,6 +453,24 @@ def test_main_rejects_undecodable_input(tmp_path, capsys, monkeypatch):
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "decode" in out.err
         assert "Traceback" not in out.err and out.out == ""
+
+
+def test_main_accepts_a_byte_order_mark(tmp_path, capsys, monkeypatch):
+    # a UTF-8 byte-order mark before the ring line, from a file and from
+    # stdin, is dropped; CRLF line ends are read as line ends
+    plain = tmp_path / "plain.txt"
+    plain.write_text(SEC5)
+    assert main(["resolve", str(plain), "--print-resolution"]) == 0
+    want = capsys.readouterr().out.split("\n", 2)[2]  # after the time
+    raw = b"\xef\xbb\xbf" + SEC5.replace("\n", "\r\n").encode()
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(raw)
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    for source in (str(bom), "-"):
+        assert main(["resolve", source, "--print-resolution"]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and out.out.split("\n", 2)[2] == want
 
 
 def test_main_internal_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,8 @@ from syzkit.groebner import (
 )
 from syzkit.cli import (InputDocument, parse_input, parse_polynomial,
                         poly_to_string, serialize_input, serialize_resolution)
-from syzkit.resolution import resolve
+from syzkit.resolution import (betti_minimal_from_nonminimal, betti_nonminimal,
+                               hilbert_numerator, minimize, resolve)
 from syzkit.examples_gen import AgrSpec, gen_agr
 
 
@@ -382,6 +383,36 @@ PINNED_RES_DIGESTS = {
 @pytest.mark.parametrize("alg", ["reduce", "hybrid", "tree"])
 @pytest.mark.parametrize("order", ["negdegrevlex"])
 def test_ungraded_resolution_pinned_to_pair_loop(pinned_cases, order, alg):
-    got = _digest(serialize_resolution(resolve(gens, ring, base, alg=alg, gb=G))
-                  for ring, base, gens, G in pinned_cases["ideals"])
+    ress = [resolve(gens, ring, base, alg=alg, gb=G)
+            for ring, base, gens, G in pinned_cases["ideals"]]
+    assert all(res.check_complex() for res in ress)
+    got = _digest(serialize_resolution(res) for res in ress)
     assert got == PINNED_RES_DIGESTS[order]
+
+
+PINNED_MODULE_RES_DIGEST = "01a81bc691bc9e240fb3cbe1fb3d5361808f42d47edf963d639dcd1352e0e279"
+
+
+def test_module_resolutions_pinned(pinned_cases):
+    # the three strategies give one resolution of each module input, a
+    # complex; on the graded inputs (the even seeds) its Betti numbers match
+    # the Hilbert numerator and those of its minimization
+    texts = []
+    n_graded = 0
+    for ring, base, gens, G in pinned_cases["modules"]:
+        ress = [resolve(gens, ring, base, alg=alg, rank0=G.rank,
+                        twists0=G.twists, gb=G)
+                for alg in ("reduce", "hybrid", "tree")]
+        text = serialize_resolution(ress[0])
+        assert all(serialize_resolution(res) == text for res in ress[1:])
+        assert all(res.check_complex() for res in ress)
+        texts.append(text)
+        res = ress[-1]
+        if res.graded:
+            n_graded += 1
+            assert betti_nonminimal(res).euler() == hilbert_numerator(
+                G.lms, ring.nvars, twists0=G.twists)
+            assert (betti_nonminimal(minimize(res))
+                    == betti_minimal_from_nonminimal(res))
+    assert n_graded == N_MODULES // 2
+    assert _digest(texts) == PINNED_MODULE_RES_DIGEST

@@ -23,7 +23,7 @@ from syzkit.resolution import (
     resolve,
 )
 from syzkit.resolution import _plan_pivots, _strands
-from syzkit.examples_gen import AgrSpec, gen_agr
+from syzkit.examples_gen import AgrSpec, gen_agr, gen_random_homogeneous
 from syzkit.cli import parse_input, serialize_resolution
 from syzkit import resolution
 
@@ -349,6 +349,36 @@ def test_resolve_module_input():
     gb = buchberger(gens, ring, base, rank=2)
     num = hilbert_numerator(gb.lms, 2, twists0=(0, 0))
     assert betti_nonminimal(res).euler() == num == {0: 2, 1: -3, 2: 1}
+
+
+@pytest.mark.parametrize("kind", ["dp", "lp"])
+@pytest.mark.parametrize("p", [2, 3, 5, 2**31 - 1])
+def test_resolve_over_small_and_largest_characteristics(p, kind):
+    # dense random forms over F_2, F_3, F_5 and the largest allowed prime:
+    # the three strategies agree, and each resolution is a complex with the
+    # Hilbert numerator's Euler characteristic whose minimization has the
+    # minimal Betti numbers
+    n_nonminimal = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        nv = rng.choice([2, 3, 3, 4])
+        degs = [rng.choice([1, 2, 2, 3]) for _ in range(rng.randrange(2, 5))]
+        ring, gens = gen_random_homogeneous(nv, degs, p, seed)
+        base = BaseOrdering(kind, nv)
+        G = buchberger(gens, ring, base)
+        ress = [resolve(gens, ring, base, alg=alg, gb=G)
+                for alg in ("reduce", "hybrid", "tree")]
+        text = serialize_resolution(ress[0])
+        assert all(serialize_resolution(res) == text for res in ress[1:]), seed
+        res = ress[-1]
+        assert res.check_complex(), seed
+        assert betti_nonminimal(res).euler() == hilbert_numerator(G.lms, nv)
+        assert (betti_nonminimal(minimize(res))
+                == betti_minimal_from_nonminimal(res)), seed
+        n_nonminimal += not res.minimal
+    # so that minimize has something to remove; over F_2 every dense form of
+    # degree d is the sum of all its monomials, and each resolution is minimal
+    assert n_nonminimal > 0 or p == 2
 
 
 def _tail_above_head(vs, p):

@@ -10,6 +10,7 @@ from .algebra import (
 )
 from .orderings import BaseOrdering, OrderingChain
 from .groebner import GroebnerBasis, buchberger, divide_with_remainder
+from .linalg import rank as block_rank
 from .frame import FrameLevel, SchreyerFrame, build_frame, lead_syz
 from .lift import (
     SubtreeCache,
@@ -25,7 +26,6 @@ from .resolution import (
     Resolution,
     betti_minimal_from_nonminimal,
     betti_nonminimal,
-    block_rank,
     hilbert_numerator,
     minimize,
     resolve,

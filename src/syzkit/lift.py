@@ -14,16 +14,17 @@ Three interchangeable lifting strategies plus the driver:
   the level: it walks the DAG of subtree keys below the roots of all its
   liftings (monomial operations only), counts how many liftings reach each
   key, and prices two choices in products: storing nothing, or storing the
-  keys that at least two liftings reach, once each, under
-  coefficient-normalized keys in a ``SubtreeCache``.  It keeps the cheaper
-  and stores it before the level's first lifting.  Weights are pushed from
-  the roots down the keys not stored in Kahn order, so each enters its
-  lifting once with its summed weight.  A cache that was never planned
-  (direct ``lift_tree`` / ``lift_subtree`` calls) stores every subtree.  Field products: 31,733 on the 200-ideal test corpus (315,687
-  with every subtree stored, 51,349 with the shared keys stored on every
-  level; hybrid 43,790, reduce 168,765), and 151,392 on the AGR ideal
-  (6, 5, 42) (157,284 with every subtree stored, 174,852 with nothing
-  stored).
+  subtree liftings of the keys that at least two liftings reach, once each,
+  as tails under coefficient-normalized keys in a ``SubtreeCache``.  It
+  keeps the cheaper and stores it before the level's first lifting.
+  Weights are pushed from the roots down the keys not stored in Kahn
+  order, so each enters its lifting once with its summed weight.  A cache
+  that was never planned (direct ``lift_tree`` / ``lift_subtree`` calls)
+  stores every subtree.  Field products: 31,733 on the 200-ideal test
+  corpus (315,687 with every subtree stored, 51,349 with the shared keys
+  stored on every level; hybrid 43,790, reduce 168,765), and 151,392 on
+  the AGR ideal (6, 5, 42) (157,284 with every subtree stored, 174,852
+  with nothing stored).
 
 Hybrid and tree expand one thing, a key's child list.  A non-lower-order
 term t = q*LM(f_i), i its smallest divisor, is held as its subtree key
@@ -38,11 +39,12 @@ in the next level's induced ordering (``_root_divisor``), so, as in the
 paper, no strategy evaluates that ordering: hybrid and tree compare nothing,
 and reduce scans its image in G's own ordering.
 
-Unit heads are known, not multiplied: a cached subtree lifting starts with
-its key at coefficient 1, so a reuse adds the coefficient to that head with
-no product and scales only the tail; a reducer m*f_i starts with the target
-term at coefficient 1, so reduce and hybrid drop the target (a known
-cancellation, not counted) and subtract the scaled tail.
+Unit heads are known, not multiplied: a subtree lifting is its key at
+coefficient 1 plus a tail, and the cache stores only the tail, so a reuse
+(``_merge``) enters the key at its weight with no product and scales only
+the tail; a reducer m*f_i starts with the target term at coefficient 1, so
+reduce and hybrid drop the target (a known cancellation, not counted) and
+subtract the scaled tail.
 """
 
 from __future__ import annotations
@@ -70,15 +72,6 @@ from .groebner import GroebnerBasis, divide_with_remainder
 LIFT_ALGORITHMS = ("reduce", "hybrid", "tree")
 
 
-def _iadd_monic(dst: Vec, c: int, src: Vec, p: int,
-                counters: Optional[OpCounters] = None) -> None:
-    """dst += c*src for a src whose first term is its head at coefficient 1:
-    ``vec_iadd_scaled`` less the head's product, which is c*1 = c."""
-    vec_iadd_scaled(dst, c, src, p, counters)
-    if counters is not None and c != 1 and c != p - 1:
-        counters.n_mult -= 1
-
-
 class SubtreeCache:
     """A level's child lists and stored subtree liftings, keyed by
     coefficient-normalized module monomials; hybrid and tree liftings share
@@ -92,10 +85,10 @@ class SubtreeCache:
     stays until :func:`lift_frame_iter` is exhausted or closed, which clears
     them.  The divisor memo they are expanded with lives exactly as long: it
     is kept on the generator's own copy of G, not in the cache.
-    ``data`` holds the tree's stored subtree liftings, each starting with
-    its key at coefficient 1 (children are strictly smaller, so nothing
-    removes or reorders that head); a reuse adds the requested coefficient
-    to the head with no product and scales only the tail.
+    ``data`` holds the tails of the tree's stored subtree liftings: the
+    lifting of k less its head, k at coefficient 1 (every other term is
+    strictly smaller); a reuse enters k at the requested coefficient with
+    no product and scales only the tail.
     ``canon`` is the canonical table the keys and the coefficients of the
     child lists and roots are interned in (see :mod:`syzkit.algebra`):
     ``resolve`` passes its own, so that its liftings are built from the
@@ -304,32 +297,31 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> lis
     return list(below) if price_shared < price_none else []
 
 
+def _merge(out: Vec, weights, p: int, cache: SubtreeCache,
+           counters: Optional[OpCounters] = None) -> None:
+    """out += w * (subtree lifting of k) for every (k, w) in ``weights``,
+    each k stored: the key enters at w with no product, then the stored
+    tail is added scaled by w."""
+    data = cache.data
+    for k, w in weights:
+        cache.hits += 1
+        vec_sub_term(out, k, p - w, p, counters)
+        vec_iadd_scaled(out, w, data[k], p, counters)
+
+
 def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
            counters: Optional[OpCounters] = None) -> None:
-    """Store the subtree lifting of every key below ``keys`` (keys included)
-    that is not stored yet, children first: each is its key at coefficient 1
-    plus its children's stored liftings, merged in child order, and its
-    child list is dropped."""
+    """Store the tail of the subtree lifting of every key below ``keys``
+    (keys included) that is not stored yet, children first: each is its
+    children's subtree liftings merged in child order with weights p - c,
+    and its child list is dropped."""
     p = G.ring.p
     data = cache.data
     for k in _below(keys, G, cache, data):
-        v = {k: 1}
-        for ck, c in cache.children.pop(k).items():
-            cache.hits += 1
-            _iadd_monic(v, p - c, data[ck], p, counters)
-        data[k] = v
-
-
-def _merge_stored(out: Vec, weights: dict, G: GroebnerBasis,
-                  cache: SubtreeCache,
-                  counters: Optional[OpCounters] = None) -> None:
-    """out += w * (stored subtree lifting of k) for every (k, w) in
-    ``weights``, storing first the liftings not stored yet (``_store``)."""
-    _store(weights, G, cache, counters)
-    p, data = G.ring.p, cache.data
-    for k, w in weights.items():
-        cache.hits += 1
-        _iadd_monic(out, w, data[k], p, counters)
+        tail: Vec = {}
+        _merge(tail, ((ck, p - c) for ck, c in cache.children.pop(k).items()),
+               p, cache, counters)
+        data[k] = tail
 
 
 def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
@@ -337,11 +329,11 @@ def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
     """out -= c * (subtree lifting of k) for every root (k, c).
 
     The keys in the cache's data are the boundaries: each one reached is
-    merged once with its summed weight.  Weights are pushed from the roots
-    down every other key in Kahn order, the roots being the children of a
-    source of weight 1, with in-degrees found by walking down from the roots
-    to the boundaries, so each such key enters out once with its summed
-    weight, at one product per edge.  Child lists are only read: other
+    merged (``_merge``) once with its summed weight.  Weights are pushed
+    from the roots down every other key in Kahn order, the roots being the
+    children of a source of weight 1, with in-degrees found by walking down
+    from the roots to the boundaries, so each such key enters out once with
+    its summed weight, at one product per edge.  Child lists are only read: other
     liftings of the level may walk the same keys.
 
     The Kahn order is load-bearing: when a proper prefix of a key's weights
@@ -389,19 +381,23 @@ def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
             out[k] = w
             if counters is not None and w != 1 and w != p - 1:
                 counters.n_mult += len(kids)
-    _merge_stored(out, bound, G, cache, counters)
+    _merge(out, bound.items(), p, cache, counters)
 
 
 def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
                  cache: SubtreeCache, counters: Optional[OpCounters] = None) -> Vec:
-    """Subtree lifting of the term coeff*t: leading term coeff*t, and every
-    term of the tail of its image is of lower order w.r.t. G.
+    """Subtree lifting of the term coeff*t (empty when p divides coeff):
+    leading term coeff*t, and every term of the tail of its image is of
+    lower order w.r.t. G.
 
-    Results are cached under the coefficient-normalized key; the returned
-    copy carries coeff on the head with no product and the tail scaled.
+    The tail is stored under the key t; the returned copy carries coeff on
+    the head with no product and the tail scaled.
     """
+    p = G.ring.p
     out: Vec = {}
-    _merge_stored(out, {t: coeff % G.ring.p}, G, cache, counters)
+    if coeff % p:
+        _store((t,), G, cache, counters)
+        _merge(out, ((t, coeff % p),), p, cache, counters)
     return out
 
 
@@ -411,9 +407,9 @@ def lift_tree(s: ModMono, G: GroebnerBasis, cache: SubtreeCache,
     terms of its image, each stored in (or served from) the cache."""
     p = G.ring.p
     roots = _roots(s, G, cache)
+    _store(roots, G, cache, counters)
     sbar: Vec = {s: 1}
-    _merge_stored(sbar, {k: p - c for k, c in roots.items()}, G, cache,
-                  counters)
+    _merge(sbar, ((k, p - c) for k, c in roots.items()), p, cache, counters)
     return sbar
 
 

@@ -28,7 +28,7 @@ from .algebra import (
     vec_interned,
 )
 from .orderings import BaseOrdering, OrderingChain
-from .linalg import echelon, rank as block_rank
+from .linalg import echelon
 from .groebner import GroebnerBasis, buchberger
 from .frame import build_frame
 from .lift import LIFT_ALGORITHMS, SubtreeCache, lift_frame_iter
@@ -275,21 +275,19 @@ def _strands(res: Resolution, k: int) -> dict:
 
 
 def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
-    """Minimal Betti numbers from the constant strands: beta^min_{k,j} =
-    beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}, with B_{k,j} the degree-j
-    strand of phi_k (:func:`_strands`)."""
-    nonmin = betti_nonminimal(res)
-    p = res.ring.p
-    ranks = {(k, j): block_rank(list(strand.values()), p)
-             for k in range(1, res.length + 1)
-             for j, strand in _strands(res, k).items()}
-    data: dict = {}
-    for (k, j), v in nonmin.data.items():
-        m = v - ranks.get((k, j), 0) - ranks.get((k + 1, j), 0)
-        if m < 0:
-            raise RuntimeError("negative minimal Betti number; invalid strand data")
-        if m:
-            data[(k, j)] = m
+    """Minimal Betti numbers: the non-minimal table less, for every pivot
+    j0 -> i0 of phi_k (:func:`_plan_pivots`), the generators e_{j0} of F_k
+    and e_{i0} of F_{k-1}, which have one degree, so the table is the shape
+    :func:`minimize` outputs.  A degree-j strand B_{k,j} has rank B_{k,j}
+    pivots, so beta^min_{k,j} = beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}."""
+    data = dict(betti_nonminimal(res).data)
+    for k, pivots in enumerate(_plan_pivots(res), start=1):
+        cols, rows = res.modules[k].twists, res.modules[k - 1].twists
+        for j0, i0 in pivots.items():
+            data[(k, cols[j0])] -= 1
+            data[(k - 1, rows[i0])] -= 1
+    if any(v < 0 for v in data.values()):
+        raise RuntimeError("negative minimal Betti number; invalid strand data")
     return BettiTable(data)
 
 
@@ -374,7 +372,8 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
 
 def _plan_pivots(res: Resolution) -> list:
     """The pivots of every level, {j0: i0} per differential, by elimination
-    of its constant strands (:func:`_strands`).
+    of its constant strands (:func:`_strands`); :func:`minimize` applies
+    them and :func:`betti_minimal_from_nonminimal` counts them.
 
     By homogeneity deg q = deg e_j - deg e_{j0}, so q*col_{j0} has a
     constant entry only when q is a constant and both columns lie in one

@@ -402,18 +402,18 @@ def cmd_resolve(args) -> int:
     print(f"resolution length {res.length}: {shape}")
     print(f"minimal: {'yes' if res.minimal else 'no'}   "
           f"graded: {'yes' if res.graded else 'no'}   time: {elapsed:.3f}s")
-    if args.betti:
-        if not res.graded:
-            raise DomainError("Betti tables require homogeneous input")
-        if args.betti in ("nonmin", "both"):
-            print("Non-minimal Betti table:")
-            print(betti_nonminimal(res).format())
-        if args.betti in ("min", "both"):
-            print("Minimal Betti table:")
-            print(betti_minimal_from_nonminimal(res).format())
-    out_res = res
+    if args.betti and not res.graded:
+        raise DomainError("Betti tables require homogeneous input")
+    # the minimal table is the minimized shape: one elimination of the strands
+    out_res = minimize(res) if args.minimize else res
+    if args.betti in ("nonmin", "both"):
+        print("Non-minimal Betti table:")
+        print(betti_nonminimal(res).format())
+    if args.betti in ("min", "both"):
+        print("Minimal Betti table:")
+        print((betti_nonminimal(out_res) if args.minimize
+               else betti_minimal_from_nonminimal(res)).format())
     if args.minimize:
-        out_res = minimize(res)
         shape = " <- ".join(f"F{k}(rank {m.rank})"
                             for k, m in enumerate(out_res.modules))
         print(f"minimized: {shape}")

@@ -26,7 +26,7 @@ class FrameLevel:
 
     ``terms[t] == m * e_i`` with m = lcm(m_i, m_j) / m_i for some j < i;
     ``degrees[t]`` is deg(m) + degree of generator i one level down
-    (homogeneous case; None when ungraded).
+    (None when no degrees are given).
     """
 
     __slots__ = ("terms", "degrees")
@@ -94,15 +94,15 @@ def build_frame(G: GroebnerBasis,
     Each level is sorted by :func:`~syzkit.orderings.reorder_permutation`
     before the next one is computed; :func:`~syzkit.resolution.resolve`
     lifts these levels as they stand, so frame level k is column for column
-    the generator order of F_{k+2}.  Raises RuntimeError if the frame
-    outgrows the Hilbert syzygy bound.
+    the generator order of F_{k+2}.  Every level carries its degrees, from
+    G's lead degrees.  Raises RuntimeError if the frame outgrows the
+    Hilbert syzygy bound.
     """
     if not G.gens:
         return SchreyerFrame([], G.chain)
     base = G.chain.base
     chain = G.chain.extend(G.lms)
-    lms = list(G.lms)
-    degrees = list(G.degrees) if G.degrees is not None else None
+    lms, degrees = list(G.lms), list(G.degrees)
     frame = SchreyerFrame([], chain)
     while max_length is None or len(frame.levels) < max_length:
         level = lead_syz(lms, base, degrees)

@@ -49,6 +49,8 @@ class GroebnerBasis:
     hit; :func:`~syzkit.lift.lift_frame_iter` lifts against
     :meth:`with_own_memo`, so the memo of a level's lifting dies with it
     and a basis given to ``resolve`` keeps only what it held before.
+    ``degrees`` are the lead degrees, twists included, graded or not:
+    :func:`~syzkit.resolution.resolve` decides gradedness from its input.
     """
 
     def __init__(self, ring: Ring, chain: OrderingChain, gens: Iterable[Vec],
@@ -82,10 +84,7 @@ class GroebnerBasis:
         if twists is None:
             twists = (0,) * rank
         self.twists = tuple(twists)
-        if all(is_homogeneous(g, self.twists) for g in self.gens):
-            self.degrees = tuple(mm[0][0] + self.twists[mm[1]] for mm in lms)
-        else:
-            self.degrees = None
+        self.degrees = tuple(mm[0][0] + self.twists[mm[1]] for mm in lms)
         by_comp: dict = {}
         for i, mm in enumerate(lms):
             by_comp.setdefault(mm[1], []).append((mm[0], i))

@@ -13,10 +13,10 @@ Three interchangeable lifting strategies plus the driver:
   image as the root of a subtree lifting.  ``lift_frame_iter`` first plans
   the level: it walks the DAG of subtree keys below the roots of all its
   liftings (monomial operations only), counts how many liftings reach each
-  key, and prices two choices in products: storing nothing, or storing the
-  subtree liftings of the keys that at least two liftings reach, once each,
-  as tails under coefficient-normalized keys in a ``SubtreeCache``.  It
-  keeps the cheaper and stores it before the level's first lifting.
+  key, and prices what storing the subtree liftings of the keys that two
+  liftings reach saves in products.  If it saves, it stores them before
+  the level's first lifting, once each, as tails under
+  coefficient-normalized keys in a ``SubtreeCache``.
   Weights are pushed from the roots down the keys not stored in Kahn
   order, so each enters its lifting once with its summed weight.  A cache
   that was never planned (direct ``lift_tree`` / ``lift_subtree`` calls)
@@ -221,21 +221,21 @@ def _roots(s: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> Column:
     return vec_interned(chain((((q, i), 1),), _tail_terms(s, G)), cache.canon)
 
 
-def _below(roots, G: GroebnerBasis, cache: SubtreeCache,
-           stop) -> Iterator[ModMono]:
-    """Every key below ``roots`` (roots included) that is not in ``stop``,
-    once, after every key below it; a key's child list is expanded when the
-    walk first reaches it.  ``stop`` may grow while the walk runs."""
-    seen = set()
+def _below(roots, G: GroebnerBasis, cache: SubtreeCache) -> Iterator[ModMono]:
+    """Every key below ``roots`` (roots included) that is not stored in the
+    cache, once, after every key below it; a key's child list is expanded
+    when the walk first reaches it.  The stored keys may grow while the walk
+    runs (``_store`` stores each key as it is yielded)."""
+    data, seen = cache.data, set()
     for r in roots:
-        if r in seen or r in stop:
+        if r in seen or r in data:
             continue
         seen.add(r)
         stack = [(r, iter(_children(r, G, cache)))]
         while stack:
             k, it = stack[-1]
             for ck in it:
-                if ck not in seen and ck not in stop:
+                if ck not in seen and ck not in data:
                     seen.add(ck)
                     stack.append((ck, iter(_children(ck, G, cache))))
                     break
@@ -245,21 +245,23 @@ def _below(roots, G: GroebnerBasis, cache: SubtreeCache,
 
 
 def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> list:
-    """Choose the keys to store for a level whose liftings have the given
-    roots, pricing two candidates in products from the subtree DAG alone.
+    """The keys to store for a level whose liftings have the given roots:
+    the keys that two liftings reach (shared, a downward-closed set),
+    children first, if storing them saves products, else nothing.
 
-    Storing nothing (pure weight propagation) costs sum r(k)*|kids(k)|, where
-    r(k) is the number of liftings that reach k.  Storing the keys that two
-    liftings reach (a downward-closed set) costs |kids(k)| for every other
-    key, plus n(ck) per child ck to build each stored key k, plus n(k) per
-    lifting that merges k (meets it as a root or as a child of a key only it
-    reaches), where n(k), the number of keys below k, stands for the length
-    of k's tail.  The cheaper set is returned children first (nothing on a
-    tie).  No field operation is done.
+    Storing nothing costs r(k)*|kids(k)| at each key k, r(k) the number of
+    liftings that reach k; storing the shared keys costs |kids(k)| at an
+    unshared key (where r(k) = 1, so both cost the same), and at a shared
+    key n(c) per child c to build it and n(k) per lifting that merges it
+    (meets it as a root or as a child of a key only it reaches), n(k) the
+    number of shared keys below k, k's tail length.  The saving is thus
+    the sum over shared k of r(k)*|kids(k)| - n(k)*|merge(k)| - sum n(c):
+    a level whose shared keys are all leaves saves 0 and stores nothing.
+    No field operation is done.
     """
     children = cache.children
     # the keys below the roots, children before parents
-    post = list(_below((r for rs in roots for r in rs), G, cache, cache.data))
+    post = list(_below((r for rs in roots for r in rs), G, cache))
     # bitsets of liftings: those that reach a key, and those that merge it
     reach: dict = {}
     for i, rs in enumerate(roots):
@@ -267,20 +269,19 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> lis
             reach[k] = reach.get(k, 0) | 1 << i
     merge = dict(reach)
     shared = set()
-    price_none = price_shared = 0
+    saving = 0
     for k in reversed(post):
         rk = reach[k]
         kids = children[k]
-        price_none += rk.bit_count() * len(kids)
         if rk & (rk - 1):
             shared.add(k)
+            saving += rk.bit_count() * len(kids)
         else:
-            price_shared += len(kids)
             for ck in kids:
                 merge[ck] = merge.get(ck, 0) | rk
         for ck in kids:
             reach[ck] = reach.get(ck, 0) | rk
-    # bitsets of the stored keys below each stored key, children first, so
+    # bitsets of the shared keys below each shared key, children first, so
     # its keys are the shared keys in the order they can be stored in
     below: dict = {}
     n: dict = {}
@@ -290,11 +291,11 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> lis
             for ck in children[k]:
                 if ck in shared:
                     b |= below[ck]
-                    price_shared += n[ck]
+                    saving -= n[ck]
             n[k] = b.bit_count()
             below[k] = b | 1 << len(below)
-            price_shared += n[k] * merge.get(k, 0).bit_count()
-    return list(below) if price_shared < price_none else []
+            saving -= n[k] * merge.get(k, 0).bit_count()
+    return list(below) if saving > 0 else []
 
 
 def _merge(out: Vec, weights, p: int, cache: SubtreeCache,
@@ -311,17 +312,16 @@ def _merge(out: Vec, weights, p: int, cache: SubtreeCache,
 
 def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
            counters: Optional[OpCounters] = None) -> None:
-    """Store the tail of the subtree lifting of every key below ``keys``
-    (keys included) that is not stored yet, children first: each is its
-    children's subtree liftings merged in child order with weights p - c,
-    and its child list is dropped."""
+    """Store the tail of the subtree lifting of every key of ``keys``, in
+    the order given, which must be children first: each is its children's
+    subtree liftings merged in child order with weights p - c, and its
+    child list is dropped."""
     p = G.ring.p
-    data = cache.data
-    for k in _below(keys, G, cache, data):
+    for k in keys:
         tail: Vec = {}
         _merge(tail, ((ck, p - c) for ck, c in cache.children.pop(k).items()),
                p, cache, counters)
-        data[k] = tail
+        cache.data[k] = tail
 
 
 def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
@@ -396,7 +396,7 @@ def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
     p = G.ring.p
     out: Vec = {}
     if coeff % p:
-        _store((t,), G, cache, counters)
+        _store(_below((t,), G, cache), G, cache, counters)
         _merge(out, ((t, coeff % p),), p, cache, counters)
     return out
 
@@ -407,7 +407,7 @@ def lift_tree(s: ModMono, G: GroebnerBasis, cache: SubtreeCache,
     terms of its image, each stored in (or served from) the cache."""
     p = G.ring.p
     roots = _roots(s, G, cache)
-    _store(roots, G, cache, counters)
+    _store(_below(roots, G, cache), G, cache, counters)
     sbar: Vec = {s: 1}
     _merge(sbar, ((k, p - c) for k, c in roots.items()), p, cache, counters)
     return sbar
@@ -426,11 +426,11 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
     the generator, so G holds afterwards exactly what it held before.
     Hybrid and tree liftings share ``cache`` (a fresh one when None), whose
     child lists stay until the generator is exhausted or closed.  Tree
-    liftings are planned for the whole list first: ``_plan`` chooses either
-    nothing or the subtrees that at least two of the liftings reach,
-    whichever it prices cheaper, and they are stored before the first
-    lifting; the rest are propagated by weight, and each lifting's roots are
-    dropped once propagated.
+    liftings are planned for the whole list first: ``_plan`` returns the
+    subtrees that at least two of the liftings reach if storing them saves
+    products, and nothing otherwise, and ``_store`` stores the plan as it
+    stands before the first lifting; the rest are propagated by weight, and
+    each lifting's roots are dropped once propagated.
     """
     G = G.with_own_memo()
     if alg == "reduce":

@@ -125,6 +125,7 @@ def _eliminate(rows: list, p: int) -> Iterator[tuple]:
             row = sparse[r]
             inv = pow(row[c], p - 2, p)
             tail = {j: y for j, x in row.items() if j > c and (y := x * inv % p)}
+            # by entry: packing every updated row is slower on sparse rows
             by_entry = len(tail) <= 1 + s / 64
             tail_int = None
         else:

@@ -195,8 +195,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     elif ((gb.rank, gb.twists) != (rank0, twists0)
           or any(not 0 <= mm[1] < rank0 for g in gens for mm in g)):
         raise DomainError(f"gb and gens must lie in R^{rank0} with twists {twists0}")
-    graded = (all(is_homogeneous(g, twists0) for g in gens)
-              and (not gb.gens or gb.degrees is not None))
+    graded = all(is_homogeneous(g, twists0) for gs in (gens, gb.gens) for g in gs)
     modules = [GradedFreeModule(rank0, twists0 if graded else None)]
     diffs: list = []
     level_times: list = []
@@ -214,8 +213,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         t0 = time.perf_counter()
         ext = OrderingChain(frame.chain.base, frame.chain.levels[:level])
         terms = frame_level.terms
-        lifts = lift_frame_iter(terms, G, alg, counters,
-                                None if alg == "reduce" else SubtreeCache(table))
+        lifts = lift_frame_iter(terms, G, alg, counters, SubtreeCache(table))
         ambient = modules[level]
         # the basis sorts and interns each lifting as the stream yields it,
         # and its generators are the columns: one raw lifting is alive at a
@@ -319,6 +317,7 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
     for j, col in enumerate(cols):
         if col is None:
             continue
+        # strip now, not at renumbering, or the sweep updates those rows too
         if gone and any(i in gone for _, i in col):
             cols[j] = col = {mm: v for mm, v in col.items()
                              if mm[1] not in gone}

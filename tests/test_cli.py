@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 
 import syzkit
+from syzkit import resolution
 from syzkit.algebra import Ring
 from syzkit.examples_gen import AgrSpec
 from syzkit.cli import (
@@ -349,6 +350,31 @@ def test_main_prints_an_empty_minimal_betti_table(tmp_path, capsys):
     inp.write_text("ring 7 x,y dp\n1\n")
     assert main(["resolve", str(inp), "--betti", "min"]) == 0
     assert capsys.readouterr().out.endswith("Minimal Betti table:\n(empty)\n\n")
+
+
+def test_main_eliminates_the_strands_once(tmp_path, capsys, monkeypatch):
+    # with --minimize, the minimal Betti table is read off the minimized
+    # resolution, so one run eliminates the constant strands once, and it
+    # prints the table that betti_minimal_from_nonminimal gives without it
+    inp = tmp_path / "in.txt"
+    assert main(["gen", "agr", "--n", "5", "--d", "4", "--s", "12",
+                 "-o", str(inp)]) == 0
+    calls = []
+    plan = resolution._plan_pivots
+
+    def counting(res):
+        calls.append(res)
+        return plan(res)
+
+    monkeypatch.setattr(resolution, "_plan_pivots", counting)
+    assert main(["resolve", str(inp), "--betti", "both", "--minimize"]) == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    tables = out[out.index("Non-minimal"):out.index("minimized:")]
+    assert main(["resolve", str(inp), "--betti", "both"]) == 0
+    assert len(calls) == 2
+    out = capsys.readouterr().out
+    assert out[out.index("Non-minimal"):] == tables
 
 
 def test_main_gen_degenerate_form_exits_2(capsys):

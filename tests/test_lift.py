@@ -14,6 +14,7 @@ from syzkit.frame import build_frame, lead_syz
 from syzkit.lift import (
     LIFT_ALGORITHMS,
     SubtreeCache,
+    _below,
     _children,
     _plan,
     _propagate,
@@ -28,6 +29,7 @@ from syzkit.lift import (
     psi,
 )
 from syzkit.cli import parse_input
+from syzkit.resolution import resolve
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.orderings import BaseOrdering
 
@@ -345,7 +347,7 @@ def test_plan_picks_the_cheaper_store(sec5, corpus):
             for name, stored in (("nothing", set()),
                                  ("shared", _shared_keys(G, roots))):
                 cache, fixed = SubtreeCache(), OpCounters()
-                _store(stored, G, cache, fixed)
+                _store(_below(stored, G, cache), G, cache, fixed)
                 got = []
                 for s, rs in zip(fl.terms, roots):
                     sbar = {s: 1}
@@ -380,6 +382,49 @@ def test_plan_is_stored_before_the_first_lifting():
     assert set(cache.data) == set(planned)
     lifts.close()
     assert not cache.children
+
+
+def _plans(res, gb):
+    # whether _plan stores anything on each frame level of the tree
+    # resolution res of the basis gb, each level planned from its basis;
+    # a level whose shared keys are all leaves saves nothing and stores
+    # nothing
+    frame = build_frame(gb)
+    G, stores, leaves = gb, [], 0
+    for level, fl in enumerate(frame.levels, start=1):
+        cache = SubtreeCache()
+        roots = [_roots(s, G, cache) for s in fl.terms]
+        planned = _plan(roots, G, cache)
+        if all(not cache.children[k] for k in _shared_keys(G, roots)):
+            assert planned == []
+            leaves += 1
+        stores.append(bool(planned))
+        ext = OrderingChain(frame.chain.base, frame.chain.levels[:level])
+        G = GroebnerBasis(G.ring, ext, res.diffs[level], level=level,
+                          rank=len(G.gens), twists=G.degrees)
+    return stores, leaves
+
+
+def test_plan_choice_on_each_level(corpus, agr_5_4_12):
+    # pinned: the levels that store, and those whose shared keys are all
+    # leaves, on agr-min, AGR (6, 5, 18) and the corpus
+    found = {}
+    for name, spec in (("agr-min", (5, 4, 12)), ("agr18", (6, 5, 18))):
+        ideal = gen_agr(AgrSpec(*spec, p=10007, seed=0))
+        base = BaseOrdering("dp", ideal.ring.nvars)
+        gb = buchberger(ideal.generators, ideal.ring, base)
+        res = (agr_5_4_12[0] if name == "agr-min" else
+               resolve(ideal.generators, ideal.ring, base, gb=gb))
+        found[name] = _plans(res, gb)
+    assert found["agr-min"] == ([True] + [False] * 4, 2)
+    assert found["agr18"] == ([True, True] + [False] * 4, 4)
+    stores, n_levels, n_leaves = [], 0, 0
+    for e in corpus:
+        levels, leaves = _plans(e.resolutions["tree"], e.gb)
+        stores += [(e.seed, level) for level, s in enumerate(levels, start=1) if s]
+        n_levels += len(levels)
+        n_leaves += leaves
+    assert (stores, n_levels, n_leaves) == ([(169, 1)], 310, 221)
 
 
 def test_ordering_bound_on_outputs(sec5):

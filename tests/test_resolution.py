@@ -9,7 +9,7 @@ import pytest
 
 from syzkit.algebra import (DomainError, OpCounters, Ring, mono_div, mono_mul,
                             vec_iadd_scaled, vec_interned, vec_sub_term)
-from syzkit.orderings import BaseOrdering
+from syzkit.orderings import BaseOrdering, OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger, monomials_of_degree
 from syzkit.lift import SubtreeCache
 from syzkit.resolution import (
@@ -119,6 +119,46 @@ def test_resolve_ungraded_guards():
         betti_nonminimal(res)
     with pytest.raises(DomainError):
         minimize(res)
+
+
+UNGRADED_XYZ = """resolution ring 32003 x,y,z dp
+graded false
+minimal false
+module 0 rank 1 twists -
+module 1 rank 2 twists -
+module 2 rank 1 twists -
+differential 1
+1 1 x^2+y
+1 2 y*z+1
+differential 2
+1 1 -y*z-1
+2 1 x^2+y
+end
+"""
+
+
+def test_gradedness_is_decided_at_the_input():
+    # a basis' degrees are its lead degrees, twists included, graded or
+    # not; resolve alone decides gradedness, from gens and the basis
+    ring = Ring(32003, ("x", "y", "z"))
+    base = BaseOrdering("dp", 3)
+    x2, y, yz, one = (ring.mono(e) for e in ([2, 0, 0], [0, 1, 0],
+                                              [0, 1, 1], [0, 0, 0]))
+    G = GroebnerBasis(ring, OrderingChain(base),
+                      [{(x2, 0): 1, (y, 0): 1}, {(yz, 1): 1, (one, 1): 1}],
+                      rank=2, twists=(0, 3))
+    assert G.degrees == (2, 5)
+    doc = parse_input("ring 32003 x,y,z dp\nx^2+y\ny*z+1\n")
+    gb = buchberger(doc.generators, ring, base)
+    assert gb.degrees == (2, 2)
+    for alg in ("reduce", "hybrid", "tree"):
+        res = resolve(doc.generators, ring, base, alg=alg)
+        assert not res.graded
+        assert serialize_resolution(res) == UNGRADED_XYZ
+        # homogeneous gens with a basis that is not: the basis decides
+        res = resolve([{(x2, 0): 1}, {(yz, 0): 1}], ring, base, alg=alg, gb=gb)
+        assert not res.graded
+        assert all(m.twists is None for m in res.modules)
 
 
 def _dup_generator_resolution():
@@ -440,8 +480,8 @@ def test_check_complex_detects_a_changed_coefficient(sec5):
 def test_resolve_streams_each_level(sec5, corpus, monkeypatch, alg):
     # each level's basis takes every lifting as soon as it is yielded: when
     # it takes lifting i, the generator has yielded exactly i + 1, so no
-    # level is ever built as a list; the tree's child lists go at each
-    # level's end
+    # level is ever built as a list; every strategy gets one cache per
+    # level, and the child lists go at each level's end
     yielded, caches = [], []
     lift = resolution.lift_frame_iter
 
@@ -474,7 +514,7 @@ def test_resolve_streams_each_level(sec5, corpus, monkeypatch, alg):
         res = resolve(gens, ring, base, alg=alg)
         ranks += [m.rank for m in res.modules[2:]]
     assert yielded == ranks and max(ranks) == 171
-    assert len(caches) == (len(ranks) if alg != "reduce" else 0)
+    assert len(caches) == len(ranks)
     assert all(not c.children for c in caches)
 
 

@@ -10,8 +10,11 @@ Input grammar (line-oriented; '#' starts a comment):
 Variable names match ``[A-Za-z_][A-Za-z0-9_]*`` (``x``, ``x0``, ``w_1``), so
 that no name reads as a coefficient or an operator.  Polynomials are sums of
 signed terms; integer coefficients, '*' optional between factors, '^' for
-powers: ``w*x+w*z+x^2+2*x*z-z^2`` and ``2xz`` both parse.  Exit codes: 0
-success, 1 usage error, 2 parse/math-domain error.
+powers: ``w*x+w*z+x^2+2*x*z-z^2`` and ``2xz`` both parse.  The first is
+the canonical spelling, the one ``serialize_input`` and ``gen`` write, and
+is read one match per term; any other spelling is read token by token, to
+the same polynomial.  Exit codes: 0 success, 1 usage error, 2
+parse/math-domain error.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .algebra import (
     DomainError,
     Ring,
     Vec,
+    interned_key,
     mono_deg,
     vec_component,
 )
@@ -60,20 +64,84 @@ class InputDocument:
         self.generators = generators  # vectors with component 0
 
 
-def _tokenizer(names: Sequence[str]):
+def _patterns(names: Sequence[str]):
+    """The two patterns of a variable list: one term of the canonical
+    spelling, and the tokens of any spelling.
+
+    A canonical term is an optional sign, then a coefficient, variables in
+    ring order with '^' exponents, or both, joined by '*', with no spaces;
+    it ends at the next sign or at the end of the text.  Each factor must be
+    followed by '*', a sign or the end, so a name is never read as a prefix
+    of a longer one.  Groups: the sign, the coefficient, then one per
+    variable, None when it is absent, '' for exponent 1 and '^e' otherwise.
+    The tokens put longer names first, so ``xy`` is one name when it is
+    one."""
+    stop = "(?=[*+-]|\\Z)"
+    term = re.compile(
+        "([+-]?)(?=\\w)(?:(\\d+)" + stop + ")?"
+        + "".join(f"(?:\\*?{re.escape(n)}(\\^\\d+|){stop})?" for n in names)
+        + "(?=[+-]|\\Z)")
     alts = sorted(names, key=len, reverse=True)
-    pattern = "|".join(
+    tokens = re.compile("|".join(
         ["(?P<int>\\d+)",
          "(?P<var>" + "|".join(re.escape(n) for n in alts) + ")",
          "(?P<op>[\\^*+-])",
          "(?P<ws>\\s+)",
-         "(?P<bad>.)"])
-    return re.compile(pattern)
+         "(?P<bad>.)"]))
+    return term, tokens
+
+
+def _add_term(out: Vec, mono, c: int, p: int, table: dict) -> None:
+    """out += c * mono (c nonzero mod p), from the objects of ``table``."""
+    mm = interned_key((mono, 0), table)
+    v = (out.get(mm, 0) + c) % p
+    if v:
+        out[mm] = table.setdefault(v, v)
+    else:
+        del out[mm]
 
 
 def parse_polynomial(text: str, ring: Ring, line: int = 0) -> Vec:
-    """Parse one polynomial into a component-0 vector, coefficients mod p."""
-    tok = _tokenizer(ring.names)
+    """Parse one polynomial into a component-0 vector, coefficients mod p.
+
+    Text in the canonical spelling, the one ``serialize_input`` and ``gen``
+    write, is read one match per term.  Any other text, and a canonical
+    term whose exponent is out of range or whose number is too long for
+    ``int()``, is read token by token: spaces, juxtaposed factors (``2xz``,
+    ``x x``), repeated signs and every malformed term, whose ParseError
+    gives its column.  Equal monomials, module monomials and coefficients
+    are one object each."""
+    return _read_polynomial(text, ring, line, _patterns(ring.names), {})
+
+
+def _read_polynomial(text: str, ring: Ring, line: int, patterns,
+                     table: dict) -> Vec:
+    """:func:`parse_polynomial` with the variable list's patterns and the
+    canonical table of the document it belongs to."""
+    term, tokens = patterns
+    p = ring.p
+    out: Vec = {}
+    pos, end = 0, len(text)
+    while pos < end:
+        m = term.match(text, pos)
+        if m is None:
+            break
+        sign, coeff, *powers = m.groups()
+        try:
+            c = (-1 if sign == "-" else 1) * (int(coeff) if coeff else 1) % p
+            if c:
+                _add_term(out, ring.mono([0 if g is None else int(g[1:] or 1)
+                                          for g in powers]), c, p, table)
+        except ValueError:  # an exponent out of range (a DomainError) or a
+            break           # number too long for int(): the token loop says so
+        pos = m.end()
+    if text and pos == end:
+        return out
+    return _token_loop(text, ring, line, tokens, table)
+
+
+def _token_loop(text: str, ring: Ring, line: int, tok, table: dict) -> Vec:
+    """Read any spelling token by token; the only source of ParseError."""
     var_index = {n: i for i, n in enumerate(ring.names)}
     terms: list = []  # (signed coefficient, exponent list, end column)
     sign = 1
@@ -97,7 +165,11 @@ def parse_polynomial(text: str, ring: Ring, line: int = 0) -> Vec:
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", line, col)
         if kind == "int":
-            val = int(m.group())
+            try:
+                val = int(m.group())
+            except ValueError:  # beyond the interpreter's int() digit limit
+                raise ParseError(f"number too long ({len(m.group())} digits)",
+                                 line, col) from None
             if expect_exponent:
                 exps[last_var] += val - 1  # the variable itself contributed 1
                 expect_exponent = False
@@ -139,14 +211,10 @@ def parse_polynomial(text: str, ring: Ring, line: int = 0) -> Vec:
         if not c:
             continue
         try:
-            mm = (ring.mono(e), 0)
+            mono = ring.mono(e)
         except DomainError as err:  # an exponent above MAX_EXPONENT
             raise ParseError(str(err), line, end)
-        v = (out.get(mm, 0) + c) % ring.p
-        if v:
-            out[mm] = v
-        else:
-            out.pop(mm, None)
+        _add_term(out, mono, c, ring.p, table)
     return out
 
 
@@ -155,6 +223,7 @@ def parse_input(text: str) -> InputDocument:
     ring = None
     ordering = None
     gens = []
+    table: dict = {}  # the document's canonical objects, see algebra
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,8 +242,9 @@ def parse_input(text: str) -> InputDocument:
                 ordering = BaseOrdering(parts[3], len(names))
             except DomainError as e:
                 raise ParseError(str(e), ln, 1)
+            patterns = _patterns(names)
             continue
-        vec = parse_polynomial(line, ring, ln)
+        vec = _read_polynomial(line, ring, ln, patterns, table)
         if vec:
             gens.append(vec)
     if ring is None:
@@ -224,22 +294,35 @@ def _polynomials(terms: list, spelled: list, p: int) -> list:
     return [(comp, "".join(parts)) for comp, parts in out]
 
 
+def _spelling(monos, ring: Ring, base: BaseOrdering):
+    """The rank of each of the distinct monomials ``monos`` under the base
+    ordering, largest first, and the spelling of each rank: every monomial
+    is ranked and spelled once."""
+    ranked = sorted(monos, key=base.key_func(), reverse=True)
+    return ({m: r for r, m in enumerate(ranked)},
+            [mono_to_string(m, ring) for m in ranked])
+
+
 def poly_to_string(poly: dict, ring: Ring, base: BaseOrdering) -> str:
     """Canonical string: terms descending under the base ordering, symmetric
     coefficients."""
     if not poly:
         return "0"
-    monos = sorted(poly, key=base.key_func(), reverse=True)
-    spelled = [mono_to_string(m, ring) for m in monos]
-    terms = [(0, r, poly[m]) for r, m in enumerate(monos)]
+    rank, spelled = _spelling(poly, ring, base)
+    terms = sorted([(0, rank[m], c) for m, c in poly.items()])
     return _polynomials(terms, spelled, ring.p)[0][1]
 
 
 def serialize_input(doc: InputDocument) -> str:
+    """The document in the canonical spelling, one generator per line;
+    each distinct monomial of the document is spelled once."""
     ring = doc.ring
+    polys = [vec_component(g, 0) for g in doc.generators]
+    rank, spelled = _spelling({m for f in polys for m in f}, ring, doc.ordering)
     lines = [f"ring {ring.p} {','.join(ring.names)} {doc.ordering.kind}"]
-    for g in doc.generators:
-        lines.append(poly_to_string(vec_component(g, 0), ring, doc.ordering))
+    for f in polys:
+        terms = sorted([(0, rank[m], c) for m, c in f.items()])
+        lines.append(_polynomials(terms, spelled, ring.p)[0][1] if f else "0")
     return "\n".join(lines) + "\n"
 
 
@@ -257,12 +340,8 @@ def resolution_pieces(res: Resolution) -> Iterator[str]:
         tw = ",".join(str(t) for t in mod.twists) if mod.twists is not None else "-"
         lines.append(f"module {k} rank {mod.rank} twists {tw}")
     yield "\n".join(lines) + "\n"
-    # every monomial of the differentials, ranked by the base ordering and
-    # spelled once
-    monos = {m for cols in res.diffs for col in cols for m, _ in col}
-    ranked = sorted(monos, key=base.key_func(), reverse=True)
-    rank = {m: r for r, m in enumerate(ranked)}
-    spelled = [mono_to_string(m, ring) for m in ranked]
+    rank, spelled = _spelling(
+        {m for cols in res.diffs for col in cols for m, _ in col}, ring, base)
     for k in range(1, res.length + 1):
         yield f"differential {k}\n"
         for j, col in enumerate(res.diffs[k - 1], start=1):

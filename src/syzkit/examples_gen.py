@@ -129,6 +129,7 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
             monos[e] = monomials_of_degree(nv, e, base)
             index[e] = {m: i for i, m in enumerate(monos[e])}
         cols = monos[e]
+        keys = [(m, 0) for m in cols]  # every generator's terms share them
         # shift_pos[v][i] is the index of x_v * m_i, m_i in monos[e - 1]
         shift_pos = [[index[e][mono_mul(m, x)] for m in monos[e - 1]]
                      for x in variables]
@@ -143,14 +144,14 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
                 coord[f] = k
             shifts = _shifted(kernel_prev, shift_pos, coord)
             trailing = {len(free) - 1 - c for _, c in linalg.echelon(shifts, p)}
-            generators += [{(cols[i], 0): x for i, x in kernel[j].items()}
+            generators += [{keys[i]: x for i, x in kernel[j].items()}
                            for j in range(len(free)) if j not in trailing]
             kernel_prev = kernel
         else:
             # everything annihilates: new generators complement R_1 * Ann_d
             span = _shifted(kernel_prev, shift_pos, list(range(len(cols))))
             pivcols = {c for _, c in linalg.echelon(span, p)}
-            generators += [{(m, 0): 1} for ci, m in enumerate(cols)
+            generators += [{mm: 1} for ci, mm in enumerate(keys)
                            if ci not in pivcols]
     return AgrIdeal(spec, ring, generators, hilbert, forms, u)
 
@@ -192,14 +193,16 @@ def contract(g: Vec, u: dict, p: int, nvars: int, d: int,
 
 def gen_random_homogeneous(n_vars: int, degrees, p: int, seed: int):
     """Dense random forms of the given degrees: every monomial gets a
-    uniform nonzero coefficient.  Deterministic per seed."""
+    uniform nonzero coefficient, drawn in descending dp order.
+    Deterministic per seed.  The forms of one degree share their keys: each
+    degree's module monomials are formed once per call."""
     ring = Ring(p, tuple(f"x{i}" for i in range(n_vars)))
     base = BaseOrdering("dp", n_vars)
     rng = random.Random(seed)
+    keys: dict = {}  # degree -> its module monomials
     out = []
     for d in degrees:
-        poly: Vec = {}
-        for m in monomials_of_degree(n_vars, d, base):
-            poly[(m, 0)] = rng.randrange(1, p)
-        out.append(poly)
+        if d not in keys:
+            keys[d] = [(m, 0) for m in monomials_of_degree(n_vars, d, base)]
+        out.append({mm: rng.randrange(1, p) for mm in keys[d]})
     return ring, out

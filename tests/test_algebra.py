@@ -63,7 +63,7 @@ def test_ring_validation():
     with pytest.raises(DomainError):
         Ring(4, ("x",))
     with pytest.raises(DomainError, match="not prime"):
-        Ring(10007 * 10009, ("x",))  # odd, found by trial division
+        Ring(10007 * 10009, ("x",))  # odd, a product of two primes
     with pytest.raises(DomainError):
         Ring(7, ("x", "x"))
     with pytest.raises(DomainError):
@@ -72,6 +72,30 @@ def test_ring_validation():
         with pytest.raises(DomainError):
             Ring(7, (bad, "z"))
     assert is_prime(10007) and not is_prime(1)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_is_exact():
+    assert [n for n in range(200_000) if is_prime(n) != _trial_division(n)] == []
+    # a Carmichael number, then the least strong pseudoprimes to the bases
+    # 2; 2, 3; 2, 3, 5; 2, 3, 5, 7 (where is_prime turns from those four
+    # witnesses to thirteen); and to the first twelve primes, which only a
+    # thirteenth witness exposes
+    for n in (561, 2047, 1373653, 25326001, 3215031751,
+              318665857834031151167461):
+        assert not is_prime(n), n
+    for n in (2147483629, 2**31 - 1, 2**61 - 1, 2**89 - 1):
+        assert is_prime(n), n
 
 
 def test_field_inverse():

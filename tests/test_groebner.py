@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -254,12 +255,37 @@ def test_groebner_basis_checks_its_chain_and_generators():
         GroebnerBasis(ring, chain, [x, {}])
 
 
+def _sorted_monomials_of_degree(nvars, deg, base):
+    """The enumeration monomials_of_degree used before it generated each
+    ordering directly: stars and bars, then a sort by the ordering's key."""
+    out = []
+    for bars in itertools.combinations(range(deg + nvars - 1), nvars - 1):
+        exps = []
+        prev = -1
+        for b in bars:
+            exps.append(b - prev - 1)
+            prev = b
+        exps.append(deg + nvars - 2 - prev)
+        out.append((deg,) + tuple(exps))
+    out.sort(key=base.key_func(), reverse=True)
+    return out
+
+
 def test_monomials_of_degree_sorted():
     base = BaseOrdering("dp", 3)
     ms = monomials_of_degree(3, 2, base)
     assert len(ms) == 6
     key = base.key_func()
     assert [key(m) for m in ms] == sorted((key(m) for m in ms), reverse=True)
+    # the very list of the sorted enumeration: the pinned corpus draws
+    # monomials from it by index
+    for kind in ("dp", "lp"):
+        for nvars in range(1, 8):
+            base = BaseOrdering(kind, nvars)
+            for deg in range(8):
+                assert (monomials_of_degree(nvars, deg, base)
+                        == _sorted_monomials_of_degree(nvars, deg, base)), \
+                    (kind, nvars, deg)
 
 
 # Reduced bases and ungraded resolutions pinned to the Buchberger pair loop

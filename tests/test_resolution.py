@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import random
 import tracemalloc
@@ -24,7 +26,7 @@ from syzkit.resolution import (
 )
 from syzkit.resolution import _plan_pivots, _strands
 from syzkit.examples_gen import AgrSpec, gen_agr, gen_random_homogeneous
-from syzkit.cli import parse_input, serialize_resolution
+from syzkit.cli import InputDocument, main, parse_input, serialize_input, serialize_resolution
 from syzkit import block_rank, lift, resolution
 
 from conftest import SEC5_TEXT
@@ -694,18 +696,18 @@ def test_minimize_golden(corpus, agr_5_4_12):
     assert _sha256(serialize_resolution(agr_5_4_12[1])) == AGR_5_4_12_MIN_DIGEST
 
 
-def _distinct_objects_and_values(res):
+def _distinct_objects_and_values(vectors):
     """For coefficients, module monomials and base monomials: the number of
-    distinct objects and of distinct values among the stored terms."""
+    distinct objects and of distinct values among the terms of the vectors
+    (a resolution's stored columns, an input's generators)."""
     kinds = ("coefficient", "module monomial", "monomial")
     ids = {kind: set() for kind in kinds}
     values = {kind: set() for kind in kinds}
-    for cols in res.diffs:
-        for col in cols:
-            for mm, c in col.items():
-                for kind, x in zip(kinds, (c, mm, mm[0])):
-                    ids[kind].add(id(x))
-                    values[kind].add(x)
+    for vec in vectors:
+        for mm, c in vec.items():
+            for kind, x in zip(kinds, (c, mm, mm[0])):
+                ids[kind].add(id(x))
+                values[kind].add(x)
     return {kind: (len(ids[kind]), len(values[kind])) for kind in kinds}
 
 
@@ -721,8 +723,35 @@ def test_resolutions_share_equal_objects(corpus, agr_5_4_12):
         cases += list(e.resolutions.values())
         cases.append(minimize(e.resolutions["tree"]))
     for r in cases:
-        for kind, (n_ids, n_values) in _distinct_objects_and_values(r).items():
+        columns = [col for cols in r.diffs for col in cols]
+        for kind, (n_ids, n_values) in _distinct_objects_and_values(columns).items():
             assert n_ids == n_values, kind
+
+
+def test_inputs_share_equal_objects(corpus):
+    # a parsed document holds one object per distinct coefficient, module
+    # monomial and base monomial; a generated ideal one per distinct module
+    # monomial and base monomial (its coefficients are drawn, not shared)
+    parsed = [parse_input(serialize_input(InputDocument(e.ring, e.base, e.gens)))
+              for e in corpus]
+    # the fixture's other ideals are monomial ones that it draws itself
+    generated = [e.gens for e in corpus if e.seed % 5]
+    for spec in (AgrSpec(5, 4, 12, p=10007, seed=0), AgrSpec(3, 4, 3, p=11, seed=4)):
+        generated.append(gen_agr(spec).generators)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["gen", "agr", "--n", str(spec.n), "--d", str(spec.d),
+                         "--s", str(spec.s), "--p", str(spec.p),
+                         "--seed", str(spec.seed)]) == 0
+        parsed.append(parse_input(out.getvalue()))
+    for doc in parsed:
+        for kind, (n_ids, n_values) in _distinct_objects_and_values(
+                doc.generators).items():
+            assert n_ids == n_values, kind
+    for gens in generated:
+        counts = _distinct_objects_and_values(gens)
+        for kind in ("module monomial", "monomial"):
+            assert counts[kind][0] == counts[kind][1], kind
 
 
 def test_repeated_calls_do_not_retain_memory():

@@ -64,15 +64,11 @@ class DomainError(ValueError):
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin test.  Below 3,215,031,751, the least
-    strong pseudoprime to the bases 2, 3, 5 and 7, those four witnesses are
-    exact (Jaeschke 1993), and every field characteristic is below it.  The
-    first thirteen primes are exact below 3,317,044,064,679,887,385,961,981
+    """Deterministic Miller-Rabin test.  The first thirteen primes as
+    witnesses are exact below 3,317,044,064,679,887,385,961,981
     (Sorenson-Webster 2015); the first twelve only below
     318,665,857,834,031,151,167,461, a strong pseudoprime to all of them."""
     witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    if p < 3215031751:
-        witnesses = witnesses[:4]
     if p < 2:
         return False
     for a in witnesses:

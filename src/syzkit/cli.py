@@ -11,10 +11,9 @@ Variable names match ``[A-Za-z_][A-Za-z0-9_]*`` (``x``, ``x0``, ``w_1``), so
 that no name reads as a coefficient or an operator.  Polynomials are sums of
 signed terms; integer coefficients, '*' optional between factors, '^' for
 powers: ``w*x+w*z+x^2+2*x*z-z^2`` and ``2xz`` both parse.  The first is
-the canonical spelling, the one ``serialize_input`` and ``gen`` write, and
-is read one match per term; any other spelling is read token by token, to
-the same polynomial.  Exit codes: 0 success, 1 usage error, 2
-parse/math-domain error.
+the canonical spelling, the one ``serialize_input`` and ``gen`` write; any
+other spelling of a polynomial parses to the same vector.  Exit codes: 0
+success, 1 usage error, 2 parse/math-domain error.
 """
 
 from __future__ import annotations
@@ -64,31 +63,15 @@ class InputDocument:
         self.generators = generators  # vectors with component 0
 
 
-def _patterns(names: Sequence[str]):
-    """The two patterns of a variable list: one term of the canonical
-    spelling, and the tokens of any spelling.
-
-    A canonical term is an optional sign, then a coefficient, variables in
-    ring order with '^' exponents, or both, joined by '*', with no spaces;
-    it ends at the next sign or at the end of the text.  Each factor must be
-    followed by '*', a sign or the end, so a name is never read as a prefix
-    of a longer one.  Groups: the sign, the coefficient, then one per
-    variable, None when it is absent, '' for exponent 1 and '^e' otherwise.
-    The tokens put longer names first, so ``xy`` is one name when it is
-    one."""
-    stop = "(?=[*+-]|\\Z)"
-    term = re.compile(
-        "([+-]?)(?=\\w)(?:(\\d+)" + stop + ")?"
-        + "".join(f"(?:\\*?{re.escape(n)}(\\^\\d+|){stop})?" for n in names)
-        + "(?=[+-]|\\Z)")
+def _tokenizer(names: Sequence[str]):
     alts = sorted(names, key=len, reverse=True)
-    tokens = re.compile("|".join(
+    pattern = "|".join(
         ["(?P<int>\\d+)",
          "(?P<var>" + "|".join(re.escape(n) for n in alts) + ")",
          "(?P<op>[\\^*+-])",
          "(?P<ws>\\s+)",
-         "(?P<bad>.)"]))
-    return term, tokens
+         "(?P<bad>.)"])
+    return re.compile(pattern)
 
 
 def _add_term(out: Vec, mono, c: int, p: int, table: dict) -> None:
@@ -103,45 +86,15 @@ def _add_term(out: Vec, mono, c: int, p: int, table: dict) -> None:
 
 def parse_polynomial(text: str, ring: Ring, line: int = 0) -> Vec:
     """Parse one polynomial into a component-0 vector, coefficients mod p.
-
-    Text in the canonical spelling, the one ``serialize_input`` and ``gen``
-    write, is read one match per term.  Any other text, and a canonical
-    term whose exponent is out of range or whose number is too long for
-    ``int()``, is read token by token: spaces, juxtaposed factors (``2xz``,
-    ``x x``), repeated signs and every malformed term, whose ParseError
-    gives its column.  Equal monomials, module monomials and coefficients
-    are one object each."""
-    return _read_polynomial(text, ring, line, _patterns(ring.names), {})
+    Equal monomials, module monomials and coefficients are one object
+    each."""
+    return _read_polynomial(text, ring, line, _tokenizer(ring.names), {})
 
 
-def _read_polynomial(text: str, ring: Ring, line: int, patterns,
+def _read_polynomial(text: str, ring: Ring, line: int, tok,
                      table: dict) -> Vec:
-    """:func:`parse_polynomial` with the variable list's patterns and the
-    canonical table of the document it belongs to."""
-    term, tokens = patterns
-    p = ring.p
-    out: Vec = {}
-    pos, end = 0, len(text)
-    while pos < end:
-        m = term.match(text, pos)
-        if m is None:
-            break
-        sign, coeff, *powers = m.groups()
-        try:
-            c = (-1 if sign == "-" else 1) * (int(coeff) if coeff else 1) % p
-            if c:
-                _add_term(out, ring.mono([0 if g is None else int(g[1:] or 1)
-                                          for g in powers]), c, p, table)
-        except ValueError:  # an exponent out of range (a DomainError) or a
-            break           # number too long for int(): the token loop says so
-        pos = m.end()
-    if text and pos == end:
-        return out
-    return _token_loop(text, ring, line, tokens, table)
-
-
-def _token_loop(text: str, ring: Ring, line: int, tok, table: dict) -> Vec:
-    """Read any spelling token by token; the only source of ParseError."""
+    """:func:`parse_polynomial` with the variable list's tokenizer and the
+    canonical table of the document the polynomial belongs to."""
     var_index = {n: i for i, n in enumerate(ring.names)}
     terms: list = []  # (signed coefficient, exponent list, end column)
     sign = 1
@@ -242,9 +195,9 @@ def parse_input(text: str) -> InputDocument:
                 ordering = BaseOrdering(parts[3], len(names))
             except DomainError as e:
                 raise ParseError(str(e), ln, 1)
-            patterns = _patterns(names)
+            tok = _tokenizer(names)
             continue
-        vec = _read_polynomial(line, ring, ln, patterns, table)
+        vec = _read_polynomial(line, ring, ln, tok, table)
         if vec:
             gens.append(vec)
     if ring is None:
@@ -303,14 +256,19 @@ def _spelling(monos, ring: Ring, base: BaseOrdering):
             [mono_to_string(m, ring) for m in ranked])
 
 
+def _poly_string(poly: dict, rank: dict, spelled: list, p: int) -> str:
+    """The canonical string of poly, from the ranks and spellings of its
+    monomials (:func:`_spelling`)."""
+    if not poly:
+        return "0"
+    terms = sorted([(0, rank[m], c) for m, c in poly.items()])
+    return _polynomials(terms, spelled, p)[0][1]
+
+
 def poly_to_string(poly: dict, ring: Ring, base: BaseOrdering) -> str:
     """Canonical string: terms descending under the base ordering, symmetric
     coefficients."""
-    if not poly:
-        return "0"
-    rank, spelled = _spelling(poly, ring, base)
-    terms = sorted([(0, rank[m], c) for m, c in poly.items()])
-    return _polynomials(terms, spelled, ring.p)[0][1]
+    return _poly_string(poly, *_spelling(poly, ring, base), ring.p)
 
 
 def serialize_input(doc: InputDocument) -> str:
@@ -320,9 +278,7 @@ def serialize_input(doc: InputDocument) -> str:
     polys = [vec_component(g, 0) for g in doc.generators]
     rank, spelled = _spelling({m for f in polys for m in f}, ring, doc.ordering)
     lines = [f"ring {ring.p} {','.join(ring.names)} {doc.ordering.kind}"]
-    for f in polys:
-        terms = sorted([(0, rank[m], c) for m, c in f.items()])
-        lines.append(_polynomials(terms, spelled, ring.p)[0][1] if f else "0")
+    lines += [_poly_string(f, rank, spelled, ring.p) for f in polys]
     return "\n".join(lines) + "\n"
 
 

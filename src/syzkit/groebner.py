@@ -193,25 +193,9 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
 
 
 def monomials_of_degree(nvars: int, deg: int, base: BaseOrdering):
-    """All packed monomials of the given total degree, descending under
-    ``base``, generated in that order with no sort.  Stars and bars yield
-    the exponent vectors (e_1, ..., e_n) in ascending lex order: reversed,
-    that list is lp's order; with each vector read backwards, it is dp's,
-    whose degree piece descends as (e_n, ..., e_1) ascends in lex order."""
-    out = []
-    for bars in itertools.combinations(range(deg + nvars - 1), nvars - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(deg + nvars - 2 - prev)
-        if base.kind == "dp":
-            exps.reverse()
-        out.append((deg,) + tuple(exps))
-    if base.kind == "lp":
-        out.reverse()
-    return out
+    """All packed monomials of the given total degree, sorted descending
+    (:meth:`~syzkit.orderings.BaseOrdering.degree_piece`)."""
+    return base.degree_piece(nvars, deg)
 
 
 def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):

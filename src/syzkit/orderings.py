@@ -11,6 +11,7 @@ monomial product, one base-ordering comparison and an integer-tuple tiebreak.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from typing import Callable, Sequence
 
@@ -38,6 +39,29 @@ class BaseOrdering:
         if self.kind == "lp":
             return lambda m: m[1:]
         return lambda m: (m[0],) + tuple(map(operator.neg, m[:0:-1]))
+
+    def degree_piece(self, nvars: int, deg: int) -> list:
+        """All packed monomials of total degree deg in nvars variables,
+        descending, generated in that order with no sort.  Stars and bars
+        yield the exponent vectors (e_1, ..., e_n) in ascending lex order:
+        reversed, that list is lp's order; with each vector read backwards,
+        it is dp's, whose degree piece descends as (e_n, ..., e_1) ascends
+        in lex order."""
+        lp = self.kind == "lp"
+        out = []
+        for bars in itertools.combinations(range(deg + nvars - 1), nvars - 1):
+            exps = []
+            prev = -1
+            for b in bars:
+                exps.append(b - prev - 1)
+                prev = b
+            exps.append(deg + nvars - 2 - prev)
+            if not lp:
+                exps.reverse()
+            out.append((deg,) + tuple(exps))
+        if lp:
+            out.reverse()
+        return out
 
     def __repr__(self):
         return f"BaseOrdering({self.kind!r}, nvars={self.nvars})"

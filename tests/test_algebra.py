@@ -88,9 +88,8 @@ def _trial_division(n):
 def test_is_prime_is_exact():
     assert [n for n in range(200_000) if is_prime(n) != _trial_division(n)] == []
     # a Carmichael number, then the least strong pseudoprimes to the bases
-    # 2; 2, 3; 2, 3, 5; 2, 3, 5, 7 (where is_prime turns from those four
-    # witnesses to thirteen); and to the first twelve primes, which only a
-    # thirteenth witness exposes
+    # 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; and to the first twelve primes, which
+    # only a thirteenth witness exposes
     for n in (561, 2047, 1373653, 25326001, 3215031751,
               318665857834031151167461):
         assert not is_prime(n), n

@@ -9,11 +9,10 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import syzkit
 from syzkit import resolution
-from syzkit.algebra import DomainError, Ring
+from syzkit.algebra import Ring
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.cli import (
     InputDocument,
@@ -654,158 +653,7 @@ def test_pipeline_never_imports_numpy():
     assert run.stdout == "False\n"
 
 
-# -- the parser against the token loop it replaced ---------------------------
-
-
-def _oracle_tokenizer(names):
-    alts = sorted(names, key=len, reverse=True)
-    pattern = "|".join(
-        ["(?P<int>\\d+)",
-         "(?P<var>" + "|".join(re.escape(n) for n in alts) + ")",
-         "(?P<op>[\\^*+-])",
-         "(?P<ws>\\s+)",
-         "(?P<bad>.)"])
-    return re.compile(pattern)
-
-
-def _oracle_parse_polynomial(text, ring, line=0):
-    """parse_polynomial as it was before canonical terms were read one
-    match each: every polynomial token by token."""
-    tok = _oracle_tokenizer(ring.names)
-    var_index = {n: i for i, n in enumerate(ring.names)}
-    terms = []  # (signed coefficient, exponent list, end column)
-    sign = 1
-    coeff = None
-    exps = None
-    last_var = None
-    expect_exponent = False
-
-    def flush(col):
-        nonlocal sign, coeff, exps, last_var
-        terms.append((sign * (1 if coeff is None else coeff),
-                      exps or [0] * ring.nvars, col))
-        sign, coeff, exps, last_var = 1, None, None, None
-
-    col = 0
-    for m in tok.finditer(text):
-        col = m.start() + 1
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        if kind == "int":
-            val = int(m.group())
-            if expect_exponent:
-                exps[last_var] += val - 1  # the variable itself contributed 1
-                expect_exponent = False
-                last_var = None
-            else:
-                coeff = val if coeff is None else coeff * val
-        elif kind == "var":
-            if expect_exponent:
-                raise ParseError("expected an exponent after '^'", line, col)
-            if exps is None:
-                exps = [0] * ring.nvars
-            last_var = var_index[m.group()]
-            exps[last_var] += 1
-        else:  # operator
-            op = m.group()
-            if expect_exponent:
-                raise ParseError("expected an exponent after '^'", line, col)
-            if op == "^":
-                if last_var is None:
-                    raise ParseError("'^' without a variable", line, col)
-                expect_exponent = True
-            elif op == "*":
-                if coeff is None and exps is None:
-                    raise ParseError("'*' without a left factor", line, col)
-            else:  # + or -
-                if coeff is not None or exps is not None:
-                    flush(col)
-                if op == "-":
-                    sign = -sign
-    if expect_exponent:
-        raise ParseError("dangling '^'", line, col)
-    if coeff is not None or exps is not None:
-        flush(col)
-    if not terms:
-        raise ParseError("empty polynomial", line, col)
-    out = {}
-    for c, e, end in terms:
-        c %= ring.p
-        if not c:
-            continue
-        try:
-            mm = (ring.mono(e), 0)
-        except DomainError as err:  # an exponent above MAX_EXPONENT
-            raise ParseError(str(err), line, end)
-        v = (out.get(mm, 0) + c) % ring.p
-        if v:
-            out[mm] = v
-        else:
-            out.pop(mm, None)
-    return out
-
-
-# names that are prefixes of one another, with digits and underscores
-PARSER_RINGS = [Ring(7, names) for names in
-                (("x", "y"), ("x", "xy", "y"), ("x", "x1", "y"),
-                 ("x", "x_", "x_1", "_"))]
-PARSER_TOKENS = ["x", "y", "xy", "x1", "x_", "x_1", "_", "1", "2", "07", "12",
-                 "3", "40000", "^", "*", "+", "-", " "]
-
-
-def _outcome(parse, text, ring):
-    """The vector's terms in order, or the ParseError text."""
-    try:
-        return list(parse(text, ring, 3).items())
-    except ParseError as e:
-        return str(e)
-
-
-def _same_outcome(text, ring):
-    return (_outcome(parse_polynomial, text, ring)
-            == _outcome(_oracle_parse_polynomial, text, ring))
-
-
-@st.composite
-def _canonical_text(draw, ring):
-    """Terms shaped as serialize_input writes them, with leading zeros and
-    out-of-range exponents mixed in."""
-    parts = []
-    for k in range(draw(st.integers(1, 4))):
-        sign = draw(st.sampled_from(["-", "+"] if k else ["", "-", "+"]))
-        factors = [n + draw(st.sampled_from(["", "^2", "^07", "^0", "^40000"]))
-                   for n in ring.names if draw(st.booleans())]
-        coeff = draw(st.sampled_from(["", "1", "3", "07", "12", "0"]))
-        if not factors and not coeff:
-            coeff = "5"
-        parts.append(sign + "*".join(([coeff] if coeff else []) + factors))
-    return "".join(parts)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_parse_polynomial_matches_the_token_loop(data):
-    # the same vector, term order included, or the same ParseError text, as
-    # the token loop alone gives: on token soup (spaces, juxtaposition,
-    # repeated signs, malformed terms) and on canonical text
-    ring = data.draw(st.sampled_from(PARSER_RINGS))
-    text = data.draw(st.one_of(
-        st.lists(st.sampled_from(PARSER_TOKENS), max_size=12).map("".join),
-        _canonical_text(ring)))
-    assert _same_outcome(text, ring), text
-
-
-def test_parse_polynomial_fixed_cases_match_the_token_loop():
-    cases = ["xy", "x*xy", "xy*x", "x1", "x*x1^2", "x_1", "x_*x_1", "_",
-             "2*x", "2x", "x x", "--x", "+-x", "-+x", "x+", "x*", "*x", "x^",
-             "x^07*y^0", "07", "0*x^40000", "x^40000", "3-x^40000+x",
-             "x^2^3", "x*x", "y*x", "1+1", "-1", "x\n", "", " ", "x-x", "+x"]
-    for ring in PARSER_RINGS:
-        for text in cases:
-            assert _same_outcome(text, ring), (ring.names, text)
+# -- input round trips -----------------------------------------------------
 
 
 @pytest.mark.parametrize("spec", [(5, 4, 12), (6, 5, 18), (6, 5, 42)])

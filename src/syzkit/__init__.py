@@ -16,7 +16,6 @@ from .lift import (
     SubtreeCache,
     lift_hybrid,
     lift_reduce,
-    lift_subtree,
     lift_tree,
     psi,
 )

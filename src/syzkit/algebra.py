@@ -280,7 +280,9 @@ def term_times_vector(mono: Mono, f: Vec) -> Vec:
 
 
 def vec_normalized(f: Vec, key: Callable[[ModMono], tuple]) -> Vec:
-    """Rebuild f with terms in strictly decreasing order under `key`."""
+    """Rebuild f with terms in strictly decreasing order under `key`.
+    Only perfbench's ``replay_resolve`` calls it; ROADMAP item 1 drops it
+    once the replay passes the raw liftings, as ``resolve`` does."""
     return {mm: f[mm] for mm in sorted(f, key=key, reverse=True)}
 
 
@@ -328,6 +330,8 @@ class Column(Mapping):
             raise KeyError(mm) from None
 
     def __setitem__(self, mm, c):
+        """Kept for perfbench's ``test_changed_coefficient_is_rejected`` only;
+        ROADMAP item 3 drops it and ``__delitem__`` with that test's write."""
         try:
             i = self._keys.index(mm)
         except ValueError:
@@ -362,15 +366,11 @@ def vec_interned(terms: Iterable[tuple], table: dict) -> Column:
     return Column(tuple(keys), tuple(coeffs))
 
 
-def vec_degrees(f: Vec, twists=None) -> set:
-    """Set of (internal) degrees of the terms of f."""
-    if twists is None:
-        return {mm[0][0] for mm in f}
-    return {mm[0][0] + twists[mm[1]] for mm in f}
-
-
 def is_homogeneous(f: Vec, twists=None) -> bool:
-    return len(vec_degrees(f, twists)) <= 1
+    """Whether all terms of f have one degree, twists included."""
+    if twists is None:
+        return len({mm[0][0] for mm in f}) <= 1
+    return len({mm[0][0] + twists[mm[1]] for mm in f}) <= 1
 
 
 # ---------------------------------------------------------------------------

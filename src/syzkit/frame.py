@@ -25,25 +25,22 @@ class FrameLevel:
     """Minimal generating set of one leading syzygy module.
 
     ``terms[t] == m * e_i`` with m = lcm(m_i, m_j) / m_i for some j < i;
-    ``degrees[t]`` is deg(m) + degree of generator i one level down
-    (None when no degrees are given).
+    ``degrees[t]`` is deg(m) + degree of generator i one level down.
     """
 
     __slots__ = ("terms", "degrees")
 
-    def __init__(self, terms: list, degrees: Optional[list] = None):
+    def __init__(self, terms: list, degrees: list):
         self.terms = terms
         self.degrees = degrees
 
     def permuted(self, perm: Sequence[int]) -> "FrameLevel":
-        return FrameLevel(
-            [self.terms[i] for i in perm],
-            None if self.degrees is None else [self.degrees[i] for i in perm],
-        )
+        return FrameLevel([self.terms[i] for i in perm],
+                          [self.degrees[i] for i in perm])
 
 
 def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
-             degrees: Optional[Sequence[int]] = None) -> FrameLevel:
+             degrees: Sequence[int]) -> FrameLevel:
     """Minimal generators of the leading syzygy module of the given leading
     monomials, by pairwise candidate generation and divisibility pruning.
 
@@ -52,10 +49,11 @@ def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
     candidate can divide only candidates of the same i, so each i's are
     pruned among themselves.  The result is order-normalized: ascending
     component, then descending base ordering on the cofactor monomial.
+    ``degrees`` are the degrees of the given generators.
     """
     lms = list(leading_monomials)
     bk = base.key_func()
-    level = FrameLevel([])
+    terms: list = []
     for i in range(1, len(lms)):
         mi, ci = lms[i]
         kept: list = []  # the minimal candidate cofactors of i so far
@@ -69,10 +67,8 @@ def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
             kept = [s for s in kept if not mono_divides(t, s)]
             kept.append(t)
         kept.sort(key=bk, reverse=True)
-        level.terms += [(t, i) for t in kept]
-    if degrees is not None:
-        level.degrees = [mono_deg(t[0]) + degrees[t[1]] for t in level.terms]
-    return level
+        terms += [(t, i) for t in kept]
+    return FrameLevel(terms, [mono_deg(t) + degrees[i] for t, i in terms])
 
 
 class SchreyerFrame:

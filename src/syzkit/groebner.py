@@ -71,6 +71,8 @@ class GroebnerBasis:
         for g in gens:
             if not g:
                 raise DomainError("Groebner basis generators must be nonzero")
+            if not isinstance(g, dict):  # a Column scans its keys per lookup
+                g = dict(g.items())
             order = sorted(g, key=key, reverse=True)
             s = ring.inv(g[order[0]])
             g = vec_interned(((mm, g[mm] * s % p) for mm in order), table)

@@ -9,22 +9,22 @@ Three interchangeable lifting strategies plus the driver:
 * ``lift_hybrid`` - drops lower order terms from the image and from every
   reducer, and keeps the remaining terms as an unordered bucket popped in
   insertion order, so no monomial comparisons are needed.
-* ``lift_tree`` / ``lift_subtree`` - treats each non-lower-order term of the
-  image as the root of a subtree lifting.  ``lift_frame_iter`` first plans
-  the level: it walks the DAG of subtree keys below the roots of all its
-  liftings (monomial operations only), counts how many liftings reach each
-  key, and prices what storing the subtree liftings of the keys that two
-  liftings reach saves in products.  If it saves, it stores them before
-  the level's first lifting, once each, as tails under
-  coefficient-normalized keys in a ``SubtreeCache``.
-  Weights are pushed from the roots down the keys not stored in Kahn
-  order, so each enters its lifting once with its summed weight.  A cache
-  that was never planned (direct ``lift_tree`` / ``lift_subtree`` calls)
-  stores every subtree.  Field products: 31,733 on the 200-ideal test
-  corpus (315,687 with every subtree stored, 51,349 with the shared keys
-  stored on every level; hybrid 43,790, reduce 168,765), and 151,392 on
-  the AGR ideal (6, 5, 42) (157,284 with every subtree stored, 174,852
-  with nothing stored).
+* ``lift_tree`` - treats each non-lower-order term of the image as the
+  root of a subtree lifting.  ``lift_frame_iter`` first plans the level:
+  it walks the DAG of subtree keys below the roots of all its liftings
+  (monomial operations only), counts how many liftings reach each key, and
+  prices what storing the subtree liftings of the keys that two liftings
+  reach saves in products.  If it saves, it stores them before the level's
+  first lifting, once each, as tails under coefficient-normalized keys in
+  a ``SubtreeCache``.  Weights are pushed from the roots down the keys not
+  stored in Kahn order, so each enters its lifting once with its summed
+  weight.  A cache that was never planned (direct ``lift_tree`` calls, the
+  unplanned reference the tests check the planned tree against) stores
+  every subtree.  Field products: 31,733 on the 200-ideal test corpus
+  (315,687 with every subtree stored, 51,349 with the shared keys stored
+  on every level; hybrid 43,790, reduce 168,765), and 151,392 on the AGR
+  ideal (6, 5, 42) (157,284 with every subtree stored, 174,852 with
+  nothing stored).
 
 Hybrid and tree expand one thing, a key's child list.  A non-lower-order
 term t = q*LM(f_i), i its smallest divisor, is held as its subtree key
@@ -384,23 +384,6 @@ def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
     _merge(out, bound.items(), p, cache, counters)
 
 
-def lift_subtree(t: ModMono, coeff: int, G: GroebnerBasis,
-                 cache: SubtreeCache, counters: Optional[OpCounters] = None) -> Vec:
-    """Subtree lifting of the term coeff*t (empty when p divides coeff):
-    leading term coeff*t, and every term of the tail of its image is of
-    lower order w.r.t. G.
-
-    The tail is stored under the key t; the returned copy carries coeff on
-    the head with no product and the tail scaled.
-    """
-    p = G.ring.p
-    out: Vec = {}
-    if coeff % p:
-        _store(_below((t,), G, cache), G, cache, counters)
-        _merge(out, ((t, coeff % p),), p, cache, counters)
-    return out
-
-
 def lift_tree(s: ModMono, G: GroebnerBasis, cache: SubtreeCache,
               counters: Optional[OpCounters] = None) -> Vec:
     """Lifting of s by independent subtree liftings of the non-lower-order
@@ -462,7 +445,9 @@ def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,
                      counters: Optional[OpCounters] = None,
                      cache: Optional[SubtreeCache] = None) -> list:
     """The list of the liftings :func:`lift_frame_iter` yields.  ``chain``
-    is not used: it must be None or G's chain extended by one level."""
+    is not used: it must be None or G's chain extended by one level.  It
+    stays for perfbench's ``replay_resolve``, which passes it; ROADMAP item
+    1 drops it with the replay's argument."""
     if chain is not None and len(chain) != G.level + 1:
         raise DomainError("lifting expects the chain extended by G's leading terms")
     return list(lift_frame_iter(terms, G, alg, counters, cache))

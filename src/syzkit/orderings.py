@@ -68,16 +68,11 @@ class BaseOrdering:
 
 
 class _Level:
-    __slots__ = ("lms", "path_monos", "tails")
+    __slots__ = ("path_monos", "tails")
 
-    def __init__(self, lms, path_monos, tails):
-        self.lms = lms            # leading monomials of the generators below
+    def __init__(self, path_monos, tails):
         self.path_monos = path_monos  # descent image monomials at level 0
         self.tails = tails        # component chains (-c0, c1, ..., c_{k-1})
-
-    @property
-    def rank(self):
-        return len(self.lms)
 
 
 class OrderingChain:
@@ -132,11 +127,11 @@ class OrderingChain:
         else:
             prev = self.levels[-1]
             for _, c in lms:
-                if not 0 <= c < prev.rank:
+                if not 0 <= c < len(prev.path_monos):
                     raise DomainError("leading monomial component out of range")
             pms = tuple(mono_mul(m, prev.path_monos[c]) for m, c in lms)
             tails = tuple(prev.tails[c] + (c,) for _, c in lms)
-        return OrderingChain(self.base, self.levels + (_Level(lms, pms, tails),))
+        return OrderingChain(self.base, self.levels + (_Level(pms, tails),))
 
     def image_monomial(self, level: int, mm: ModMono) -> Mono:
         """Descent image of a level-`level` module monomial in the base ring."""
@@ -156,7 +151,8 @@ def reorder_permutation(terms: Sequence[ModMono], chain: OrderingChain,
     by ascending component; this realizes sorting w.r.t. the negative degree
     reverse lexicographic ordering when the base is 'dp'.  It is the one
     order between levels; ``mode`` accepts only its name,
-    ``"negdegrevlex"``.
+    ``"negdegrevlex"``.  ``mode`` stays for perfbench's ``replay_resolve``,
+    which passes it; ROADMAP item 1 drops it with the replay's argument.
     """
     if mode != "negdegrevlex":
         raise DomainError(f"unknown reorder mode {mode!r}")

@@ -111,16 +111,21 @@ class Resolution:
     """A chain of free modules and sparse differentials over F_p."""
 
     def __init__(self, ring: Ring, base: BaseOrdering, modules: list,
-                 diffs: list, stats: OpCounters, graded: bool,
-                 minimal: bool = False, level_times=None):
+                 diffs: list, stats: OpCounters, level_times=None):
         self.ring = ring
         self.base = base
         self.modules = modules
         self.diffs = diffs  # diffs[k-1]: columns of phi_k, vectors in F_{k-1}
         self.stats = stats
-        self.graded = graded
-        self.minimal = minimal
         self.level_times = level_times or []
+        one = ring.one  # minimal: no differential has a constant entry
+        self.minimal = not any(mm[0] == one for cols in diffs
+                               for col in cols for mm in col)
+
+    @property
+    def graded(self) -> bool:
+        """The modules carry twists: ``resolve`` gives all of them or none."""
+        return self.modules[0].twists is not None
 
     @property
     def length(self) -> int:
@@ -157,10 +162,6 @@ class Resolution:
                 if acc:
                     return False
         return True
-
-    def has_constant_entries(self) -> bool:
-        one = self.ring.one
-        return any(mm[0] == one for cols in self.diffs for col in cols for mm in col)
 
 
 def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
@@ -200,8 +201,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     diffs: list = []
     level_times: list = []
     if not gb.gens:
-        return Resolution(ring, base, modules, diffs, counters, graded,
-                          minimal=True, level_times=level_times)
+        return Resolution(ring, base, modules, diffs, counters, level_times)
     frame = build_frame(gb, None if max_length is None else max_length - 1)
     G = gb
     modules.append(GradedFreeModule(len(G.gens), G.degrees if graded else None))
@@ -229,10 +229,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
             len(G.gens), tuple(frame_level.degrees) if graded else None))
         counters.n_terms += sum(len(v) for v in G.gens)
         level_times.append(time.perf_counter() - t0)
-    res = Resolution(ring, base, modules, diffs, counters, graded,
-                     level_times=level_times)
-    res.minimal = not res.has_constant_entries()
-    return res
+    return Resolution(ring, base, modules, diffs, counters, level_times)
 
 
 def _heads_kept(terms: Sequence, lifts: Iterator[Vec]) -> Iterator[Vec]:
@@ -465,9 +462,8 @@ def minimize(res: Resolution) -> Resolution:
         twists.pop()
     modules = [GradedFreeModule(len(t), tuple(t)) for t in twists]
     out = Resolution(res.ring, res.base, modules, out_diffs,
-                     res.stats.copy(), graded=True, minimal=True,
-                     level_times=list(res.level_times))
-    assert not out.has_constant_entries()
+                     res.stats.copy(), list(res.level_times))
+    assert out.minimal
     return out
 
 

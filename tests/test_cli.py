@@ -100,7 +100,8 @@ def test_input_document_roundtrip(sec5):
 def parse_resolution(text):
     """Read back serialize_resolution output; the counters come back empty.
     A module line ends in its twists, or in '-' when the resolution is not
-    graded (an empty list for a graded module of rank 0)."""
+    graded (an empty list for a graded module of rank 0).  The resolution
+    derives its graded and minimal flags; they must match the text's."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     _, _, p, names, kind = lines[0].split()
     ring = Ring(int(p), tuple(names.split(",")))
@@ -120,8 +121,9 @@ def parse_resolution(text):
             row, col = int(parts[0]) - 1, int(parts[1]) - 1
             for (m, _), c in parse_polynomial(" ".join(parts[2:]), ring).items():
                 diffs[-1][col][(m, row)] = c
-    return Resolution(ring, base, modules, diffs, OpCounters(),
-                      flags["graded"], flags["minimal"])
+    res = Resolution(ring, base, modules, diffs, OpCounters())
+    assert (res.graded, res.minimal) == (flags["graded"], flags["minimal"])
+    return res
 
 
 def test_resolution_roundtrip(sec5):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from syzkit.algebra import Ring, mono_div, mono_divides, mono_lcm
+from syzkit.algebra import Ring, mono_div, mono_divides, mono_lcm, mono_mul
 from syzkit.orderings import BaseOrdering
 from syzkit.groebner import buchberger, monomials_of_degree
 from syzkit.frame import FrameLevel, build_frame, lead_syz
@@ -24,9 +24,9 @@ def test_lead_syz_small_cases():
     ring = Ring(7, ("x", "y"))
     base = BaseOrdering("lp", 2)
     x, y = ring.mono([1, 0]), ring.mono([0, 1])
-    assert lead_syz([(x, 0)], base).terms == []
-    lv = lead_syz([(x, 0), (y, 0)], base)
-    assert lv.terms == [(x, 1)]
+    assert lead_syz([(x, 0)], base, [1]).terms == []
+    lv = lead_syz([(x, 0), (y, 0)], base, [1, 1])
+    assert lv.terms == [(x, 1)] and lv.degrees == [2]
 
 
 def test_lead_syz_is_order_sensitive():
@@ -36,9 +36,9 @@ def test_lead_syz_is_order_sensitive():
     base = BaseOrdering("dp", 2)
     x2, xy, y2 = ring.mono([2, 0]), ring.mono([1, 1]), ring.mono([0, 2])
     x, y = ring.mono([1, 0]), ring.mono([0, 1])
-    lv = lead_syz([(x2, 0), (xy, 0), (y2, 0)], base)
+    lv = lead_syz([(x2, 0), (xy, 0), (y2, 0)], base, [2, 2, 2])
     assert lv.terms == [(x, 1), (x, 2)]
-    lv_rev = lead_syz([(y2, 0), (xy, 0), (x2, 0)], base)
+    lv_rev = lead_syz([(y2, 0), (xy, 0), (x2, 0)], base, [2, 2, 2])
     assert lv_rev.terms == [(y, 1), (y, 2)]
     assert len(lv.terms) == len(lv_rev.terms) == 2
 
@@ -83,7 +83,8 @@ def test_build_frame_sec5(sec5):
     assert len(frame.levels) == 1
     assert frame.levels[0].terms == [sec5.mm("x", 2), sec5.mm("w", 3)]
     # the two terms sit in different components: the next level is empty
-    assert lead_syz(frame.levels[0].terms, sec5.base).terms == []
+    level = frame.levels[0]
+    assert lead_syz(level.terms, sec5.base, level.degrees).terms == []
 
 
 def test_build_frame_single_gen():
@@ -108,16 +109,25 @@ def test_build_frame_matches_resolution(corpus):
         assert len(frame.levels) == max(0, res.length - 1)
         for lv, cols in zip(frame.levels, res.diffs[1:]):
             assert lv.terms == [next(iter(col)) for col in cols]
-        assert [lv.lms for lv in frame.chain.levels] == [
-            tuple(next(iter(col)) for col in cols) for cols in res.diffs]
+        # each chain level holds the descents of the leading terms
+        assert len(frame.chain.levels) == len(res.diffs)
+        pms = tails = None
+        for lev, cols in zip(frame.chain.levels, res.diffs):
+            lms = [next(iter(col)) for col in cols]
+            if pms is None:
+                pms = tuple(m for m, _ in lms)
+                tails = tuple((-c,) for _, c in lms)
+            else:
+                pms = tuple(mono_mul(m, pms[c]) for m, c in lms)
+                tails = tuple(tails[c] + (c,) for _, c in lms)
+            assert (lev.path_monos, lev.tails) == (pms, tails)
 
 
 def test_build_frame_hilbert_guard(sec5, monkeypatch, tmp_path, capsys):
     # a leading syzygy module that never runs dry must stop the frame at
     # the Hilbert syzygy bound, and main must report it as an internal error
-    def endless(lms, base, degrees=None):
-        return FrameLevel([(lms[0][0], 0)],
-                          None if degrees is None else [degrees[0]])
+    def endless(lms, base, degrees):
+        return FrameLevel([(lms[0][0], 0)], [degrees[0]])
 
     monkeypatch.setattr("syzkit.frame.lead_syz", endless)
     with pytest.raises(RuntimeError, match="Hilbert syzygy bound"):

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from syzkit.algebra import (DomainError, OpCounters, Ring, Vec, is_homogeneous,
+from syzkit.algebra import (Column, DomainError, OpCounters, Ring, Vec,
+                            is_homogeneous,
                             mono_div, mono_divides, mono_lcm, mono_mul,
                             term_times_vector,
                             vec_component, vec_iadd_scaled)
@@ -253,6 +254,31 @@ def test_groebner_basis_checks_its_chain_and_generators():
         GroebnerBasis(ring, chain, [x], level=1)
     with pytest.raises(DomainError, match="must be nonzero"):
         GroebnerBasis(ring, chain, [x, {}])
+
+
+def test_groebner_basis_reads_a_column_once(agr_5_4_12, monkeypatch):
+    # a Column finds a term by scanning its keys, so GroebnerBasis copies a
+    # column generator once instead of looking up each of its terms: the
+    # bases of the differentials of AGR (5, 4, 12) look up no column term,
+    # and equal, term for term and in order, the bases of dict copies
+    res = agr_5_4_12[0]
+
+    def bases(copy):
+        chain, out = OrderingChain(res.base), []
+        for level, (cols, mod) in enumerate(zip(res.diffs, res.modules)):
+            G = GroebnerBasis(res.ring, chain, [copy(c) for c in cols],
+                              level=level, rank=mod.rank, twists=mod.twists)
+            out.append([list(g.items()) for g in G.gens])
+            chain = chain.extend(G.lms)
+        return out
+
+    want = bases(lambda col: dict(col.items()))
+    lookups = []
+    getitem = Column.__getitem__
+    monkeypatch.setattr(Column, "__getitem__",
+                        lambda col, mm: lookups.append(mm) or getitem(col, mm))
+    assert bases(lambda col: col) == want
+    assert lookups == [] and len(want) == res.length
 
 
 def _sorted_monomials_of_degree(nvars, deg, base):

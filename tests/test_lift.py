@@ -24,7 +24,6 @@ from syzkit.lift import (
     lift_frame_terms,
     lift_hybrid,
     lift_reduce,
-    lift_subtree,
     lift_tree,
     psi,
 )
@@ -121,41 +120,6 @@ def test_lift_tree_sec5_with_cache(sec5):
     assert cache.expansions - exp0 == 0
 
 
-def test_lift_subtree_sec5(sec5):
-    cache = SubtreeCache()
-    y_e1 = sec5.mm("y", 1)
-    v = lift_subtree(y_e1, 1, sec5.gb, cache, None)
-    assert v == sec5.vec({1: "y", 2: "-z", 3: "-x-2*z"})
-    # subtree contract: leading term is the key, tail of the image is all
-    # lower order terms
-    key = sec5.ext.key_fn(1)
-    assert max(v, key=key) == y_e1
-    img = psi(v, sec5.gb)
-    img.pop(max(img, key=sec5.gb.chain.key_fn(0)))
-    assert lot_split(img, sec5.gb)[0] == img
-    # z*e3 expands to itself; 2z*e3 reuses it, scaled
-    z_e3 = sec5.mm("z", 3)
-    assert lift_subtree(z_e3, 1, sec5.gb, cache, None) == {z_e3: 1}
-    hits0 = cache.hits
-    scaled = lift_subtree(z_e3, 2, sec5.gb, cache, None)
-    assert scaled == {z_e3: 2} and cache.hits == hits0 + 1
-
-
-def test_lift_subtree_of_a_zero_term(sec5):
-    # a coefficient that p divides is the zero term, whose lifting is the
-    # empty vector, never a vector of zero coefficients, before and after
-    # the key is stored; -1 wraps to p - 1
-    p = sec5.ring.p
-    y_e1 = sec5.mm("y", 1)
-    cache = SubtreeCache()
-    for _ in range(2):
-        for coeff in (0, p, -p, 2 * p):
-            assert lift_subtree(y_e1, coeff, sec5.gb, cache, None) == {}
-        lift_subtree(y_e1, 1, sec5.gb, cache, None)
-    v = lift_subtree(y_e1, -1, sec5.gb, cache, None)
-    assert v[y_e1] == p - 1 and all(0 < c < p for c in v.values())
-
-
 def _check_subtree_liftings(G, cache):
     """Check that every stored value is a subtree lifting of its key;
     return how many were checked."""
@@ -171,17 +135,21 @@ def _check_subtree_liftings(G, cache):
     return len(cache.data)
 
 
-def test_subtree_cache_contract(corpus):
+def test_subtree_cache_contract(sec5, corpus):
     # every cached value is a subtree lifting of its key: the unplanned
-    # lift_tree stores every subtree; the planned level 1 of AGR (5, 4, 12)
-    # stores the subtrees two of its liftings share
+    # lift_tree stores every subtree, on the worked example and the
+    # corpus; the planned level 1 of AGR (5, 4, 12) stores the subtrees
+    # two of its liftings share
     checked = 0
-    for entry in corpus[:10]:
-        G = entry.gb
+    for G in [sec5.gb] + [entry.gb for entry in corpus[:10]]:
         cache = SubtreeCache()
         for s in lead_syz(G.lms, G.chain.base, G.degrees).terms:
             lift_tree(s, G, cache)
         checked += _check_subtree_liftings(G, cache)
+        if G is sec5.gb:
+            y_e1 = sec5.mm("y", 1)
+            assert {y_e1: 1, **cache.data[y_e1]} == sec5.vec(
+                {1: "y", 2: "-z", 3: "-x-2*z"})
     assert checked > 0
     ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
     G = buchberger(ideal.generators, ideal.ring,
@@ -256,18 +224,32 @@ def test_roots_are_canonical_objects(sec5, corpus):
 
 
 def test_lifting_runs_with_asserts_stripped():
-    # python -O drops assert statements, so none may carry work the lifting
-    # needs (popping the unit head of a subtree expansion once did, and the
-    # tree lifting then never finished)
-    code = ("from syzkit.cli import parse_input\n"
-            "from syzkit.resolution import resolve\n"
+    # python -O drops assert statements, so none may carry work the
+    # pipeline needs (popping the unit head of a subtree expansion once
+    # did, and the tree lifting then never finished): resolve, minimize and
+    # both Betti tables print the same with and without -O, on an ideal
+    # whose resolution is minimal and on one whose resolution is not
+    code = ("from syzkit import *\n"
+            "from syzkit.cli import parse_input, serialize_resolution\n"
             "d = parse_input('ring 32003 x,y,z,w dp\\nx*y-z*w\\nx^2-y*z\\ny^2-x*w\\n')\n"
-            "for a in ('reduce', 'hybrid', 'tree'):\n"
-            "    resolve(d.generators, d.ring, d.ordering, alg=a)\n")
+            "a = gen_agr(AgrSpec(4, 3, 6, p=32003, seed=0))\n"
+            "for gens, ring, base in ((d.generators, d.ring, d.ordering),\n"
+            "        (a.generators, a.ring, BaseOrdering('dp', a.ring.nvars))):\n"
+            "    for alg in ('reduce', 'hybrid', 'tree'):\n"
+            "        res = resolve(gens, ring, base, alg=alg)\n"
+            "        print(serialize_resolution(res))\n"
+            "        print(serialize_resolution(minimize(res)))\n"
+            "        print(betti_nonminimal(res).format())\n"
+            "        print(betti_minimal_from_nonminimal(res).format())\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
-    subprocess.run([sys.executable, "-O", "-c", code], env=env, check=True,
-                   timeout=60)
+    stripped, plain = (
+        subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                       check=True, timeout=60, capture_output=True,
+                       text=True).stdout
+        for flags in (["-O"], []))
+    assert stripped == plain
+    assert "minimal true" in plain and "minimal false" in plain
 
 
 def test_cache_purity_cold_vs_warm(sec5):

@@ -46,11 +46,14 @@ def _extend(chain, gens):
 
 def test_extend_chain_examples(sec5):
     lev = sec5.ext.levels[0]
-    assert [mm for mm in lev.lms] == [
-        (sec5.mono("w*x"), 0), (sec5.mono("w*y"), 0), (sec5.mono("x*y"), 0)]
-    # extending by the computed syzygies records their leading terms
+    assert lev.path_monos == (
+        sec5.mono("w*x"), sec5.mono("w*y"), sec5.mono("x*y"))
+    assert lev.tails == ((0,), (0,), (0,))
+    # extending by the computed syzygies, whose leading terms x*e_2 and
+    # w*e_3 both descend to w*x*y
     ext2 = _extend(sec5.ext, [sec5.syz1, sec5.syz2])
-    assert list(ext2.levels[1].lms) == [sec5.mm("x", 2), sec5.mm("w", 3)]
+    assert ext2.levels[1].path_monos == (sec5.mono("w*x*y"),) * 2
+    assert ext2.levels[1].tails == ((0, 1), (0, 2))
     # single generator: comparisons at that level reduce to the base ordering
     chain1 = _extend(OrderingChain(sec5.base), [sec5.gens[0]])
     a = (sec5.mono("x"), 0)

@@ -173,7 +173,7 @@ def _dup_generator_resolution():
     return Resolution(ring, base,
                       [GradedFreeModule(1, (0,)), GradedFreeModule(2, (1, 1)),
                        GradedFreeModule(1, (1,))],
-                      [phi1, phi2], OpCounters(), graded=True)
+                      [phi1, phi2], OpCounters())
 
 
 def test_minimize_sec5_unchanged(sec5):
@@ -310,7 +310,7 @@ def test_betti_minimal_rejects_a_negative_number():
     F = GradedFreeModule(1, (0,))
     one = [{(ring.one, 0): 1}]
     res = Resolution(ring, BaseOrdering("dp", 1), [F, F, F], [one, one],
-                     OpCounters(), graded=True)
+                     OpCounters())
     with pytest.raises(RuntimeError, match="negative minimal Betti number"):
         betti_minimal_from_nonminimal(res)
 

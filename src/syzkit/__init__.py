@@ -37,6 +37,22 @@ __version__ = "0.1.0"
 # ``python -m syzkit.cli`` does not find the module already imported.
 _CLI_NAMES = ("InputDocument", "ParseError", "main", "parse_input")
 
+# the names the README lists; ``from syzkit import *`` loads the CLI names
+__all__ = [
+    "DomainError", "OpCounters", "Ring", "monomial_divides",
+    "term_times_vector",
+    "BaseOrdering", "OrderingChain",
+    "GroebnerBasis", "buchberger", "divide_with_remainder",
+    "block_rank",
+    "FrameLevel", "SchreyerFrame", "build_frame", "lead_syz",
+    "SubtreeCache", "lift_hybrid", "lift_reduce", "lift_tree", "psi",
+    "BettiTable", "GradedFreeModule", "Resolution",
+    "betti_minimal_from_nonminimal", "betti_nonminimal",
+    "hilbert_numerator", "minimize", "resolve",
+    "AgrIdeal", "AgrSpec", "gen_agr", "gen_random_homogeneous",
+    *_CLI_NAMES,
+]
+
 
 def __getattr__(name):
     if name in _CLI_NAMES:

@@ -18,7 +18,10 @@ Representation conventions shared by the whole package:
   need not lead.  Nothing writes to a finished column, and two tuples take
   less than half the memory of a dict.  So is every term list the lifting
   keeps beyond one step: a subtree key's child list and a lifting's roots
-  (:mod:`syzkit.lift`), read only by iteration.
+  (:mod:`syzkit.lift`), read only by iteration.  A row of a constant
+  strand (:func:`~syzkit.resolution._plan_pivots`) is a column too, keyed
+  by row index instead of module monomial and held in two lists, which,
+  unlike small tuples, go back to the allocator when the row dies.
 * A plain polynomial (element of R) is a dict mapping monomials to nonzero
   coefficients.
 
@@ -40,7 +43,10 @@ the generators it reads.  A table lives only as long as its call; what
 outlives it is the sharing of the stored columns.  Likewise the memos of
 a level's lifting, its child lists and its divisor memo, live only as long
 as that lifting (:func:`~syzkit.lift.lift_frame_iter`), so a Groebner basis
-passed to ``resolve`` keeps only what it held before.
+passed to ``resolve`` keeps only what it held before.  The divisor memo
+shares its monomials too, through a table of its own: its keys, built
+for the lookup by the lifting, hold one object per distinct base
+monomial (:meth:`~syzkit.groebner.GroebnerBasis.divisor`).
 """
 
 from __future__ import annotations

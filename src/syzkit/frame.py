@@ -78,7 +78,7 @@ class SchreyerFrame:
 
     __slots__ = ("levels", "chain")
 
-    def __init__(self, levels: list, chain: Optional[OrderingChain] = None):
+    def __init__(self, levels: list, chain: OrderingChain):
         self.levels = levels
         self.chain = chain
 
@@ -99,20 +99,18 @@ def build_frame(G: GroebnerBasis,
     base = G.chain.base
     chain = G.chain.extend(G.lms)
     lms, degrees = list(G.lms), list(G.degrees)
-    frame = SchreyerFrame([], chain)
-    while max_length is None or len(frame.levels) < max_length:
+    levels: list = []
+    while max_length is None or len(levels) < max_length:
         level = lead_syz(lms, base, degrees)
         if not level.terms:
             break
-        if len(frame.levels) > G.ring.nvars + G.rank:
+        if len(levels) > G.ring.nvars + G.rank:
             raise RuntimeError("resolution exceeds the Hilbert syzygy bound; "
                                "internal inconsistency")
         perm = reorder_permutation(level.terms, chain, len(chain))
         level = level.permuted(perm)
-        frame.levels.append(level)
+        levels.append(level)
         chain = chain.extend(level.terms)
         lms = level.terms
         degrees = level.degrees
-    frame.chain = chain
-    return frame
-
+    return SchreyerFrame(levels, chain)

@@ -46,7 +46,8 @@ class GroebnerBasis:
     see :mod:`syzkit.algebra`), so ``gens`` holds columns only.  The
     divisor lookup (smallest generator index whose leading monomial divides
     a given module monomial) is memoized on the basis, one dict lookup per
-    hit; :func:`~syzkit.lift.lift_frame_iter` lifts against
+    hit; the memo's keys share their base monomials, one object each in a
+    table of the memo.  :func:`~syzkit.lift.lift_frame_iter` lifts against
     :meth:`with_own_memo`, so the memo of a level's lifting dies with it
     and a basis given to ``resolve`` keeps only what it held before.
     ``degrees`` are the lead degrees, twists included, graded or not:
@@ -92,25 +93,31 @@ class GroebnerBasis:
             by_comp.setdefault(mm[1], []).append((mm[0], i))
         self._by_comp = by_comp
         self._div_memo: dict = {}
+        self._div_monos: dict = {}  # the one object of each memo monomial
 
     def divisor(self, mm: ModMono) -> int:
-        """Smallest generator index whose leading monomial divides mm, or -1."""
+        """Smallest generator index whose leading monomial divides mm, or -1.
+
+        A miss stores mm with its base monomial replaced by the memo's own
+        object for it: many keys share few monomials, and a caller's mm
+        is often built for the lookup alone."""
         memo = self._div_memo
         idx = memo.get(mm)
         if idx is None:
             idx = -1
-            mono = mm[0]
-            for lm_mono, i in self._by_comp.get(mm[1], ()):
+            mono, comp = mm
+            for lm_mono, i in self._by_comp.get(comp, ()):
                 if mono_divides(lm_mono, mono):
                     idx = i
                     break
-            memo[mm] = idx
+            memo[(self._div_monos.setdefault(mono, mono), comp)] = idx
         return idx
 
     def with_own_memo(self) -> "GroebnerBasis":
-        """This basis, every attribute shared but an empty divisor memo."""
+        """This basis, every attribute shared but the divisor memo and its
+        monomial table, which start empty."""
         view = object.__new__(GroebnerBasis)
-        view.__dict__ = {**self.__dict__, "_div_memo": {}}
+        view.__dict__ = {**self.__dict__, "_div_memo": {}, "_div_monos": {}}
         return view
 
 

@@ -257,11 +257,26 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> lis
     number of shared keys below k, k's tail length.  The saving is thus
     the sum over shared k of r(k)*|kids(k)| - n(k)*|merge(k)| - sum n(c):
     a level whose shared keys are all leaves saves 0 and stores nothing.
-    No field operation is done.
+    Such a level is told apart before any bitset is built.  A shared key
+    has two in-edges in the level's DAG (a root occurrence counts as one)
+    or a shared parent, which has children; so, in a finite DAG, a shared
+    key with children has an ancestor with children and two in-edges, or
+    two in-edges itself.  If no key with children has two in-edges, every
+    shared key is a leaf.  No field operation is done.
     """
     children = cache.children
     # the keys below the roots, children before parents
     post = list(_below((r for rs in roots for r in rs), G, cache))
+    entered = set()  # the keys with children entered by one edge so far
+    edges = chain(chain.from_iterable(roots),
+                  chain.from_iterable(children[k] for k in post))
+    for k in edges:
+        if children.get(k):
+            if k in entered:
+                break
+            entered.add(k)
+    else:
+        return []
     # bitsets of liftings: those that reach a key, and those that merge it
     reach: dict = {}
     for i, rs in enumerate(roots):

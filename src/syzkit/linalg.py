@@ -3,7 +3,9 @@
 One loop, :func:`_eliminate`, serves every elimination in the package: the
 catalecticant kernels and shifted annihilators of the apolar generator,
 the matrices of the F4 engine and the ranks of the constant strands.  A
-matrix is a list of rows, each a dict {column: value}.  The loop works
+matrix is a list of rows, each a mapping {column: value}: a dict, or any
+read-only mapping, such as the :class:`~syzkit.algebra.Column` rows of
+the strands.  The loop works
 column by column, in the manner of the matrix phase of F4 (Faugere 1999;
 Faugere-Lachartre 2010): the pivot of a column is the topmost row not yet
 used as a pivot that is nonzero there, and it clears that column from
@@ -11,9 +13,10 @@ every other row not yet used.  Rows are never swapped, so the pivot rows
 are exactly the rows that, taken in order, enlarge the span of the rows
 above them.  The unused rows wait in buckets keyed by their leading
 column, so a column touches only the rows that lead there.  A row stays
-the caller's dict, read mod p where it is read, until the loop first
-writes to it: the first pivot that updates it copies it, reduced mod p,
-and the copy is updated entry by entry or packed.  A pivot row is never
+the caller's mapping, read mod p where it is read and only through
+``min``, ``max``, ``[]`` and ``items()``, until the loop first writes to
+it: the first pivot that updates it copies it into a dict, reduced mod
+p, and the copy is updated entry by entry or packed.  A pivot row is never
 copied: its scaled tail, the part right of its column, is all of it that
 outlives its column.  The loop yields
 each pivot with its tail as its column is done; :func:`echelon` and
@@ -93,7 +96,8 @@ def _eliminate(rows: list, p: int) -> Iterator[tuple]:
     order as soon as its column is cleared, ``tail`` the pivot row right of
     its column scaled to 1 there, as a dict or packed in the slots below
     ``top - column``.  Nothing here keeps a tail once it is yielded.
-    ``rows`` is not modified."""
+    ``rows`` is not modified: a row may be any read-only mapping (see the
+    module docstring)."""
     if p >= 1 << 31:
         raise ValueError("linalg needs p < 2^31")
     w = SLOT_BITS

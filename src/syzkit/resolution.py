@@ -15,6 +15,7 @@ import time
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
+    Column,
     DomainError,
     OpCounters,
     Ring,
@@ -255,20 +256,6 @@ def betti_nonminimal(res: Resolution) -> BettiTable:
     return BettiTable(data)
 
 
-def _strands(res: Resolution, k: int) -> dict:
-    """The constant strands of phi_k over F_p: degree j -> {column: its
-    constant part {row: value}} for the degree-j basis elements of F_k
-    whose column has a constant entry, in basis order.  By homogeneity the
-    rows of a degree-j strand are degree-j basis elements of F_{k-1}."""
-    one = res.ring.one
-    out: dict = {}
-    for c, (t, col) in enumerate(zip(res.modules[k].twists, res.diffs[k - 1])):
-        const = {i: v for (m, i), v in col.items() if m == one}
-        if const:
-            out.setdefault(t, {})[c] = const
-    return out
-
-
 def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
     """Minimal Betti numbers: the non-minimal table less, for every pivot
     j0 -> i0 of phi_k (:func:`_plan_pivots`), the generators e_{j0} of F_k
@@ -368,8 +355,14 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
 
 def _plan_pivots(res: Resolution) -> list:
     """The pivots of every level, {j0: i0} per differential, by elimination
-    of its constant strands (:func:`_strands`); :func:`minimize` applies
-    them and :func:`betti_minimal_from_nonminimal` counts them.
+    of its constant strands; :func:`minimize` applies them and
+    :func:`betti_minimal_from_nonminimal` counts them.  The degree-j strand
+    of phi_k holds the constant parts of the degree-j columns of phi_k
+    that have a constant entry; by homogeneity its rows are degree-j basis
+    elements of F_{k-1}.  The strands are built and eliminated one degree
+    at a time, each constant part frozen into a read-only
+    :class:`~syzkit.algebra.Column` {row: value} of two lists (row
+    indices, values), so that no more than one strand is held at once.
 
     By homogeneity deg q = deg e_j - deg e_{j0}, so q*col_{j0} has a
     constant entry only when q is a constant and both columns lie in one
@@ -397,11 +390,25 @@ def _plan_pivots(res: Resolution) -> list:
     p = res.ring.p
     plan: list = []
     for k in range(1, res.length + 1):
+        diff = res.diffs[k - 1]
+        by_degree: dict = {}  # degree j -> the columns of phi_k of degree j
+        for c, t in enumerate(res.modules[k].twists):
+            by_degree.setdefault(t, []).append(c)
         pivots: dict = {}
-        for strand in _strands(res, k).values():
-            cols = list(strand)[::-1]
-            pivots.update((cols[r], i0)
-                          for r, i0 in echelon([strand[j] for j in cols], p))
+        for cs in by_degree.values():
+            # the degree's strand, last column first: each column with a
+            # constant entry (m[0], the degree, is 0), its constant part
+            # frozen into a row {row of phi_k: value}; dropped before the
+            # next degree's strand is built.  The row holds lists, not
+            # tuples: CPython keeps freed tuples of fewer than 20 items on
+            # free lists that no later stage of another shape reuses
+            cols, rows = [], []
+            for c in reversed(cs):
+                const = {i: v for (m, i), v in diff[c].items() if not m[0]}
+                if const:
+                    cols.append(c)
+                    rows.append(Column(list(const), list(const.values())))
+            pivots.update((cols[r], i0) for r, i0 in echelon(rows, p))
         plan.append(pivots)
     return plan
 

@@ -601,6 +601,21 @@ def test_python_m_cli_prints_no_warning(tmp_path):
     assert b"resolution length 2" in run.stdout
 
 
+def test_star_import_gives_the_listed_names():
+    # __all__ holds the lazy command-line names too, so a star import
+    # loads them instead of leaving them undefined
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
+    code = ("from syzkit import *\n"
+            "doc = parse_input('ring 7 x,y dp\\nx^2\\n')\n"
+            "print(len(resolve(doc.generators, doc.ring, doc.ordering).diffs))")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "1\n"
+    assert all(hasattr(syzkit, name) for name in syzkit.__all__)
+
+
 PIPELINE_WITHOUT_NUMPY = """
 import contextlib, io, sys
 from syzkit import main

@@ -7,7 +7,7 @@ import pytest
 import syzkit
 
 from syzkit.algebra import (Column, DomainError, OpCounters, mono_div,
-                            term_times_vector)
+                            mono_divides, term_times_vector)
 from syzkit.orderings import OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger, divide_with_remainder
 from syzkit.frame import build_frame, lead_syz
@@ -572,6 +572,35 @@ def test_lift_frame_terms_rejects_wrong_chain(sec5):
     for chain in (G.chain, sec5.ext.extend(terms)):
         with pytest.raises(DomainError, match="chain extended"):
             lift_frame_terms(terms, G, chain)
+
+
+def test_divisor_memo_shares_its_monomials(corpus, agr_5_4_12):
+    # after a level's liftings the divisor memo holds one object per
+    # distinct base monomial, and each entry is what a scan of the leading
+    # monomials finds without the memo
+    ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
+    agr_gb = buchberger(ideal.generators, ideal.ring,
+                        BaseOrdering("dp", ideal.ring.nvars))
+    shared = 0
+    for res, gb in [(e.resolutions["tree"], e.gb) for e in corpus] + [
+            (agr_5_4_12[0], agr_gb)]:
+        G = gb
+        for level, fl in enumerate(build_frame(gb).levels, start=1):
+            view, cache = G.with_own_memo(), SubtreeCache()
+            for s in fl.terms:
+                lift_hybrid(s, view, None, cache)
+                lift_reduce(s, view)
+            objects: dict = {}
+            for m, comp in view._div_memo:
+                objects.setdefault(m, set()).add(id(m))
+            assert all(len(ids) == 1 for ids in objects.values())
+            shared += len(view._div_memo) - len(objects)
+            for (m, comp), i in view._div_memo.items():
+                assert i == next((j for lm, j in G._by_comp.get(comp, ())
+                                  if mono_divides(lm, m)), -1)
+            G = GroebnerBasis(G.ring, G.chain.extend(G.lms), res.diffs[level],
+                              level=level, rank=len(G.gens), twists=G.degrees)
+    assert shared > 0
 
 
 @pytest.mark.parametrize("alg", LIFT_ALGORITHMS)

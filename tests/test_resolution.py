@@ -24,10 +24,11 @@ from syzkit.resolution import (
     minimize,
     resolve,
 )
-from syzkit.resolution import _plan_pivots, _strands
+from syzkit.resolution import _plan_pivots
 from syzkit.examples_gen import AgrSpec, gen_agr, gen_random_homogeneous
 from syzkit.cli import InputDocument, main, parse_input, serialize_input, serialize_resolution
 from syzkit import block_rank, lift, resolution
+from syzkit.linalg import echelon
 
 from conftest import SEC5_TEXT
 
@@ -201,13 +202,43 @@ def test_minimize_unit_ideal():
     assert betti_nonminimal(out) == BettiTable({})
 
 
+def _strands(res, k):
+    """The constant strands of phi_k as dicts, all degrees at once: degree
+    j -> {column: its constant part {row: value}} for the degree-j columns
+    of phi_k with a constant entry, in basis order (the form _plan_pivots
+    eliminated before it built one degree at a time from frozen rows)."""
+    one = res.ring.one
+    out = {}
+    for c, (t, col) in enumerate(zip(res.modules[k].twists, res.diffs[k - 1])):
+        const = {i: v for (m, i), v in col.items() if m == one}
+        if const:
+            out.setdefault(t, {})[c] = const
+    return out
+
+
+def _dict_plan(res):
+    """_plan_pivots' pivots from the dict strands of _strands, each
+    eliminated with its columns last first."""
+    plan = []
+    for k in range(1, res.length + 1):
+        pivots = {}
+        for strand in _strands(res, k).values():
+            cols = list(strand)[::-1]
+            pivots.update((cols[r], i0) for r, i0
+                          in echelon([strand[j] for j in cols], res.ring.p))
+        plan.append(pivots)
+    return plan
+
+
 def test_strands_examples(sec5):
     res = resolve(sec5.gens, sec5.ring, sec5.base)
     assert _strands(res, 1) == _strands(res, 2) == {}
+    assert _plan_pivots(res) == [{}, {}]
     dup = _dup_generator_resolution()
     assert _strands(dup, 1) == {}
     assert _strands(dup, 2) == {1: {0: {0: 1, 1: 32002}}}
     assert block_rank(list(_strands(dup, 2)[1].values()), 32003) == 1
+    assert _plan_pivots(dup) == [{}, {0: 0}]
 
 
 def test_strands_dimensions_agr():
@@ -842,12 +873,14 @@ def _reference_pivots(res):
 def test_plan_pivots_follow_the_pivot_rule(corpus, agr_5_4_12):
     # the reference strips level k-1's pivot rows, as the sweep does, and
     # the plan does not, so this also checks that those rows never hold a
-    # pivot (the argument is in _plan_pivots' docstring)
+    # pivot (the argument is in _plan_pivots' docstring); and the strands
+    # eliminated one degree at a time from frozen rows give the pivots of
+    # the dict strands eliminated all at once
     reference = 0
     for res in [e.resolutions[alg] for e in corpus
                 for alg in ("reduce", "hybrid", "tree")] + [agr_5_4_12[0]]:
         plan = _plan_pivots(res)
-        assert plan == _reference_pivots(res)
+        assert plan == _reference_pivots(res) == _dict_plan(res)
         reference += sum(map(len, plan))
     assert reference > 0
 
@@ -856,6 +889,7 @@ def test_minimize_agr_6_5_18():
     ideal = gen_agr(AgrSpec(6, 5, 18, p=10007, seed=0))
     res = resolve(ideal.generators, ideal.ring,
                   BaseOrdering("dp", ideal.ring.nvars))
+    assert _plan_pivots(res) == _dict_plan(res)
     mres = minimize(res)
     assert betti_nonminimal(mres) == betti_minimal_from_nonminimal(res)
     one = res.ring.one

@@ -11,7 +11,7 @@ from .algebra import (
 from .orderings import BaseOrdering, OrderingChain
 from .groebner import GroebnerBasis, buchberger, divide_with_remainder
 from .linalg import rank as block_rank
-from .frame import FrameLevel, SchreyerFrame, build_frame, lead_syz
+from .frame import FrameLevel, build_frame, lead_syz
 from .lift import (
     SubtreeCache,
     lift_hybrid,
@@ -44,7 +44,7 @@ __all__ = [
     "BaseOrdering", "OrderingChain",
     "GroebnerBasis", "buchberger", "divide_with_remainder",
     "block_rank",
-    "FrameLevel", "SchreyerFrame", "build_frame", "lead_syz",
+    "FrameLevel", "build_frame", "lead_syz",
     "SubtreeCache", "lift_hybrid", "lift_reduce", "lift_tree", "psi",
     "BettiTable", "GradedFreeModule", "Resolution",
     "betti_minimal_from_nonminimal", "betti_nonminimal",

@@ -41,12 +41,13 @@ in the same table.  Each ``minimize`` call owns another, filled when it
 renumbers its output, and each :func:`~syzkit.cli.parse_input` call one for
 the generators it reads.  A table lives only as long as its call; what
 outlives it is the sharing of the stored columns.  Likewise the memos of
-a level's lifting, its child lists and its divisor memo, live only as long
-as that lifting (:func:`~syzkit.lift.lift_frame_iter`), so a Groebner basis
-passed to ``resolve`` keeps only what it held before.  The divisor memo
-shares its monomials too, through a table of its own: its keys, built
+a level's lifting, its child lists and its divisor memo, live in the
+level's :class:`~syzkit.lift.SubtreeCache` only as long as that lifting
+(:func:`~syzkit.lift.lift_frame_iter`); a Groebner basis holds no memo,
+so one passed to ``resolve`` is only read.  The divisor memo shares its
+monomials too, through a table of its own in the cache: its keys, built
 for the lookup by the lifting, hold one object per distinct base
-monomial (:meth:`~syzkit.groebner.GroebnerBasis.divisor`).
+monomial.
 """
 
 from __future__ import annotations

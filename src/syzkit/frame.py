@@ -17,7 +17,7 @@ from .algebra import (
     mono_divides,
     mono_lcm,
 )
-from .orderings import BaseOrdering, OrderingChain, reorder_permutation
+from .orderings import BaseOrdering, reorder_permutation
 from .groebner import GroebnerBasis
 
 
@@ -71,21 +71,10 @@ def lead_syz(leading_monomials: Sequence[ModMono], base: BaseOrdering,
     return FrameLevel(terms, [mono_deg(t) + degrees[i] for t, i in terms])
 
 
-class SchreyerFrame:
-    """Frame levels in generator order, each sorted by
-    :func:`~syzkit.orderings.reorder_permutation`, together with the chain
-    of induced orderings they define."""
-
-    __slots__ = ("levels", "chain")
-
-    def __init__(self, levels: list, chain: OrderingChain):
-        self.levels = levels
-        self.chain = chain
-
-
 def build_frame(G: GroebnerBasis,
-                max_length: Optional[int] = None) -> SchreyerFrame:
-    """The Schreyer frame of G, built inductively from leading terms alone.
+                max_length: Optional[int] = None) -> list:
+    """The Schreyer frame of G, built inductively from leading terms alone,
+    as its list of levels (:class:`FrameLevel`).
 
     Each level is sorted by :func:`~syzkit.orderings.reorder_permutation`
     before the next one is computed; :func:`~syzkit.resolution.resolve`
@@ -94,12 +83,12 @@ def build_frame(G: GroebnerBasis,
     G's lead degrees.  Raises RuntimeError if the frame outgrows the
     Hilbert syzygy bound.
     """
+    levels: list = []
     if not G.gens:
-        return SchreyerFrame([], G.chain)
+        return levels
     base = G.chain.base
     chain = G.chain.extend(G.lms)
     lms, degrees = list(G.lms), list(G.degrees)
-    levels: list = []
     while max_length is None or len(levels) < max_length:
         level = lead_syz(lms, base, degrees)
         if not level.terms:
@@ -113,4 +102,4 @@ def build_frame(G: GroebnerBasis,
         chain = chain.extend(level.terms)
         lms = level.terms
         degrees = level.degrees
-    return SchreyerFrame(levels, chain)
+    return levels

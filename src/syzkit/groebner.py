@@ -43,15 +43,13 @@ class GroebnerBasis:
     `chain` carries exactly `level` induced-ordering levels.  Each generator
     is copied once into a :class:`~syzkit.algebra.Column`: sorted, made
     monic and built from the objects of ``table`` (a fresh one when None;
-    see :mod:`syzkit.algebra`), so ``gens`` holds columns only.  The
-    divisor lookup (smallest generator index whose leading monomial divides
-    a given module monomial) is memoized on the basis, one dict lookup per
-    hit; the memo's keys share their base monomials, one object each in a
-    table of the memo.  :func:`~syzkit.lift.lift_frame_iter` lifts against
-    :meth:`with_own_memo`, so the memo of a level's lifting dies with it
-    and a basis given to ``resolve`` keeps only what it held before.
+    see :mod:`syzkit.algebra`), so ``gens`` holds columns only.  A basis
+    is a value: nothing changes it after construction, and
+    :meth:`divisor` scans the leading monomials (the lifting memoizes its
+    lookups in its own :class:`~syzkit.lift.SubtreeCache`).
     ``degrees`` are the lead degrees, twists included, graded or not:
     :func:`~syzkit.resolution.resolve` decides gradedness from its input.
+    :meth:`syzygy_basis` forms the basis of the next level.
     """
 
     def __init__(self, ring: Ring, chain: OrderingChain, gens: Iterable[Vec],
@@ -92,33 +90,30 @@ class GroebnerBasis:
         for i, mm in enumerate(lms):
             by_comp.setdefault(mm[1], []).append((mm[0], i))
         self._by_comp = by_comp
-        self._div_memo: dict = {}
-        self._div_monos: dict = {}  # the one object of each memo monomial
 
     def divisor(self, mm: ModMono) -> int:
-        """Smallest generator index whose leading monomial divides mm, or -1.
+        """Smallest generator index whose leading monomial divides mm, or -1."""
+        return _smallest_divisor(self._by_comp, mm)
 
-        A miss stores mm with its base monomial replaced by the memo's own
-        object for it: many keys share few monomials, and a caller's mm
-        is often built for the lookup alone."""
-        memo = self._div_memo
-        idx = memo.get(mm)
-        if idx is None:
-            idx = -1
-            mono, comp = mm
-            for lm_mono, i in self._by_comp.get(comp, ()):
-                if mono_divides(lm_mono, mono):
-                    idx = i
-                    break
-            memo[(self._div_monos.setdefault(mono, mono), comp)] = idx
-        return idx
+    def syzygy_basis(self, liftings: Iterable[Vec],
+                     table: Optional[dict] = None) -> "GroebnerBasis":
+        """The basis of the next level whose generators are ``liftings``,
+        the liftings of the frame terms of this basis (Schreyer): it lives
+        in the free module of rank ``len(gens)`` with twists ``degrees``,
+        under the ordering this basis' leading monomials induce."""
+        return GroebnerBasis(self.ring, self.chain.extend(self.lms), liftings,
+                             level=self.level + 1, rank=len(self.gens),
+                             twists=self.degrees, table=table)
 
-    def with_own_memo(self) -> "GroebnerBasis":
-        """This basis, every attribute shared but the divisor memo and its
-        monomial table, which start empty."""
-        view = object.__new__(GroebnerBasis)
-        view.__dict__ = {**self.__dict__, "_div_memo": {}, "_div_monos": {}}
-        return view
+
+def _smallest_divisor(by_comp: dict, mm: ModMono) -> int:
+    """The first i of the pairs (leading monomial, i) that ``by_comp``
+    lists under mm's component whose monomial divides mm's, or -1."""
+    mono = mm[0]
+    for lm, i in by_comp.get(mm[1], ()):
+        if mono_divides(lm, mono):
+            return i
+    return -1
 
 
 def divide_with_remainder(g: Vec, G: GroebnerBasis,
@@ -275,13 +270,12 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
             cols.add(mm)
             if mm in known:
                 continue
-            m = mm[0]
-            for lm, k in by_comp.get(mm[1], ()):
-                if mono_divides(lm, m):
-                    known.add(mm)
-                    rows.append(term_times_vector(mono_div(m, lm), basis[k]))
-                    todo.extend(rows[-1])
-                    break
+            k = _smallest_divisor(by_comp, mm)
+            if k >= 0:
+                known.add(mm)
+                rows.append(term_times_vector(mono_div(mm[0], lms[k][0]),
+                                              basis[k]))
+                todo.extend(rows[-1])
         order = sorted(cols, key=key, reverse=True)
         index = {mm: c for c, mm in enumerate(order)}
         reduced, pivcols = linalg.rref(

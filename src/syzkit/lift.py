@@ -73,18 +73,21 @@ LIFT_ALGORITHMS = ("reduce", "hybrid", "tree")
 
 
 class SubtreeCache:
-    """A level's child lists and stored subtree liftings, keyed by
-    coefficient-normalized module monomials; hybrid and tree liftings share
-    it.
+    """A level's child lists, divisor memo and stored subtree liftings,
+    keyed by coefficient-normalized module monomials; hybrid and tree
+    liftings share it.
 
     ``children`` maps each key expanded so far to its child list: the keys
     of the non-lower-order tail of its reducer, with their coefficients,
     frozen into a :class:`~syzkit.algebra.Column` (two tuples, not a dict,
     since nothing writes to a child list once it is formed).
-    The tree lifting drops a list once its key is stored; every other list
-    stays until :func:`lift_frame_iter` is exhausted or closed, which clears
-    them.  The divisor memo they are expanded with lives exactly as long: it
-    is kept on the generator's own copy of G, not in the cache.
+    The tree lifting drops a list once its key is stored.
+    ``divisors`` memoizes the smallest divisor of each tail term the
+    expansions meet (:meth:`~syzkit.groebner.GroebnerBasis.divisor`); a
+    missed key is stored with its base monomial replaced by the one object
+    for it in ``monos``, since many keys share few monomials.  Every other
+    child list, the memo and its monomials stay until
+    :func:`lift_frame_iter` is exhausted or closed, which clears them.
     ``data`` holds the tails of the tree's stored subtree liftings: the
     lifting of k less its head, k at coefficient 1 (every other term is
     strictly smaller); a reuse enters k at the requested coefficient with
@@ -97,11 +100,14 @@ class SubtreeCache:
     lists.
     """
 
-    __slots__ = ("data", "children", "canon", "hits", "expansions")
+    __slots__ = ("data", "children", "divisors", "monos", "canon", "hits",
+                 "expansions")
 
     def __init__(self, canon: Optional[dict] = None):
         self.data: dict = {}
         self.children: dict = {}
+        self.divisors: dict = {}
+        self.monos: dict = {}
         self.canon: dict = {} if canon is None else canon
         self.hits = 0
         self.expansions = 0
@@ -177,22 +183,26 @@ def lift_hybrid(s: ModMono, G: GroebnerBasis,
     return sbar
 
 
-def _tail_terms(key: ModMono, G: GroebnerBasis) -> Iterator[tuple]:
+def _tail_terms(key: ModMono, G: GroebnerBasis,
+                cache: SubtreeCache) -> Iterator[tuple]:
     """The non-lower-order tail of m*f_i, key = (m, i), as subtree keys, in
     order: each term t after the head (at coefficient 1) yields the key of
-    its smallest divisor with t's coefficient.  Components that hold no
-    leading monomial are skipped before any product; only monomials are
-    multiplied, so no field product is performed."""
+    its smallest divisor with t's coefficient, looked up in the cache's
+    divisor memo.  Components that hold no leading monomial are skipped
+    before any product; only monomials are multiplied, so no field product
+    is performed."""
     m, i = key
     items = iter(G.gens[i].items())
     _, head_c = next(items)
     assert head_c == 1, "generators must be monic"
-    divisor, lms, comps = G.divisor, G.lms, G._by_comp
+    memo, monos, lms, comps = cache.divisors, cache.monos, G.lms, G._by_comp
     for (fm, fc), fv in items:
         if fc not in comps:
             continue
         t = mono_mul(m, fm)
-        j = divisor((t, fc))
+        j = memo.get((t, fc))
+        if j is None:
+            j = memo[(monos.setdefault(t, t), fc)] = G.divisor((t, fc))
         if j >= 0:
             yield (mono_div(t, lms[j][0]), j), fv
 
@@ -205,7 +215,8 @@ def _children(key: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> Column:
     kids = cache.children.get(key)
     if kids is None:
         cache.expansions += 1
-        kids = cache.children[key] = vec_interned(_tail_terms(key, G), cache.canon)
+        kids = cache.children[key] = vec_interned(_tail_terms(key, G, cache),
+                                                  cache.canon)
     return kids
 
 
@@ -218,7 +229,8 @@ def _roots(s: ModMono, G: GroebnerBasis, cache: SubtreeCache) -> Column:
     distinct terms of m*f_j.  A single-term image has no cancellation, so
     no field operation is done."""
     i, q = _root_divisor(s, G)
-    return vec_interned(chain((((q, i), 1),), _tail_terms(s, G)), cache.canon)
+    return vec_interned(chain((((q, i), 1),), _tail_terms(s, G, cache)),
+                        cache.canon)
 
 
 def _below(roots, G: GroebnerBasis, cache: SubtreeCache) -> Iterator[ModMono]:
@@ -419,18 +431,15 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
     with strategy ``alg``; each is computed when it is asked for, so a
     consumer that keeps none holds one raw lifting at a time.
 
-    The liftings share one divisor memo, kept on a copy of G
-    (:meth:`~syzkit.groebner.GroebnerBasis.with_own_memo`) that dies with
-    the generator, so G holds afterwards exactly what it held before.
     Hybrid and tree liftings share ``cache`` (a fresh one when None), whose
-    child lists stay until the generator is exhausted or closed.  Tree
-    liftings are planned for the whole list first: ``_plan`` returns the
-    subtrees that at least two of the liftings reach if storing them saves
-    products, and nothing otherwise, and ``_store`` stores the plan as it
-    stands before the first lifting; the rest are propagated by weight, and
-    each lifting's roots are dropped once propagated.
+    child lists and divisor memo stay until the generator is exhausted or
+    closed; G, a value, is only read.  Tree liftings are planned for the
+    whole list first: ``_plan`` returns the subtrees that at least two of
+    the liftings reach if storing them saves products, and nothing
+    otherwise, and ``_store`` stores the plan as it stands before the first
+    lifting; the rest are propagated by weight, and each lifting's roots
+    are dropped once propagated.
     """
-    G = G.with_own_memo()
     if alg == "reduce":
         for s in terms:
             yield lift_reduce(s, G, counters)
@@ -453,6 +462,8 @@ def lift_frame_iter(terms: Sequence[ModMono], G: GroebnerBasis,
             yield sbar
     finally:
         cache.children.clear()
+        cache.divisors.clear()
+        cache.monos.clear()
 
 
 def lift_frame_terms(terms: Sequence[ModMono], G: GroebnerBasis,

@@ -28,7 +28,7 @@ from .algebra import (
     vec_iadd_scaled,
     vec_interned,
 )
-from .orderings import BaseOrdering, OrderingChain
+from .orderings import BaseOrdering
 from .linalg import echelon
 from .groebner import GroebnerBasis, buchberger
 from .frame import build_frame
@@ -174,15 +174,18 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
 
     Computes the reduced Groebner basis of the input, then its Schreyer
     frame (:func:`~syzkit.frame.build_frame`), which fixes the leading
-    terms, their order and the chain of induced orderings of every level
-    before any lifting starts, and each level takes its ordering from that
-    chain.  Each frame level is then lifted against the Groebner basis
-    formed by the level before it, as a stream: the level's basis takes
-    each lifting as it is computed, checked to keep its frame term as its
-    head, so every level's generators come in the frame's one order (see
-    :func:`~syzkit.orderings.reorder_permutation`).  A given ``gb`` must be
-    the reduced basis of ``gens`` in R^rank0 with ``twists0``.  ``n_terms``
-    in the returned stats excludes the first differential.
+    terms of every level and their order before any lifting starts.  Each
+    frame level is then lifted against the Groebner basis formed by the
+    level before it, as a stream: the level's basis
+    (:meth:`~syzkit.groebner.GroebnerBasis.syzygy_basis`) takes each
+    lifting as it is computed, checked to keep its frame term as its head,
+    so every level's generators come in the frame's one order (see
+    :func:`~syzkit.orderings.reorder_permutation`).  Every module after
+    the first has its basis' lead degrees as twists if the input is
+    graded, and none otherwise.  A given ``gb`` must be the reduced
+    level-0 basis of ``gens`` in R^rank0 with ``twists0``, over ``ring``
+    and under ``base``; DomainError otherwise.  ``n_terms`` in the
+    returned stats excludes the first differential.
     """
     if alg not in LIFT_ALGORITHMS:
         raise DomainError(f"unknown lifting algorithm {alg!r}")
@@ -194,6 +197,10 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     twists0 = tuple(twists0)
     if gb is None:  # checks the components and twists of the input
         gb = buchberger(gens, ring, base, rank=rank0, twists=twists0)
+    elif (gb.level, gb.ring.p, gb.ring.names, gb.chain.base.kind) != (
+            0, ring.p, ring.names, base.kind):
+        raise DomainError(f"gb must be a level-0 basis over {ring.p}, "
+                          f"{','.join(ring.names)} under {base.kind}")
     elif ((gb.rank, gb.twists) != (rank0, twists0)
           or any(not 0 <= mm[1] < rank0 for g in gens for mm in g)):
         raise DomainError(f"gb and gens must lie in R^{rank0} with twists {twists0}")
@@ -210,24 +217,18 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     table: dict = {}  # the canonical objects of this call's columns
     for g in G.gens:  # adopt the input basis' objects
         vec_interned(g.items(), table)
-    for level, frame_level in enumerate(frame.levels, start=1):
+    for frame_level in frame:
         t0 = time.perf_counter()
-        ext = OrderingChain(frame.chain.base, frame.chain.levels[:level])
         terms = frame_level.terms
         lifts = lift_frame_iter(terms, G, alg, counters, SubtreeCache(table))
-        ambient = modules[level]
         # the basis sorts and interns each lifting as the stream yields it,
         # and its generators are the columns: one raw lifting is alive at a
         # time, so that no level is ever held twice
-        G = GroebnerBasis(ring, ext, _heads_kept(terms, lifts), level=level,
-                          rank=ambient.rank,
-                          twists=ambient.twists or (0,) * ambient.rank,
-                          table=table)
+        G = G.syzygy_basis(_heads_kept(terms, lifts), table)
         if G.lms != tuple(terms):
             raise RuntimeError("lifting lost its leading term")
         diffs.append(list(G.gens))
-        modules.append(GradedFreeModule(
-            len(G.gens), tuple(frame_level.degrees) if graded else None))
+        modules.append(GradedFreeModule(len(G.gens), G.degrees if graded else None))
         counters.n_terms += sum(len(v) for v in G.gens)
         level_times.append(time.perf_counter() - t0)
     return Resolution(ring, base, modules, diffs, counters, level_times)

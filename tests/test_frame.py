@@ -65,9 +65,8 @@ def test_lead_syz_brute_force(corpus):
 
 def test_frame_minimality_and_degrees(corpus):
     for entry in corpus[:40]:
-        frame = build_frame(entry.gb)
         degrees = entry.gb.degrees
-        for lv in frame.levels:
+        for lv in build_frame(entry.gb):
             for a, b in itertools.combinations(lv.terms, 2):
                 same = a[1] == b[1]
                 assert not (same and mono_divides(a[0], b[0]))
@@ -80,39 +79,43 @@ def test_frame_minimality_and_degrees(corpus):
 
 def test_build_frame_sec5(sec5):
     frame = build_frame(sec5.gb)
-    assert len(frame.levels) == 1
-    assert frame.levels[0].terms == [sec5.mm("x", 2), sec5.mm("w", 3)]
+    assert len(frame) == 1
+    assert frame[0].terms == [sec5.mm("x", 2), sec5.mm("w", 3)]
     # the two terms sit in different components: the next level is empty
-    level = frame.levels[0]
+    level = frame[0]
     assert lead_syz(level.terms, sec5.base, level.degrees).terms == []
 
 
 def test_build_frame_single_gen():
     doc = parse_input("ring 7 x,y dp\nx\n")
     G = buchberger(doc.generators, doc.ring, doc.ordering)
-    assert build_frame(G).levels == []
+    assert build_frame(G) == []
 
 
 def test_build_frame_empty_basis():
     # resolve never builds the frame of the zero ideal, but build_frame is
-    # exported: an empty basis has an empty frame over the basis's chain
+    # exported: an empty basis has an empty frame
     doc = parse_input("ring 7 x,y dp\nx\n")
     G = buchberger([], doc.ring, doc.ordering)
-    frame = build_frame(G)
-    assert G.gens == () and frame.levels == [] and frame.chain is G.chain
+    assert G.gens == () and build_frame(G) == []
 
 
 def test_build_frame_matches_resolution(corpus):
     for entry in corpus:
         frame = build_frame(entry.gb)
         res = entry.resolutions["tree"]
-        assert len(frame.levels) == max(0, res.length - 1)
-        for lv, cols in zip(frame.levels, res.diffs[1:]):
+        assert len(frame) == max(0, res.length - 1)
+        for lv, cols in zip(frame, res.diffs[1:]):
             assert lv.terms == [next(iter(col)) for col in cols]
-        # each chain level holds the descents of the leading terms
-        assert len(frame.chain.levels) == len(res.diffs)
+        # each level's basis extends its chain by one level, which holds
+        # the descents of the leading terms of the level below
+        G = entry.gb
+        for cols in res.diffs[1:]:
+            G = G.syzygy_basis(cols)
+        chain = G.chain.extend(G.lms)
+        assert len(chain.levels) == len(res.diffs)
         pms = tails = None
-        for lev, cols in zip(frame.chain.levels, res.diffs):
+        for lev, cols in zip(chain.levels, res.diffs):
             lms = [next(iter(col)) for col in cols]
             if pms is None:
                 pms = tuple(m for m, _ in lms)
@@ -145,7 +148,7 @@ def _frame_betti(G):
     twists, level 1 from the generator degrees, level k+1 from the term
     degrees of frame level k."""
     levels = [G.twists, G.degrees]
-    levels += [level.degrees for level in build_frame(G).levels]
+    levels += [level.degrees for level in build_frame(G)]
     table: dict = {}
     for k, degrees in enumerate(levels):
         for d in degrees:

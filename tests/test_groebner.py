@@ -260,17 +260,19 @@ def test_groebner_basis_reads_a_column_once(agr_5_4_12, monkeypatch):
     # a Column finds a term by scanning its keys, so GroebnerBasis copies a
     # column generator once instead of looking up each of its terms: the
     # bases of the differentials of AGR (5, 4, 12) look up no column term,
-    # and equal, term for term and in order, the bases of dict copies
+    # and equal, term for term and in order, the bases of dict copies; each
+    # basis after the first is formed by the one before it
     res = agr_5_4_12[0]
 
     def bases(copy):
-        chain, out = OrderingChain(res.base), []
-        for level, (cols, mod) in enumerate(zip(res.diffs, res.modules)):
-            G = GroebnerBasis(res.ring, chain, [copy(c) for c in cols],
-                              level=level, rank=mod.rank, twists=mod.twists)
-            out.append([list(g.items()) for g in G.gens])
-            chain = chain.extend(G.lms)
-        return out
+        mod = res.modules[0]
+        G = GroebnerBasis(res.ring, OrderingChain(res.base),
+                          [copy(c) for c in res.diffs[0]],
+                          rank=mod.rank, twists=mod.twists)
+        out = [G]
+        for cols in res.diffs[1:]:
+            out.append(out[-1].syzygy_basis([copy(c) for c in cols]))
+        return [[list(g.items()) for g in G.gens] for G in out]
 
     want = bases(lambda col: dict(col.items()))
     lookups = []

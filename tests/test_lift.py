@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 
@@ -191,9 +192,8 @@ def test_roots_are_canonical_objects(sec5, corpus):
     cases = [sec5.gb, agr] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
     large = hybrid_terms = 0
     for G in cases:
-        ring, table = G.ring, {}
-        for level, fl in enumerate(build_frame(G).levels, start=1):
-            ext = G.chain.extend(G.lms)
+        table = {}
+        for fl in build_frame(G):
             cache = SubtreeCache(table)
             for s in fl.terms:
                 roots = _roots(s, G, cache)
@@ -217,9 +217,7 @@ def test_roots_are_canonical_objects(sec5, corpus):
             for out in lift_frame_iter(fl.terms, G, "tree", None, cache):
                 assert {type(v) for v in cache.children.values()} <= {Column}
                 outs.append(out)
-            G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
-                              twists=G.degrees or (0,) * len(G.gens),
-                              table=table)
+            G = G.syzygy_basis(outs, table)
     assert large > 1000 and hybrid_terms > 1000
 
 
@@ -272,8 +270,7 @@ def test_planned_tree_matches_unplanned(sec5, corpus):
     # cache, at no more products and additions, on every level of the frame
     cases = [sec5.gb] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
     for G in cases:
-        ring = G.ring
-        for level, fl in enumerate(build_frame(G).levels, start=1):
+        for fl in build_frame(G):
             ext = G.chain.extend(G.lms)
             planned, unplanned = OpCounters(), OpCounters()
             cache = SubtreeCache()
@@ -288,8 +285,7 @@ def test_planned_tree_matches_unplanned(sec5, corpus):
             assert planned.n_mult <= unplanned.n_mult
             assert planned.n_add <= unplanned.n_add
             assert planned.n_monomial_cmp == 0
-            G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
-                              twists=G.degrees or (0,) * len(G.gens))
+            G = G.syzygy_basis(outs)
 
 
 def _shared_keys(G, roots):
@@ -319,8 +315,7 @@ def test_plan_picks_the_cheaper_store(sec5, corpus):
     cases = [sec5.gb, agr] + [e.gb for e in corpus[:20] if len(e.gb.gens) >= 2]
     wins = {"nothing": 0, "shared": 0}
     for G in cases:
-        ring = G.ring
-        for level, fl in enumerate(build_frame(G).levels, start=1):
+        for fl in build_frame(G):
             ext = G.chain.extend(G.lms)
             planned = OpCounters()
             outs = lift_frame_terms(fl.terms, G, ext, "tree", planned)
@@ -340,8 +335,7 @@ def test_plan_picks_the_cheaper_store(sec5, corpus):
             assert planned.n_mult <= min(mults.values())
             if mults["nothing"] != mults["shared"]:
                 wins[min(mults, key=mults.get)] += 1
-            G = GroebnerBasis(ring, ext, outs, level=level, rank=len(G.gens),
-                              twists=G.degrees or (0,) * len(G.gens))
+            G = G.syzygy_basis(outs)
     assert wins["nothing"] > 0 and wins["shared"] > 0
 
 
@@ -352,7 +346,7 @@ def test_plan_is_stored_before_the_first_lifting():
     ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
     G = buchberger(ideal.generators, ideal.ring,
                    BaseOrdering("dp", ideal.ring.nvars))
-    terms = build_frame(G).levels[0].terms
+    terms = build_frame(G)[0].terms
     plan_cache = SubtreeCache()
     planned = _plan([_roots(s, G, plan_cache) for s in terms], G, plan_cache)
     assert len(planned) == 110
@@ -371,9 +365,8 @@ def _plans(res, gb):
     # resolution res of the basis gb, each level planned from its basis;
     # a level whose shared keys are all leaves saves nothing and stores
     # nothing
-    frame = build_frame(gb)
     G, stores, leaves = gb, [], 0
-    for level, fl in enumerate(frame.levels, start=1):
+    for level, fl in enumerate(build_frame(gb), start=1):
         cache = SubtreeCache()
         roots = [_roots(s, G, cache) for s in fl.terms]
         planned = _plan(roots, G, cache)
@@ -381,9 +374,7 @@ def _plans(res, gb):
             assert planned == []
             leaves += 1
         stores.append(bool(planned))
-        ext = OrderingChain(frame.chain.base, frame.chain.levels[:level])
-        G = GroebnerBasis(G.ring, ext, res.diffs[level], level=level,
-                          rank=len(G.gens), twists=G.degrees)
+        G = G.syzygy_basis(res.diffs[level])
     return stores, leaves
 
 
@@ -488,12 +479,10 @@ def _corpus_bases(corpus):
 def _levels(G):
     """(G, ext, terms) for every frame level above the basis G, each G the
     basis of the level below."""
-    for level, fl in enumerate(build_frame(G).levels, start=1):
+    for fl in build_frame(G):
         ext = G.chain.extend(G.lms)
         yield G, ext, fl.terms
-        outs = lift_frame_terms(fl.terms, G, ext, "tree")
-        G = GroebnerBasis(G.ring, ext, outs, level=level, rank=len(G.gens),
-                          twists=G.degrees or (0,) * len(G.gens))
+        G = G.syzygy_basis(lift_frame_terms(fl.terms, G, ext, "tree"))
 
 
 def test_lift_reduce_is_s_minus_the_quotient(sec5, corpus):
@@ -575,9 +564,9 @@ def test_lift_frame_terms_rejects_wrong_chain(sec5):
 
 
 def test_divisor_memo_shares_its_monomials(corpus, agr_5_4_12):
-    # after a level's liftings the divisor memo holds one object per
-    # distinct base monomial, and each entry is what a scan of the leading
-    # monomials finds without the memo
+    # after a level's liftings the cache's divisor memo holds one object per
+    # distinct base monomial, each the one its monomial table holds, and
+    # each entry is what a scan of the leading monomials finds
     ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
     agr_gb = buchberger(ideal.generators, ideal.ring,
                         BaseOrdering("dp", ideal.ring.nvars))
@@ -585,31 +574,36 @@ def test_divisor_memo_shares_its_monomials(corpus, agr_5_4_12):
     for res, gb in [(e.resolutions["tree"], e.gb) for e in corpus] + [
             (agr_5_4_12[0], agr_gb)]:
         G = gb
-        for level, fl in enumerate(build_frame(gb).levels, start=1):
-            view, cache = G.with_own_memo(), SubtreeCache()
+        for level, fl in enumerate(build_frame(gb), start=1):
+            cache = SubtreeCache()
             for s in fl.terms:
-                lift_hybrid(s, view, None, cache)
-                lift_reduce(s, view)
+                lift_hybrid(s, G, None, cache)
             objects: dict = {}
-            for m, comp in view._div_memo:
+            for m, comp in cache.divisors:
                 objects.setdefault(m, set()).add(id(m))
+                assert cache.monos[m] is m
             assert all(len(ids) == 1 for ids in objects.values())
-            shared += len(view._div_memo) - len(objects)
-            for (m, comp), i in view._div_memo.items():
+            assert len(cache.monos) == len(objects)
+            shared += len(cache.divisors) - len(objects)
+            for (m, comp), i in cache.divisors.items():
                 assert i == next((j for lm, j in G._by_comp.get(comp, ())
                                   if mono_divides(lm, m)), -1)
-            G = GroebnerBasis(G.ring, G.chain.extend(G.lms), res.diffs[level],
-                              level=level, rank=len(G.gens), twists=G.degrees)
+            G = G.syzygy_basis(res.diffs[level])
     assert shared > 0
 
 
 @pytest.mark.parametrize("alg", LIFT_ALGORITHMS)
-def test_lift_frame_iter_leaves_the_basis_memo_as_it_was(sec5, alg):
-    # a level's divisor memo dies with its lifting: the given basis holds
-    # the same memo afterwards, with exactly the entries it held before
+def test_lift_frame_iter_leaves_the_basis_as_it_was(sec5, alg):
+    # a basis is a value and a level's memos die with its lifting: after
+    # each strategy's liftings the given basis holds the same objects with
+    # the same contents, and the caller's cache keeps no child list, no
+    # divisor memo entry and no memo monomial
     G = buchberger(sec5.gens, sec5.ring, sec5.base)
-    G.divisor(sec5.frame_terms[0])
-    memo, held = G._div_memo, dict(G._div_memo)
-    assert lift_frame_terms(sec5.frame_terms, G, None, alg) == [sec5.syz1,
-                                                                sec5.syz2]
-    assert G._div_memo is memo and memo == held
+    held, contents = dict(vars(G)), pickle.dumps(vars(G))
+    cache = SubtreeCache()
+    assert lift_frame_terms(sec5.frame_terms, G, None, alg, None,
+                            cache) == [sec5.syz1, sec5.syz2]
+    assert pickle.dumps(vars(G)) == contents
+    assert vars(G).keys() == held.keys()
+    assert all(vars(G)[name] is v for name, v in held.items())
+    assert not cache.children and not cache.divisors and not cache.monos

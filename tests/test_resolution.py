@@ -13,6 +13,7 @@ from syzkit.algebra import (DomainError, OpCounters, Ring, mono_div, mono_mul,
                             vec_iadd_scaled, vec_interned, vec_sub_term)
 from syzkit.orderings import BaseOrdering, OrderingChain
 from syzkit.groebner import GroebnerBasis, buchberger, monomials_of_degree
+from syzkit.frame import build_frame
 from syzkit.lift import SubtreeCache
 from syzkit.resolution import (
     BettiTable,
@@ -106,6 +107,27 @@ def test_given_basis_is_checked(comp, kwargs):
         resolve(gens, ring, base, gb=G, **kwargs)
 
 
+def test_given_basis_of_another_ring_or_ordering_is_rejected(monkeypatch):
+    # a given basis must be a level-0 basis over resolve's ring and under
+    # its base ordering, else DomainError before the frame is built: a dp
+    # basis passed with lp (lp's own resolution has ranks 1/4/4/1), a
+    # basis over 32003 passed with characteristic 7 or other variable
+    # names, and a level-1 basis
+    doc = parse_input("ring 32003 x,y,z lp\nx^2-y*z\nx*y-z^2\n")
+    ring, lp, dp = doc.ring, doc.ordering, BaseOrdering("dp", 3)
+    gb_dp = buchberger(doc.generators, ring, dp)
+    gb_lp = buchberger(doc.generators, ring, lp)
+    res = resolve(doc.generators, ring, lp, gb=gb_lp)
+    assert [m.rank for m in res.modules] == [1, 4, 4, 1]
+    level1 = gb_lp.syzygy_basis(res.diffs[1])
+    monkeypatch.setattr(resolution, "build_frame", None)
+    for r, base, gb in [(ring, lp, gb_dp), (Ring(7, ring.names), dp, gb_dp),
+                        (Ring(32003, ("x", "y", "w")), dp, gb_dp),
+                        (ring, lp, level1)]:
+        with pytest.raises(DomainError, match="level-0 basis"):
+            resolve(doc.generators, r, base, gb=gb)
+
+
 @pytest.mark.parametrize("reorder", ["bogus"])
 def test_resolve_rejects_unknown_reorder(reorder):
     # there is one generator order between levels and no option to pick one
@@ -162,6 +184,39 @@ def test_gradedness_is_decided_at_the_input():
         res = resolve([{(x2, 0): 1}, {(yz, 0): 1}], ring, base, alg=alg, gb=gb)
         assert not res.graded
         assert all(m.twists is None for m in res.modules)
+
+
+K20_TEXT = ("ring 32003 w,x,y,z lp\nw*x+w*z+x^20*z-z^2\n"
+            "w*y-w*z-x*z-y*z-2*z^2\nx*y+z^2\n")
+
+
+def test_level_bases_have_the_frame_degrees(corpus, monkeypatch):
+    # every basis resolve forms has the lead degrees of its frame level,
+    # twists included, graded or not: on the corpus and on the ungraded
+    # worked example with x^2 replaced by x^20*z
+    bases = []
+    syzygy_basis = GroebnerBasis.syzygy_basis
+
+    def recording(G, liftings, table=None):
+        bases.append(syzygy_basis(G, liftings, table))
+        return bases[-1]
+
+    monkeypatch.setattr(GroebnerBasis, "syzygy_basis", recording)
+    doc = parse_input(K20_TEXT)
+    cases = [(doc.generators, doc.ring, doc.ordering,
+              buchberger(doc.generators, doc.ring, doc.ordering))]
+    cases += [(e.gens, e.ring, e.base, e.gb) for e in corpus]
+    n_levels = ungraded = 0
+    for gens, ring, base, gb in cases:
+        bases.clear()
+        res = resolve(gens, ring, base, gb=gb)
+        frame = build_frame(gb)
+        assert len(bases) == len(frame) == len(res.modules) - 2
+        for G, level in zip(bases, frame):
+            assert G.degrees == tuple(level.degrees)
+        n_levels += len(frame)
+        ungraded += not res.graded
+    assert ungraded == 1 and n_levels > 300
 
 
 def _dup_generator_resolution():
@@ -511,11 +566,12 @@ def test_check_complex_detects_a_changed_coefficient(sec5):
 
 @pytest.mark.parametrize("alg", ["reduce", "hybrid", "tree"])
 def test_resolve_streams_each_level(sec5, corpus, monkeypatch, alg):
-    # each level's basis takes every lifting as soon as it is yielded: when
-    # it takes lifting i, the generator has yielded exactly i + 1, so no
-    # level is ever built as a list; every strategy gets one cache per
-    # level, and the child lists go at each level's end
-    yielded, caches = [], []
+    # each level's basis, formed once per level by syzygy_basis, takes
+    # every lifting as soon as it is yielded: when it takes lifting i, the
+    # generator has yielded exactly i + 1, so no level is ever built as a
+    # list; every strategy gets one cache per level, and the child lists go
+    # at each level's end
+    yielded, caches, taken = [], [], []
     lift = resolution.lift_frame_iter
 
     def counting(*a):
@@ -524,29 +580,34 @@ def test_resolve_streams_each_level(sec5, corpus, monkeypatch, alg):
             yielded[-1] += 1
             yield v
 
-    def taking(ring, chain, gens, **kw):
+    syzygy_basis = GroebnerBasis.syzygy_basis
+
+    def taking(G, liftings, table=None):
         def take():
-            for i, g in enumerate(gens):
+            for i, g in enumerate(liftings):
                 assert yielded[-1] == i + 1
                 yield g
-        return GroebnerBasis(ring, chain, take(), **kw)
+        taken.append(G.level + 1)
+        return syzygy_basis(G, take(), table)
 
     def cache(table):
         caches.append(SubtreeCache(table))
         return caches[-1]
 
     monkeypatch.setattr(resolution, "lift_frame_iter", counting)
-    monkeypatch.setattr(resolution, "GroebnerBasis", taking)
+    monkeypatch.setattr(GroebnerBasis, "syzygy_basis", taking)
     monkeypatch.setattr(resolution, "SubtreeCache", cache)
     ideal = gen_agr(AgrSpec(5, 4, 12, p=10007, seed=0))
     cases = [(sec5.gens, sec5.ring, sec5.base),
              (ideal.generators, ideal.ring, BaseOrdering("dp", 5))]
     cases += [(e.gens, e.ring, e.base) for e in corpus[:10]]
-    ranks = []
+    ranks, levels = [], []
     for gens, ring, base in cases:
         res = resolve(gens, ring, base, alg=alg)
         ranks += [m.rank for m in res.modules[2:]]
+        levels += range(1, len(res.modules) - 1)
     assert yielded == ranks and max(ranks) == 171
+    assert taken == levels
     assert len(caches) == len(ranks)
     assert all(not c.children for c in caches)
 

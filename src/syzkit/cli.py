@@ -34,6 +34,7 @@ from .algebra import (
     vec_component,
 )
 from .orderings import BaseOrdering
+from .frame import lead_syz
 from .lift import LIFT_ALGORITHMS
 from .resolution import (
     Resolution,
@@ -439,6 +440,14 @@ def cmd_resolve(args) -> int:
           f"graded: {'yes' if res.graded else 'no'}   time: {elapsed:.3f}s")
     if args.betti and not res.graded:
         raise DomainError("Betti tables require homogeneous input")
+    # the minimal numbers of level L need phi_{L+1}, which a run cut at
+    # L = --max-length, whose heads of phi_L still have syzygies, never lifts
+    if ((args.betti in ("min", "both") or args.minimize)
+            and res.length == args.max_length
+            and lead_syz([next(iter(col)) for col in res.diffs[-1]], res.base,
+                         [0] * len(res.diffs[-1])).terms):
+        raise DomainError(f"--max-length {args.max_length} cuts the resolution;"
+                          " minimal Betti numbers and --minimize need all of it")
     # the minimal table is the minimized shape: one elimination of the strands
     out_res = minimize(res) if args.minimize else res
     if args.betti in ("nonmin", "both"):

@@ -3,11 +3,11 @@
 One engine backs :func:`buchberger`: F4 (Faugere 1999) on module
 monomials, degree by degree, with the reduced echelon forms of
 :func:`syzkit.linalg.rref`.  Degrees include the twists of the
-components.  Inhomogeneous input is homogenized by one extra variable, so
-that the degree of a homogenized element is its sugar degree
-(Giovini-Mora-Niesi-Robbiano-Traverso 1991); the result is dehomogenized
-and reduced.  The output is the reduced Groebner basis, monic, sorted by
-ascending leading-monomial degree with descending base-ordering tiebreak.
+components.  Every input, homogeneous or not, takes the one loop; on
+inhomogeneous input the loop's matrix step runs once more, on the minimal
+basis, to reduce it.  The output is the reduced Groebner basis, monic,
+sorted by ascending leading-monomial degree with descending base-ordering
+tiebreak.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from .algebra import (
     OpCounters,
     Ring,
     Vec,
-    is_homogeneous,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    monomial_divides,
     term_times_vector,
     vec_iadd_scaled,
     vec_interned,
@@ -184,8 +182,6 @@ def buchberger(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         if g:
             cleaned.append(g)
     chain = OrderingChain(base)
-    if not cleaned:
-        return GroebnerBasis(ring, chain, [], level=0, rank=rank, twists=twists)
     out = _gb_f4(cleaned, ring, base, twists)
     lms = [next(iter(g)) for g in out]  # F4's rows are head first
     out = [out[i] for i in reorder_permutation(lms, chain, 0)]
@@ -205,40 +201,32 @@ def monomials_of_degree(nvars: int, deg: int, base: BaseOrdering):
 def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
     """Reduced Groebner basis of the module spanned by `gens`, by F4.
 
-    Input that is not homogeneous for the twists is homogenized: one more,
-    last exponent lifts each term to the top degree of its generator.  A
-    column is a module monomial, of degree deg + twists[comp]; within one
-    degree, columns are ordered by the level-0 key of the dehomogenized
-    monomial, a valid ordering of the homogenized module as the degree is
-    fixed there.  Degree e takes the input of degree e and the S-pairs (of
-    one component, and at rank 1 not of coprime leads) whose lcm L has
-    degree e.  A pair is dropped when a lead lm_k of its component divides
-    L and lcm(i, k), lcm(j, k) divide L strictly, so that both pairs had
-    lower degree (chain criterion).  Each pair gives the rows (L/lm_i) g_i
-    and (L/lm_j) g_j; symbolic preprocessing adds one reducer (t/lm_k) g_k
-    per column t that a lead lm_k divides, until the columns close.  In the
-    reduced echelon form of these rows, a pivot that no earlier lead
-    divides is a new reduced basis element: every column an earlier lead
-    divides is a pivot column, and homogeneity keeps the earlier elements
-    reduced.  Only these rows are reduced; the other pivot rows stay in
-    echelon form.  Dehomogenized, the basis is a Groebner basis of the input;
-    only the elements whose lead no other lead divides are kept, and the
-    tail of each is reduced once against them, which suffices since no
-    term below LM(g) is divisible by LM(g).
+    A column is a module monomial, of degree deg + twists[comp], and
+    columns are ordered by the level-0 key.  Degree e takes the inputs
+    whose top degree is e and the S-pairs (of one component, and at rank 1
+    not of coprime leads) whose lcm L has degree e, lowest e first.  A
+    pair is dropped when a lead lm_k of its component divides L and
+    lcm(i, k), lcm(j, k) have a strictly lower degree than L (chain
+    criterion): pairs are queued only after a step, so those two were
+    queued before this one, and as the lowest degree goes first, they were
+    handled; the strict drop in degree rules out a cycle of drops.  Each
+    pair gives the rows (L/lm_i) g_i and (L/lm_j) g_j, and
+    :func:`_matrix_step` reduces them with the inputs: a pivot that no
+    earlier lead divides is a new basis element.  On homogeneous input the
+    elements are the reduced basis, since every column an earlier lead
+    divides is a pivot column and a new lead divides no term of lower
+    degree.  Otherwise a later element, of lower lead, may divide an
+    earlier lead or tail term: the elements whose lead no other lead
+    divides form a minimal basis, and one more step, which keeps the
+    pivots at their leads only, reduces it.
     """
-    key0 = OrderingChain(base).key_fn(0)
-    homogeneous = all(is_homogeneous(g, twists) for g in gens)
-    if homogeneous:
-        key = key0
-    else:
-        gens = [_homogenized(g, twists) for g in gens]
-
-        def key(mm):
-            return key0((_dehomogenized(mm[0]), mm[1]))
-    inputs: dict = {}
+    key = OrderingChain(base).key_fn(0)
+    inputs: dict = {}  # top degree -> inputs
+    homogeneous = True
     for g in gens:
-        mm = next(iter(g))
-        inputs.setdefault(mm[0][0] + twists[mm[1]], []).append(g)
+        degrees = {m[0] + twists[c] for m, c in g}
+        homogeneous = homogeneous and len(degrees) == 1
+        inputs.setdefault(max(degrees), []).append(g)
     basis: list = []  # monic vectors, leading term first
     lms: list = []
     by_comp: dict = {}  # component -> [(lead monomial, basis index)]
@@ -257,35 +245,13 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
             mults[(i, mono_div(lcm, a))] = None
             mults[(j, mono_div(lcm, b))] = None
         rows = [term_times_vector(t, basis[k]) for k, t in mults]
-        # columns that an earlier lead divides, each the lead of some row
-        known = {(mono_mul(t, lms[k][0]), lms[k][1]) for k, t in mults}
         rows.extend(inputs.pop(e, ()))
-        # symbolic preprocessing: one reducer per such column, to closure
-        cols: set = set()
-        todo = [mm for row in rows for mm in row]
-        while todo:
-            mm = todo.pop()
-            if mm in cols:
-                continue
-            cols.add(mm)
-            if mm in known:
-                continue
-            k = _smallest_divisor(by_comp, mm)
-            if k >= 0:
-                known.add(mm)
-                rows.append(term_times_vector(mono_div(mm[0], lms[k][0]),
-                                              basis[k]))
-                todo.extend(rows[-1])
-        order = sorted(cols, key=key, reverse=True)
-        index = {mm: c for c, mm in enumerate(order)}
-        reduced, pivcols = linalg.rref(
-            [{index[mm]: v for mm, v in row.items()} for row in rows], ring.p,
-            keep=lambda c: order[c] not in known)
-        for row, c in zip(reduced, pivcols):
+        known = {(mono_mul(t, lms[k][0]), lms[k][1]) for k, t in mults}
+        for row in _matrix_step(rows, known, basis, lms, by_comp, key, ring.p):
             new = len(basis)
-            basis.append({order[ci]: v for ci, v in row.items()})
-            lm, comp = order[c]
-            lms.append(order[c])
+            basis.append(row)
+            lm, comp = mm = next(iter(row))
+            lms.append(mm)
             same = by_comp.setdefault(comp, [])
             for m, k in same:
                 lcm = mono_lcm(m, lm)
@@ -295,29 +261,45 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
             same.append((lm, new))
     if homogeneous:
         return basis
-    basis = [{(_dehomogenized(m), c): v for (m, c), v in g.items()}
-             for g in basis]
-    lms = [next(iter(g)) for g in basis]
-    minimal = GroebnerBasis(ring, OrderingChain(base), [
-        g for g, mm in zip(basis, lms)
-        if not any(lm != mm and monomial_divides(lm, mm) for lm in lms)],
-        rank=len(twists))
-    out = []
-    for g in minimal.gens:
-        lead = next(iter(g))
-        _, tail = divide_with_remainder(
-            dict(itertools.islice(g.items(), 1, None)), minimal)
-        out.append({lead: 1, **tail})
-    return out
+    heads = {mm for mm in lms if not any(
+        lm != mm[0] and mono_divides(lm, mm[0]) for lm, _ in by_comp[mm[1]])}
+    return _matrix_step([g for g, mm in zip(basis, lms) if mm in heads],
+                        set(heads), basis, lms, by_comp, key, ring.p, heads)
 
 
-def _homogenized(g: Vec, twists: tuple) -> Vec:
-    """g with one more, last exponent lifting each term to g's top degree."""
-    top = max(m[0] + twists[c] for m, c in g)
-    return {((top - twists[c],) + m[1:] + (top - twists[c] - m[0],), c): v
-            for (m, c), v in g.items()}
+def _matrix_step(rows: list, known: set, basis: list, lms: list,
+                 by_comp: dict, key, p: int, heads=None) -> list:
+    """F4's matrix step: the rows of the reduced echelon form of ``rows``
+    and their reducers whose pivots no lead divides, or with ``heads``, whose
+    pivots are in ``heads``; as vectors, head first.
 
-
-def _dehomogenized(m):
-    """The monomial m with its last exponent dropped."""
-    return (m[0] - m[-1],) + m[1:-1]
+    ``known`` holds columns that head a row.  Symbolic preprocessing adds
+    one reducer (t/lm_k) basis[k] for every other column t that a lead lm_k
+    (``lms``, ``by_comp``) divides, until the columns close, and adds t to
+    ``known``; so every column a lead divides is a pivot column in
+    ``known``, and a kept row has no other term that a lead divides.  The
+    reducers are appended to ``rows``.  Columns are ordered by ``key``,
+    descending.
+    """
+    cols: set = set()
+    todo = [mm for row in rows for mm in row]
+    while todo:
+        mm = todo.pop()
+        if mm in cols:
+            continue
+        cols.add(mm)
+        if mm in known:
+            continue
+        k = _smallest_divisor(by_comp, mm)
+        if k >= 0:
+            known.add(mm)
+            rows.append(term_times_vector(mono_div(mm[0], lms[k][0]),
+                                          basis[k]))
+            todo.extend(rows[-1])
+    order = sorted(cols, key=key, reverse=True)
+    index = {mm: c for c, mm in enumerate(order)}
+    reduced, _ = linalg.rref(
+        [{index[mm]: v for mm, v in row.items()} for row in rows], p,
+        keep=(lambda c: order[c] not in known) if heads is None
+        else (lambda c: order[c] in heads))
+    return [{order[c]: v for c, v in row.items()} for row in reduced]

@@ -262,7 +262,8 @@ def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
     j0 -> i0 of phi_k (:func:`_plan_pivots`), the generators e_{j0} of F_k
     and e_{i0} of F_{k-1}, which have one degree, so the table is the shape
     :func:`minimize` outputs.  A degree-j strand B_{k,j} has rank B_{k,j}
-    pivots, so beta^min_{k,j} = beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}."""
+    pivots, so beta^min_{k,j} = beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}.
+    Level L's numbers need phi_{L+1}: a run cut by ``max_length`` lacks it."""
     data = dict(betti_nonminimal(res).data)
     for k, pivots in enumerate(_plan_pivots(res), start=1):
         cols, rows = res.modules[k].twists, res.modules[k - 1].twists
@@ -428,7 +429,8 @@ def minimize(res: Resolution) -> Resolution:
     e_{j0}-coordinates of phi_{k+1} to vanish, so those rows are stripped
     when level k+1's sweep starts.  One sweep per level is enough: a swept
     column without a unit never gains one, and the levels below only lose
-    columns.
+    columns.  A run cut by ``max_length`` lacks phi_{L+1}, whose pivots
+    would drop generators of F_L.
 
     The first pass (:func:`_plan_pivots`) eliminates the constant strands
     with ``linalg`` and finds every level's pivots.  The second applies

@@ -486,6 +486,48 @@ def test_main_rejects_max_length_below_one(tmp_path, capsys, value):
     assert out.out == ""
 
 
+@pytest.fixture
+def agr436_file(tmp_path):
+    """``gen agr --n 4 --d 3 --s 6``: a resolution of length 5 whose
+    minimal beta_2 (25) differs from the minimal numbers of its level-2 cut
+    (35), which would need phi_3's constant strands."""
+    path = tmp_path / "agr436.txt"
+    assert main(["gen", "agr", "--n", "4", "--d", "3", "--s", "6",
+                 "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("flags", [["--betti", "min"], ["--betti", "both"],
+                                   ["--minimize"]])
+def test_main_cut_run_rejects_minimal_output(agr436_file, capsys, flags):
+    capsys.readouterr()
+    assert main(["resolve", str(agr436_file), "--max-length", "2"] + flags) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: --max-length 2 cuts")
+    assert "Minimal Betti table" not in out.out and "minimized" not in out.out
+    # the non-minimal table of a cut run is the frame's, and stays
+    assert main(["resolve", str(agr436_file), "--max-length", "2",
+                 "--betti", "nonmin"]) == 0
+    assert "total:     1    15    40" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("max_length", ["5", "9"])
+def test_main_uncut_max_length_keeps_the_minimal_table(agr436_file, capsys,
+                                                       max_length):
+    capsys.readouterr()
+    assert main(["resolve", str(agr436_file), "--betti", "min",
+                 "--minimize"]) == 0
+    full = capsys.readouterr().out
+    assert main(["resolve", str(agr436_file), "--betti", "min", "--minimize",
+                 "--max-length", max_length]) == 0
+    printed = capsys.readouterr().out
+    assert "total:     1    10    25    25    10     1" in full
+
+    def table(text):
+        return text[text.index("Minimal Betti table:"):]
+    assert table(printed) == table(full)
+
+
 def test_main_rejects_undecodable_input(tmp_path, capsys, monkeypatch):
     # bytes that are not UTF-8, from a file and from stdin, are an input error
     raw = b"ring 7 x,y dp\nx\xff+y\n"

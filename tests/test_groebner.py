@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from syzkit.algebra import (Column, DomainError, OpCounters, Ring, Vec,
                             is_homogeneous,
@@ -159,8 +160,8 @@ def test_buchberger_examples(sec5):
                                          {(doc.ring.mono([0, 1]), 0): 1}]
     # the worked-example input is already a reduced Groebner basis
     assert list(sec5.gb.gens) == sec5.gens
-    # {x^2+y, x^2} must produce y (inhomogeneous: homogenized, then
-    # dehomogenized and reduced)
+    # {x^2+y, x^2} must produce y (inhomogeneous: found in the echelon
+    # form of the two inputs, which enter the loop at degree 2)
     doc = parse_input("ring 7 x,y lp\nx^2+y\nx^2\n")
     G = buchberger(doc.generators, doc.ring, doc.ordering)
     assert {(doc.ring.mono([0, 1]), 0): 1} in [dict(g) for g in G.gens]
@@ -197,6 +198,68 @@ def _assert_reduced_gb(G):
 def test_buchberger_output_is_groebner(corpus):
     for entry in corpus[:10]:
         _assert_reduced_gb(entry.gb)
+
+
+def _worked_example_with_power(K):
+    """The lex worked example with x^2 + 2*x*z replaced by x^K*z: ungraded,
+    with a resolution of length 4."""
+    return parse_input(f"ring 32003 w,x,y,z lp\nw*x+w*z+x^{K}*z-z^2\n"
+                       "w*y-w*z-x*z-y*z-2*z^2\nx*y+z^2\n")
+
+
+@pytest.mark.parametrize("K", [10, 20, 40])
+def test_ungraded_family_basis_and_resolutions(K):
+    # F4's loop finds K + 6 elements here, and the lead of one of them is
+    # divided by a later, lower lead: the final step drops it and reduces
+    # the tails of the rest
+    doc = _worked_example_with_power(K)
+    G = buchberger(doc.generators, doc.ring, doc.ordering)
+    assert len(G.gens) == K + 5
+    _assert_reduced_gb(G)
+    ress = [resolve(doc.generators, doc.ring, doc.ordering, alg=alg, gb=G)
+            for alg in ("reduce", "hybrid", "tree")]
+    assert not ress[0].graded and ress[0].length == 4
+    text = serialize_resolution(ress[0])
+    assert all(serialize_resolution(res) == text for res in ress[1:])
+    assert all(res.check_complex() for res in ress)
+
+
+@st.composite
+def _small_inputs(draw):
+    """An ideal or a rank-2 module (twists in {0, 1}) over 2-3 variables:
+    1-4 vectors of 1-4 terms of degree <= 3, not all homogeneous."""
+    nv = draw(st.integers(2, 3))
+    ring = Ring(draw(st.sampled_from([7, 32003])),
+                tuple(f"x{i}" for i in range(nv)))
+    base = BaseOrdering(draw(st.sampled_from(["dp", "lp"])), nv)
+    rank = draw(st.sampled_from([1, 2]))
+    twists = tuple(draw(st.lists(st.integers(0, 1), min_size=rank,
+                                 max_size=rank)))
+    term = st.tuples(st.lists(st.integers(0, nv - 1), max_size=3),
+                     st.integers(0, rank - 1), st.integers(1, ring.p - 1))
+    gens = []
+    for terms in draw(st.lists(st.lists(term, min_size=1, max_size=4),
+                               min_size=1, max_size=4)):
+        g: Vec = {}
+        for factors, comp, c in terms:
+            exps = [0] * nv
+            for v in factors:
+                exps[v] += 1
+            mm = (ring.mono(exps), comp)
+            g[mm] = (g.get(mm, 0) + c) % ring.p
+        gens.append({mm: c for mm, c in g.items() if c})
+    assume(not all(is_homogeneous(g, twists) for g in gens))
+    return ring, base, gens, rank, twists
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_inputs())
+def test_buchberger_reduces_small_inhomogeneous_inputs(case):
+    ring, base, gens, rank, twists = case
+    G = buchberger(gens, ring, base, rank, twists)
+    _assert_reduced_gb(G)
+    for g in gens:
+        assert not divide_with_remainder(g, G)[1]
 
 
 def _gb_digest(ring, base, gens):

@@ -84,8 +84,6 @@ def build_frame(G: GroebnerBasis,
     Hilbert syzygy bound.
     """
     levels: list = []
-    if not G.gens:
-        return levels
     base = G.chain.base
     chain = G.chain.extend(G.lms)
     lms, degrees = list(G.lms), list(G.degrees)

@@ -109,16 +109,20 @@ class BettiTable:
 
 
 class Resolution:
-    """A chain of free modules and sparse differentials over F_p."""
+    """A chain of free modules and sparse differentials over F_p.  ``cut``,
+    set only by ``resolve``, is true when ``max_length`` stopped the run
+    before a level its frame has (see :func:`_plan_pivots`)."""
 
     def __init__(self, ring: Ring, base: BaseOrdering, modules: list,
-                 diffs: list, stats: OpCounters, level_times=None):
+                 diffs: list, stats: OpCounters, level_times=None,
+                 cut: bool = False):
         self.ring = ring
         self.base = base
         self.modules = modules
         self.diffs = diffs  # diffs[k-1]: columns of phi_k, vectors in F_{k-1}
         self.stats = stats
         self.level_times = level_times or []
+        self.cut = cut
         one = ring.one  # minimal: no differential has a constant entry
         self.minimal = not any(mm[0] == one for cols in diffs
                                for col in cols for mm in col)
@@ -186,6 +190,9 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     level-0 basis of ``gens`` in R^rank0 with ``twists0``, over ``ring``
     and under ``base``; DomainError otherwise.  ``n_terms`` in the
     returned stats excludes the first differential.
+
+    With ``max_length`` L, the frame is built to phi_{L+1} and at most
+    phi_1 to phi_L are lifted; the run is ``cut`` when phi_{L+1} exists.
     """
     if alg not in LIFT_ALGORITHMS:
         raise DomainError(f"unknown lifting algorithm {alg!r}")
@@ -210,7 +217,10 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
     level_times: list = []
     if not gb.gens:
         return Resolution(ring, base, modules, diffs, counters, level_times)
-    frame = build_frame(gb, None if max_length is None else max_length - 1)
+    frame = build_frame(gb, max_length)
+    cut = max_length is not None and len(frame) == max_length
+    if cut:  # phi_{L+1} exists: its heads are known, but it is not lifted
+        frame.pop()
     G = gb
     modules.append(GradedFreeModule(len(G.gens), G.degrees if graded else None))
     diffs.append(list(G.gens))
@@ -231,7 +241,7 @@ def resolve(gens: Sequence[Vec], ring: Ring, base: BaseOrdering,
         modules.append(GradedFreeModule(len(G.gens), G.degrees if graded else None))
         counters.n_terms += sum(len(v) for v in G.gens)
         level_times.append(time.perf_counter() - t0)
-    return Resolution(ring, base, modules, diffs, counters, level_times)
+    return Resolution(ring, base, modules, diffs, counters, level_times, cut)
 
 
 def _heads_kept(terms: Sequence, lifts: Iterator[Vec]) -> Iterator[Vec]:
@@ -263,7 +273,8 @@ def betti_minimal_from_nonminimal(res: Resolution) -> BettiTable:
     and e_{i0} of F_{k-1}, which have one degree, so the table is the shape
     :func:`minimize` outputs.  A degree-j strand B_{k,j} has rank B_{k,j}
     pivots, so beta^min_{k,j} = beta_{k,j} - rank B_{k,j} - rank B_{k+1,j}.
-    Level L's numbers need phi_{L+1}: a run cut by ``max_length`` lacks it."""
+    Level L's numbers need phi_{L+1}, so a ``cut`` run raises DomainError
+    (:func:`_plan_pivots`), as does an ungraded one."""
     data = dict(betti_nonminimal(res).data)
     for k, pivots in enumerate(_plan_pivots(res), start=1):
         cols, rows = res.modules[k].twists, res.modules[k - 1].twists
@@ -388,7 +399,18 @@ def _plan_pivots(res: Resolution) -> list:
     of A that enlarge that span.  Every row the elimination of B holds lies
     in the span of B, so none is lowest in a stripped row, and stripping
     them changes no leading row, multiplier or pivot.
+
+    The one gate of minimal output: DomainError on an ungraded resolution,
+    which has no strands, and on a ``cut`` one, as the pivots of its missing
+    phi_{L+1} would drop generators of F_L.
     """
+    if not res.graded:
+        raise DomainError("minimal Betti numbers and minimization require "
+                          "a graded resolution")
+    if res.cut:
+        raise DomainError(f"the resolution is cut at level {res.length}; "
+                          "minimal Betti numbers and minimization need "
+                          f"phi_{res.length + 1}")
     p = res.ring.p
     plan: list = []
     for k in range(1, res.length + 1):
@@ -429,8 +451,8 @@ def minimize(res: Resolution) -> Resolution:
     e_{j0}-coordinates of phi_{k+1} to vanish, so those rows are stripped
     when level k+1's sweep starts.  One sweep per level is enough: a swept
     column without a unit never gains one, and the levels below only lose
-    columns.  A run cut by ``max_length`` lacks phi_{L+1}, whose pivots
-    would drop generators of F_L.
+    columns.  A ``cut`` or ungraded input raises DomainError
+    (:func:`_plan_pivots`); the output is never cut.
 
     The first pass (:func:`_plan_pivots`) eliminates the constant strands
     with ``linalg`` and finds every level's pivots.  The second applies
@@ -445,8 +467,6 @@ def minimize(res: Resolution) -> Resolution:
     do; unlike those, they are not normalized: each keeps ``_sweep``'s
     fill-in order, so its first term need not be its leading term.
     """
-    if not res.graded:
-        raise DomainError("minimization requires a graded resolution")
     plan = _plan_pivots(res)
     table: dict = {}  # the canonical objects of the output's columns
     dropped = [set() for _ in res.modules]  # dropped basis elements of F_k

@@ -1,11 +1,13 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
 from syzkit.algebra import Ring, mono_div, mono_divides, mono_lcm, mono_mul
 from syzkit.orderings import BaseOrdering
 from syzkit.groebner import buchberger, monomials_of_degree
+from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.frame import FrameLevel, build_frame, lead_syz
 from syzkit.lift import lift_frame_terms
 from syzkit.resolution import BettiTable, betti_nonminimal
@@ -165,6 +167,56 @@ def test_frame_betti_equals_nonminimal(corpus):
     for entry in corpus:
         assert _frame_betti(entry.gb) == betti_nonminimal(
             entry.resolutions["tree"])
+
+
+def _top(u):
+    """max(u): the largest 1-based index of a variable dividing u."""
+    return max(i for i in range(1, len(u)) if u[i])
+
+
+def _is_stable(lms):
+    """The monomial ideal generated by ``lms`` is stable for x0 > x1 > ...:
+    x_i * u / x_max(u) lies in it for every generator u and i < max(u)."""
+    for u in lms:
+        top = _top(u)
+        for i in range(1, top):
+            v = list(u)
+            v[i] += 1
+            v[top] -= 1
+            if not any(mono_divides(w, tuple(v)) for w in lms):
+                return False
+    return True
+
+
+def _eliahou_kervaire(lms):
+    """The Betti table of R/<lms> for a stable monomial ideal with minimal
+    generators ``lms``: beta_{i+1,i+j} = sum over the generators u of
+    degree j of C(max(u) - 1, i)."""
+    table = {(0, 0): 1}
+    for u in lms:
+        top = _top(u)
+        for i in range(top):
+            kj = (i + 1, i + u[0])
+            table[kj] = table.get(kj, 0) + comb(top - 1, i)
+    return BettiTable(table)
+
+
+def test_frame_of_a_stable_leading_ideal_is_eliahou_kervaire(corpus):
+    # where the leading ideal is stable, the frame is the Eliahou-Kervaire
+    # resolution of it, which is minimal: a frame level that kept one
+    # non-minimal generator, or lost one, would give another table
+    def check(G):
+        lms = [m for m, _ in G.lms]  # a reduced basis: the minimal generators
+        if not _is_stable(lms):
+            return False
+        assert _frame_betti(G) == _eliahou_kervaire(lms)
+        return True
+
+    assert sum(check(entry.gb) for entry in corpus) == 166
+    for n, d, s in [(5, 4, 12), (6, 5, 18), (6, 5, 42)]:
+        ideal = gen_agr(AgrSpec(n, d, s, p=10007, seed=0))
+        assert check(buchberger(ideal.generators, ideal.ring,
+                                BaseOrdering("dp", ideal.ring.nvars)))
 
 
 def test_frame_lead_matches_syzygy_groebner_basis():

@@ -77,6 +77,49 @@ def test_resolve_rejects_max_length_below_one(max_length):
         resolve(doc.generators, doc.ring, doc.ordering, max_length=max_length)
 
 
+def test_cut_run_refuses_minimal_output(corpus):
+    # AGR (4,3,6) has a resolution of length 5; cut at 2, the minimal
+    # numbers of level 2 would need phi_3's constant strands (beta_2 would
+    # read 35 where the full run's is 25)
+    ideal = gen_agr(AgrSpec(4, 3, 6, p=10007, seed=0))
+    base = BaseOrdering("dp", ideal.ring.nvars)
+    full = resolve(ideal.generators, ideal.ring, base)
+    assert not full.cut
+    assert betti_minimal_from_nonminimal(full).totals() == [1, 10, 25, 25, 10, 1]
+    res = resolve(ideal.generators, ideal.ring, base, max_length=2)
+    assert res.cut and res.length == 2
+    assert betti_nonminimal(res).totals() == [1, 15, 40]
+    for minimal_output in (minimize, betti_minimal_from_nonminimal):
+        with pytest.raises(DomainError, match="cut at level 2"):
+            minimal_output(res)
+    # a length the resolution does not reach cuts nothing
+    for max_length in (5, 9):
+        res = resolve(ideal.generators, ideal.ring, base, max_length=max_length)
+        assert not res.cut
+        assert serialize_resolution(res) == serialize_resolution(full)
+        assert (serialize_resolution(minimize(res))
+                == serialize_resolution(minimize(full)))
+        assert (betti_minimal_from_nonminimal(res)
+                == betti_minimal_from_nonminimal(full))
+    # a rank-2 module, R^2 / <x, y, z> e_i, of length 3, cut at 2: an input
+    # the command line cannot express
+    doc = parse_input("ring 7 x,y,z dp\nx\ny\nz\n")
+    gens = [{(m, i): c for (m, _), c in g.items()}
+            for i in range(2) for g in doc.generators]
+    module = resolve(gens, doc.ring, doc.ordering, rank0=2, twists0=(0, 1))
+    assert not module.cut and betti_nonminimal(module).totals() == [2, 6, 6, 2]
+    module = resolve(gens, doc.ring, doc.ordering, rank0=2, twists0=(0, 1),
+                     max_length=2)
+    assert module.cut and module.length == 2
+    with pytest.raises(DomainError, match="cut"):
+        minimize(module)
+    # a run that ends at its own length is not cut, nor is a minimized one
+    for entry in corpus:
+        for res in entry.resolutions.values():
+            assert not res.cut
+        assert not minimize(entry.resolutions["tree"]).cut
+
+
 @pytest.mark.parametrize("rank, twists, comp", [
     (1, None, 1),       # a component-1 generator at rank 1
     (2, (0,), 0),       # too few twists

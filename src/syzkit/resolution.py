@@ -300,7 +300,8 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
     in row i0, every other column j with an entry in row i0 becomes
     col_j - q*col_{j0} with q = entry(i0, j)/c, which clears row i0 outside
     j0.  The row-i0 terms are found in a row index, kept up to date on
-    fill-in, of the columns and keys that may hold a term in each row.  By
+    fill-in, of the columns and keys that may hold a term in each pivot
+    row; no other row is ever read, so none is indexed.  By
     homogeneity c is the pivot's only entry in row i0, so the row-i0 terms
     of col_j are deleted, not recomputed, and m*col_{j0} is formed once per
     monomial m of some q, its keys interned in a table of the sweep so that
@@ -309,7 +310,8 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
     """
     p = ring.p
     one = ring.one
-    at: dict = {}  # row -> (columns, keys) of the terms it may hold
+    # pivot row -> (columns, keys) of the terms it may hold
+    at: dict = {i0: ([], []) for i0 in pivots.values()}
     keys: dict = {}  # one object per key, so lookups match by identity
     for j, col in enumerate(cols):
         if col is None:
@@ -322,11 +324,10 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
             cols[j] = col = dict(col.items())
         for mm in col:
             keys[mm] = mm
-            if mm[1] not in at:
-                at[mm[1]] = ([], [])
-            js, ks = at[mm[1]]
-            js.append(j)
-            ks.append(mm)
+            row = at.get(mm[1])
+            if row is not None:
+                row[0].append(j)
+                row[1].append(mm)
     for j0 in sorted(pivots, reverse=True):
         i0 = pivots[j0]
         pivot = cols[j0]
@@ -355,9 +356,10 @@ def _sweep(cols: list, gone: dict, pivots: dict, ring: Ring) -> None:
                     old = col.get(mm)
                     if old is None:
                         col[mm] = -qv * pv % p
-                        js, ks = at[mm[1]]
-                        js.append(j)
-                        ks.append(mm)
+                        row = at.get(mm[1])
+                        if row is not None:
+                            row[0].append(j)
+                            row[1].append(mm)
                     else:
                         w = (old - qv * pv) % p
                         if w:
@@ -461,11 +463,14 @@ def minimize(res: Resolution) -> Resolution:
     (level k+1 strips level k's pivot columns from its rows), so its values
     never enter another column, and the output drops it.  It is neither
     copied, indexed nor updated.  Each level is renumbered as soon as it is
-    swept, into :class:`~syzkit.algebra.Column` objects built from the
-    objects of the call's canonical table (see :mod:`syzkit.algebra`), so
-    the output's differentials hold columns only, as those of ``resolve``
-    do; unlike those, they are not normalized: each keeps ``_sweep``'s
-    fill-in order, so its first term need not be its leading term.
+    swept, one column at a time, into :class:`~syzkit.algebra.Column`
+    objects built from the objects of the call's canonical table (see
+    :mod:`syzkit.algebra`); each working column is released as its
+    ``Column`` is built, so a level is never held both as dicts and as
+    columns.  The output's differentials hold columns only, as those of
+    ``resolve`` do; unlike those, they are not normalized: each keeps
+    ``_sweep``'s fill-in order, so its first term need not be its leading
+    term.
     """
     plan = _plan_pivots(res)
     table: dict = {}  # the canonical objects of the output's columns
@@ -484,9 +489,13 @@ def minimize(res: Resolution) -> Resolution:
         cols = [None if j in doomed else col for j, col in enumerate(cols)]
         _sweep(cols, plan[k - 2] if k > 1 else {}, plan[k - 1], res.ring)
         ren = renum[k - 1]
-        out_diffs.append([vec_interned((((m, ren[i]), v)
-                                        for (m, i), v in col.items()), table)
-                          for col in cols if col is not None])
+        frozen = []
+        for j, col in enumerate(cols):
+            if col is not None:
+                cols[j] = None  # each working dict dies as it is frozen
+                frozen.append(vec_interned((((m, ren[i]), v)
+                                            for (m, i), v in col.items()), table))
+        out_diffs.append(frozen)
     while out_diffs and not out_diffs[-1]:
         out_diffs.pop()
         twists.pop()

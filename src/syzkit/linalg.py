@@ -15,27 +15,23 @@ above them.  The unused rows wait in buckets keyed by their leading
 column, so a column touches only the rows that lead there.  A row stays
 the caller's mapping, read mod p where it is read and only through
 ``min``, ``max``, ``[]`` and ``items()``, until the loop first writes to
-it: the first pivot that updates it copies it into a dict, reduced mod
-p, and the copy is updated entry by entry or packed.  A pivot row is never
-copied: its scaled tail, the part right of its column, is all of it that
-outlives its column.  The loop yields
-each pivot with its tail as its column is done; :func:`echelon` and
-:func:`rank` keep no tail, :func:`rref` keeps each once.  The reduced
+it: the first pivot that updates it packs it, reduced mod p, and it stays
+packed.  A pivot row is never copied: its scaled tail, the part right of
+its column, packed, is all of it that outlives its column.  The loop
+yields each pivot with its tail as its column is done; :func:`echelon`
+and :func:`rank` keep no tail, :func:`rref` keeps each once.  The reduced
 form is read off the echelon rows one row at a time: a pivot row is
 cleared at each later pivot column, first column first, by that pivot's
 echelon row (:func:`_rref_row`), so a row nobody asks for costs nothing.
 
-A row is held sparse, as a dict, or packed into one Python int with the
-value of column j in the 64-bit slot ``top - j`` counted from the least
-significant end, ``top`` being the last column, so that the leading
-column is read off the bit length.  Clearing column c from a packed row
-is one multiply-add of integers, ``v + (p - x) * tail`` with ``tail`` the
-pivot row right of c, and its slots are reduced mod p only where one is
-read: the leading slot, or all of them when the row is unpacked.  A pivot
-with at most 1 + s/64 entries right of its column, of s columns there,
-updates sparse rows entry by entry; any other pivot packs the rows it
-updates, and a packed row stays packed (Bachmann-Schoenemann, ISSAC 1998,
-pack monomials the same way).
+A packed row is one Python int with the value of column j in the 64-bit
+slot ``top - j`` counted from the least significant end, ``top`` being
+the last column, so that the leading column is read off the bit length
+(Bachmann-Schoenemann, ISSAC 1998, pack monomials the same way).
+Clearing column c from a packed row is one multiply-add of integers,
+``v + (p - x) * tail`` with ``tail`` the pivot row right of c, and its
+slots are reduced mod p only where one is read: the leading slot, or all
+of them when the row is unpacked.
 
 Slot bound: a reduced slot is at most p - 1 and an update adds at most
 (p - 1)^2 to it, so after k updates it is at most (p - 1) + k (p - 1)^2.
@@ -49,16 +45,18 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import compress
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 SLOT_BITS = 64
 
 
-def _pack(row: dict, top: int, n: int) -> int:
-    """The int of n slots holding the value of column j in slot top - j."""
+def _pack(items: Iterable, top: int, n: int, p: int) -> int:
+    """The int of n slots holding, for each pair (j, x) of ``items`` with
+    column j right of ``top - n``, x mod p in slot top - j."""
     slots = array("Q", bytes(8 * n))
-    for j, x in row.items():
-        slots[top - j] = x
+    for j, x in items:
+        if top - j < n:
+            slots[top - j] = x % p
     return int.from_bytes(slots, "little")
 
 
@@ -69,17 +67,6 @@ def _unpack(v: int, n: int) -> list:
 
 def _repack(slots: list) -> int:
     return int.from_bytes(array("Q", slots), "little")
-
-
-def _iadd_sparse(row: dict, f: int, tail: dict, p: int) -> None:
-    """row += f * tail over F_p, dropping the entries that cancel."""
-    get = row.get
-    for j, y in tail.items():
-        z = (get(j, 0) + f * y) % p
-        if z:
-            row[j] = z
-        else:
-            del row[j]
 
 
 def _layout(rows: list, p: int) -> tuple:
@@ -94,7 +81,7 @@ def _layout(rows: list, p: int) -> tuple:
 def _eliminate(rows: list, p: int) -> Iterator[tuple]:
     """Forward elimination: yield each pivot (row, column, tail) in column
     order as soon as its column is cleared, ``tail`` the pivot row right of
-    its column scaled to 1 there, as a dict or packed in the slots below
+    its column scaled to 1 there, packed in the slots below
     ``top - column``.  Nothing here keeps a tail once it is yielded.
     ``rows`` is not modified: a row may be any read-only mapping (see the
     module docstring)."""
@@ -102,11 +89,10 @@ def _eliminate(rows: list, p: int) -> Iterator[tuple]:
         raise ValueError("linalg needs p < 2^31")
     w = SLOT_BITS
     top, limit = _layout(rows, p)
-    # the dict form of a row, or None: the caller's own dict until the
-    # first update, then a copy reduced mod p that holds only its columns
-    # from the leading one on
-    sparse: list = [None] * len(rows)
-    packed: list = [None] * len(rows)  # the int form of a row, or None
+    # a row as it stands, or None: the caller's own mapping until the
+    # first update, then an int that holds only its columns from the
+    # leading one on
+    form: list = [None] * len(rows)
     pending = [0] * len(rows)  # updates since a packed row was reduced
     buckets: dict = {}  # leading column -> unused rows that lead there
     for i, r in enumerate(rows):
@@ -116,7 +102,7 @@ def _eliminate(rows: list, p: int) -> Iterator[tuple]:
                 c = min((j for j, x in r.items() if x % p), default=None)
                 if c is None:
                     continue
-            sparse[i] = r
+            form[i] = r
             buckets.setdefault(c, []).append(i)
     for c in range(top + 1):
         bucket = buckets.pop(c, None)
@@ -125,46 +111,23 @@ def _eliminate(rows: list, p: int) -> Iterator[tuple]:
         r = min(bucket)
         s = top - c  # columns right of c, slots below the leading one
         below = (1 << (w * s)) - 1
-        if sparse[r] is not None:
-            row = sparse[r]
-            inv = pow(row[c], p - 2, p)
-            tail = {j: y for j, x in row.items() if j > c and (y := x * inv % p)}
-            # by entry: packing every updated row is slower on sparse rows
-            by_entry = len(tail) <= 1 + s / 64
-            tail_int = None
+        v = form[r]
+        form[r] = None  # the pivot row lives on as its tail
+        if v is rows[r]:
+            inv = pow(v[c], p - 2, p)
+            tail = _pack(((j, x * inv) for j, x in v.items()), top, s, p)
         else:
-            v = packed[r]
             inv = pow((v >> (w * s)) % p, p - 2, p)
-            tail_int = _repack([x * inv % p for x in _unpack(v & below, s)])
-            by_entry = False
-        sparse[r] = packed[r] = None  # the pivot row lives on as its tail
+            tail = _repack([x * inv % p for x in _unpack(v & below, s)])
         for o in bucket:
             if o == r:
                 continue
-            row = sparse[o]
-            if row is not None:
-                if row is rows[o]:  # the first update: copy it
-                    f = p - row[c] % p
-                    row = sparse[o] = {j: y for j, x in row.items()
-                                       if j > c and (y := x % p)}
-                else:
-                    f = p - row.pop(c)
-                if by_entry:
-                    _iadd_sparse(row, f, tail, p)
-                    if row:
-                        buckets.setdefault(min(row), []).append(o)
-                    else:
-                        sparse[o] = None
-                    continue
-            if tail_int is None:
-                tail_int = _pack(tail, top, s)
-            if row is not None:
-                sparse[o] = None
-                v = _pack(row, top, s) + f * tail_int
+            v = form[o]
+            if v is rows[o]:  # the first update: pack it, reduced mod p
+                v = _pack(v.items(), top, s, p) + (p - v[c] % p) * tail
                 pending[o] = 1
             else:
-                v = packed[o]
-                v = (v & below) + (p - (v >> (w * s)) % p) * tail_int
+                v = (v & below) + (p - (v >> (w * s)) % p) * tail
                 if limit:
                     pending[o] += 1
                     if pending[o] >= limit:
@@ -177,11 +140,11 @@ def _eliminate(rows: list, p: int) -> Iterator[tuple]:
                     break
                 v &= (1 << (w * lead)) - 1
             if v:
-                packed[o] = v
+                form[o] = v
                 buckets.setdefault(top - lead, []).append(o)
             else:
-                packed[o] = None
-        yield r, c, tail if tail_int is None else tail_int
+                form[o] = None
+        yield r, c, tail
 
 
 def _rref_row(c: int, pivcols: list, form: tuple, p: int) -> dict:
@@ -189,13 +152,10 @@ def _rref_row(c: int, pivcols: list, form: tuple, p: int) -> dict:
     tails) of :func:`rref` alone.  Its packed tail is cleared at the pivot
     columns ``pivcols`` (ascending) in ascending order, each by its echelon
     row, which changes only the columns after it; so the columns up to the
-    next pivot column are final, and are read off in one piece.  A dict
-    tail is replaced by its packed form the first time it clears a row."""
+    next pivot column are final, and are read off in one piece."""
     w = SLOT_BITS
     top, limit, tails = form
     v = tails[c]
-    if isinstance(v, dict):
-        v = _pack(v, top, top - c)
     row = {c: 1}
     n = 0
     while v:
@@ -215,10 +175,7 @@ def _rref_row(c: int, pivcols: list, form: tuple, p: int) -> dict:
         v &= (1 << (w * lead)) - 1
         if not x:
             continue
-        t = tails[c2]
-        if isinstance(t, dict):
-            t = tails[c2] = _pack(t, top, lead)
-        v += (p - x) * t
+        v += (p - x) * tails[c2]
         n += 1
         if n == limit:
             v = _repack([y % p for y in _unpack(v, lead)])

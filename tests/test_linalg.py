@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syzkit import linalg
+from syzkit.algebra import Column
 
 PRIMES = [2, 7, 32003, 2**31 - 1]
 
@@ -115,10 +116,33 @@ def check_all(p, mat, shape):
         assert all(0 < x < p for x in g.values())
 
 
+class ReadOnlyColumn(Column):
+    """A :class:`Column` that fails the test on any write."""
+
+    __slots__ = ()
+
+    def __setitem__(self, mm, c):
+        raise AssertionError(f"linalg wrote to a row at {mm}")
+
+
+def check_column_rows(p, mat, shape):
+    """The strands' row type, read only, gives what dict rows give."""
+    a = as_rows(mat)
+    cols = [ReadOnlyColumn(list(row), list(row.values())) for row in a]
+    before = [list(col.items()) for col in cols]
+    assert linalg.echelon(cols, p) == linalg.echelon(a, p)
+    for keep in (None, lambda c: c % 2 == 1):
+        assert linalg.rref(cols, p, keep=keep) == linalg.rref(a, p, keep=keep)
+    assert (linalg.kernel_basis(cols, shape[1], p)
+            == linalg.kernel_basis(a, shape[1], p))
+    assert [list(col.items()) for col in cols] == before
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_matches_reference(case):
     check_all(*case)
+    check_column_rows(*case)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -143,7 +167,8 @@ def test_named_shapes(p, shape):
 @pytest.mark.parametrize("p", PRIMES)
 def test_column_longer_than_chunk(p, density):
     # one column nonzero in hundreds of rows: a single bucket of rows that
-    # the pivot updates, packed (dense) or entry by entry (sparse)
+    # the pivot updates, each packed at that first update, whether dense
+    # or sparse
     rng = random.Random(p)
     rows, cols = 549, 10
     mat = [[rng.randrange(p) if j == 0 or rng.random() < density else 0
@@ -157,34 +182,28 @@ def test_column_longer_than_chunk(p, density):
 
 
 def _count_forms(monkeypatch):
-    """Count the entrywise and the packed row updates of the kernel."""
-    counts = {"sparse": 0, "packed": 0}
+    """Count the rows and pivot tails the kernel packs."""
+    counts = {"packed": 0}
+    real = linalg._pack
 
-    def counting(name, key):
-        real = getattr(linalg, name)
-
-        def wrapper(*args):
-            counts[key] += 1
-            return real(*args)
-        monkeypatch.setattr(linalg, name, wrapper)
-
-    counting("_iadd_sparse", "sparse")
-    counting("_pack", "packed")
+    def wrapper(*args):
+        counts["packed"] += 1
+        return real(*args)
+    monkeypatch.setattr(linalg, "_pack", wrapper)
     return counts
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_tall_sparse_matrix(p, monkeypatch):
-    # two entries per row of 200: the pivots update rows entry by entry
+def test_tall_sparse_matrix(p):
+    # two entries per row of 200: each pivot tail and each row at its
+    # first update is packed, most of its slots zero
     rng = random.Random(p)
     rows, cols = 300, 200
     mat = [[0] * cols for _ in range(rows)]
     for row in mat:
         for j in rng.sample(range(cols), 2):
             row[j] = rng.randrange(1, p)
-    counts = _count_forms(monkeypatch)
     check_all(p, mat, (rows, cols))
-    assert counts["sparse"] > 0
 
 
 @pytest.mark.parametrize("p", PRIMES)

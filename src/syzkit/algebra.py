@@ -3,7 +3,9 @@
 Representation conventions shared by the whole package:
 
 * A monomial is a tuple ``(deg, e1, ..., en)``: the exponent vector prefixed
-  with its cached total degree.
+  with its cached total degree.  This module and :mod:`syzkit.orderings`
+  alone know that layout: other modules read a monomial with :func:`mono_deg`
+  and :func:`mono_exponents` and build one with :func:`mono_from_exponents`.
 * A module monomial is a pair ``(mono, comp)`` with a 0-based component index
   into the ambient free module.
 * A vector (element of a free module) maps module monomials to nonzero
@@ -131,7 +133,7 @@ class Ring:
 
     @property
     def one(self) -> Mono:
-        return (0,) * (len(self.names) + 1)
+        return mono_from_exponents((0,) * len(self.names))
 
     def mono(self, exps: Iterable[int]) -> Mono:
         """Pack an exponent vector into the internal monomial representation."""
@@ -141,7 +143,7 @@ class Ring:
         for e in exps:
             if e < 0 or e > MAX_EXPONENT:
                 raise DomainError(f"exponent {e} out of range [0, {MAX_EXPONENT}]")
-        return (sum(exps),) + exps
+        return mono_from_exponents(exps)
 
     def inv(self, c: int) -> int:
         c %= self.p
@@ -200,6 +202,17 @@ def mono_deg(m: Mono) -> int:
     return m[0]
 
 
+def mono_exponents(m: Mono) -> tuple:
+    """The exponent vector (e1, ..., en) of m."""
+    return m[1:]
+
+
+def mono_from_exponents(exps: Iterable[int]) -> Mono:
+    """The monomial with exponent vector exps, unchecked (see Ring.mono)."""
+    exps = tuple(exps)
+    return (sum(exps),) + exps
+
+
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
 
@@ -219,8 +232,7 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    exps = tuple(map(max, a[1:], b[1:]))
-    return (sum(exps),) + exps
+    return mono_from_exponents(map(max, a[1:], b[1:]))
 
 
 def monomial_divides(a: ModMono, b: ModMono) -> bool:
@@ -376,8 +388,8 @@ def vec_interned(terms: Iterable[tuple], table: dict) -> Column:
 def is_homogeneous(f: Vec, twists=None) -> bool:
     """Whether all terms of f have one degree, twists included."""
     if twists is None:
-        return len({mm[0][0] for mm in f}) <= 1
-    return len({mm[0][0] + twists[mm[1]] for mm in f}) <= 1
+        return len({mono_deg(m) for m, _ in f}) <= 1
+    return len({mono_deg(m) + twists[c] for m, c in f}) <= 1
 
 
 # ---------------------------------------------------------------------------

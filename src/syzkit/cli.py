@@ -30,7 +30,8 @@ from .algebra import (
     Ring,
     Vec,
     interned_key,
-    mono_deg,
+    is_homogeneous,
+    mono_exponents,
     vec_component,
 )
 from .orderings import BaseOrdering
@@ -210,15 +211,8 @@ def parse_input(text: str) -> InputDocument:
 
 
 def mono_to_string(m, ring: Ring) -> str:
-    if mono_deg(m) == 0:
-        return "1"
-    parts = []
-    for name, e in zip(ring.names, m[1:]):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(ring.names, mono_exponents(m)) if e) or "1"
 
 
 def _polynomials(terms: list, spelled: list, p: int) -> list:
@@ -429,6 +423,9 @@ def cmd_resolve(args) -> int:
             data = fh.read()
     # UTF-8 whatever the locale, a leading byte-order mark dropped
     doc = parse_input(data.decode("utf-8-sig"))
+    # resolve's own test of gradedness, before it runs
+    if args.betti and not all(is_homogeneous(g) for g in doc.generators):
+        raise DomainError("Betti tables require homogeneous input")
     t0 = time.perf_counter()
     res = resolve(doc.generators, doc.ring, doc.ordering, alg=args.alg,
                   max_length=args.max_length)
@@ -437,8 +434,6 @@ def cmd_resolve(args) -> int:
     print(f"resolution length {res.length}: {shape}")
     print(f"minimal: {'yes' if res.minimal else 'no'}   "
           f"graded: {'yes' if res.graded else 'no'}   time: {elapsed:.3f}s")
-    if args.betti and not res.graded:
-        raise DomainError("Betti tables require homogeneous input")
     # the library refuses a cut run too; this names the option that cut it
     if (args.betti in ("min", "both") or args.minimize) and res.cut:
         raise DomainError(f"--max-length {args.max_length} cuts the resolution;"

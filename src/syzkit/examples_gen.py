@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import DomainError, Ring, Vec, check_characteristic, mono_div, mono_mul
+from .algebra import (DomainError, Ring, Vec, check_characteristic, mono_deg,
+                      mono_div, mono_exponents, mono_from_exponents, mono_mul)
 from . import linalg
 from .orderings import BaseOrdering
 from .groebner import monomials_of_degree
@@ -98,9 +99,11 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
     base = BaseOrdering("dp", nv)
     rng = random.Random(spec.seed)
     monos = {e: monomials_of_degree(nv, e, base) for e in range(d + 1)}
-    variables = [(1,) + tuple(int(w == v) for w in range(nv)) for v in range(nv)]
+    variables = [mono_from_exponents(int(w == v) for w in range(nv))
+                 for v in range(nv)]
     # each monomial of positive degree as (v, m / x_v), x_v its first variable
-    factor = {m: next((v, mono_div(m, variables[v])) for v in range(nv) if m[1 + v])
+    factor = {m: next((v, mono_div(m, variables[v]))
+                      for v, x in enumerate(mono_exponents(m)) if x)
               for e in range(1, d + 1) for m in monos[e]}
     for _ in range(MAX_RETRIES):
         forms = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(nv - 1)]
@@ -178,7 +181,7 @@ def contract(g: Vec, u: dict, p: int, nvars: int, d: int,
     """Contraction g o f of a homogeneous g of degree e against the form
     with divided-power coordinates u; maps degree-(d-e) monomials to
     coefficients.  Empty iff g annihilates f."""
-    e = next(iter(g))[0][0]
+    e = mono_deg(next(iter(g))[0])
     if e > d:
         return {}
     out: dict = {}

@@ -22,6 +22,7 @@ from .algebra import (
     OpCounters,
     Ring,
     Vec,
+    mono_deg,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -83,7 +84,7 @@ class GroebnerBasis:
         if twists is None:
             twists = (0,) * rank
         self.twists = tuple(twists)
-        self.degrees = tuple(mm[0][0] + self.twists[mm[1]] for mm in lms)
+        self.degrees = tuple(mono_deg(m) + self.twists[c] for m, c in lms)
         by_comp: dict = {}
         for i, mm in enumerate(lms):
             by_comp.setdefault(mm[1], []).append((mm[0], i))
@@ -224,7 +225,7 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
     inputs: dict = {}  # top degree -> inputs
     homogeneous = True
     for g in gens:
-        degrees = {m[0] + twists[c] for m, c in g}
+        degrees = {mono_deg(m) + twists[c] for m, c in g}
         homogeneous = homogeneous and len(degrees) == 1
         inputs.setdefault(max(degrees), []).append(g)
     basis: list = []  # monic vectors, leading term first
@@ -238,9 +239,9 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
         for i, j in pairs.pop(e, ()):
             (a, comp), b = lms[i], lms[j][0]
             lcm = mono_lcm(a, b)
-            d = lcm[0]
-            if any(mono_divides(lm, lcm) and mono_lcm(a, lm)[0] < d
-                   and mono_lcm(b, lm)[0] < d for lm, _ in by_comp[comp]):
+            d = mono_deg(lcm)
+            if any(mono_divides(lm, lcm) and mono_deg(mono_lcm(a, lm)) < d
+                   and mono_deg(mono_lcm(b, lm)) < d for lm, _ in by_comp[comp]):
                 continue  # chain criterion
             mults[(i, mono_div(lcm, a))] = None
             mults[(j, mono_div(lcm, b))] = None
@@ -254,10 +255,10 @@ def _gb_f4(gens, ring: Ring, base: BaseOrdering, twists: tuple):
             lms.append(mm)
             same = by_comp.setdefault(comp, [])
             for m, k in same:
-                lcm = mono_lcm(m, lm)
+                d = mono_deg(mono_lcm(m, lm))
                 # the product criterion holds at rank 1 only
-                if len(twists) > 1 or lcm[0] < m[0] + lm[0]:
-                    pairs.setdefault(lcm[0] + twists[comp], []).append((k, new))
+                if len(twists) > 1 or d < mono_deg(m) + mono_deg(lm):
+                    pairs.setdefault(d + twists[comp], []).append((k, new))
             same.append((lm, new))
     if homogeneous:
         return basis

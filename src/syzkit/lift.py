@@ -41,8 +41,9 @@ and reduce scans its image in G's own ordering.
 
 Unit heads are known, not multiplied: a subtree lifting is its key at
 coefficient 1 plus a tail, and the cache stores only the tail, so a reuse
-(``_merge``) enters the key at its weight with no product and scales only
-the tail; a reducer m*f_i starts with the target term at coefficient 1, so
+(``_propagate``'s merge of a stored key) enters the key at its weight with
+no product and scales only the tail; a reducer m*f_i starts with the
+target term at coefficient 1, so
 reduce and hybrid drop the target (a known cancellation, not counted) and
 subtract the scaled tail.
 """
@@ -325,29 +326,18 @@ def _plan(roots: Sequence[Column], G: GroebnerBasis, cache: SubtreeCache) -> lis
     return list(below) if saving > 0 else []
 
 
-def _merge(out: Vec, weights, p: int, cache: SubtreeCache,
-           counters: Optional[OpCounters] = None) -> None:
-    """out += w * (subtree lifting of k) for every (k, w) in ``weights``,
-    each k stored: the key enters at w with no product, then the stored
-    tail is added scaled by w."""
-    data = cache.data
-    for k, w in weights:
-        cache.hits += 1
-        vec_sub_term(out, k, p - w, p, counters)
-        vec_iadd_scaled(out, w, data[k], p, counters)
-
-
 def _store(keys, G: GroebnerBasis, cache: SubtreeCache,
            counters: Optional[OpCounters] = None) -> None:
     """Store the tail of the subtree lifting of every key of ``keys``, in
-    the order given, which must be children first: each is its children's
-    subtree liftings merged in child order with weights p - c, and its
-    child list is dropped."""
-    p = G.ring.p
+    the order given: minus its children's subtree liftings, each scaled by
+    its coefficient, and its child list is dropped.  Every set stored is
+    downward closed and comes children first (``_plan``'s shared keys,
+    ``_below``'s post-order), so each child of a key being stored is a
+    boundary, and ``_propagate`` merges the children in child order, as a
+    merge of the child list would."""
     for k in keys:
         tail: Vec = {}
-        _merge(tail, ((ck, p - c) for ck, c in cache.children.pop(k).items()),
-               p, cache, counters)
+        _propagate(tail, cache.children.pop(k), G, cache, counters)
         cache.data[k] = tail
 
 
@@ -356,7 +346,8 @@ def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
     """out -= c * (subtree lifting of k) for every root (k, c).
 
     The keys in the cache's data are the boundaries: each one reached is
-    merged (``_merge``) once with its summed weight.  Weights are pushed
+    merged once with its summed weight w, the key entering at w with no
+    product and its stored tail scaled by w.  Weights are pushed
     from the roots down every other key in Kahn order, the roots being the
     children of a source of weight 1, with in-degrees found by walking down
     from the roots to the boundaries, so each such key enters out once with
@@ -408,18 +399,20 @@ def _propagate(out: Vec, roots: Column, G: GroebnerBasis, cache: SubtreeCache,
             out[k] = w
             if counters is not None and w != 1 and w != p - 1:
                 counters.n_mult += len(kids)
-    _merge(out, bound.items(), p, cache, counters)
+    for k, w in bound.items():
+        cache.hits += 1
+        vec_sub_term(out, k, p - w, p, counters)
+        vec_iadd_scaled(out, w, data[k], p, counters)
 
 
 def lift_tree(s: ModMono, G: GroebnerBasis, cache: SubtreeCache,
               counters: Optional[OpCounters] = None) -> Vec:
     """Lifting of s by independent subtree liftings of the non-lower-order
     terms of its image, each stored in (or served from) the cache."""
-    p = G.ring.p
     roots = _roots(s, G, cache)
     _store(_below(roots, G, cache), G, cache, counters)
     sbar: Vec = {s: 1}
-    _merge(sbar, ((k, p - c) for k, c in roots.items()), p, cache, counters)
+    _propagate(sbar, roots, G, cache, counters)
     return sbar
 
 

@@ -15,7 +15,7 @@ import itertools
 import operator
 from typing import Callable, Sequence
 
-from .algebra import DomainError, ModMono, Mono, mono_mul
+from .algebra import DomainError, ModMono, Mono, mono_deg, mono_mul
 
 ORDER_KINDS = ("dp", "lp")  # degree reverse lexicographic / lexicographic
 
@@ -161,5 +161,5 @@ def reorder_permutation(terms: Sequence[ModMono], chain: OrderingChain,
     idxs = list(range(len(terms)))
     idxs.sort(key=lambda i: terms[i][1])                    # component asc
     idxs.sort(key=lambda i: base_key(images[i]), reverse=True)  # image desc
-    idxs.sort(key=lambda i: images[i][0])                   # degree asc
+    idxs.sort(key=lambda i: mono_deg(images[i]))            # degree asc
     return idxs

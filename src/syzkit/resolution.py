@@ -22,7 +22,10 @@ from .algebra import (
     Vec,
     is_homogeneous,
     mono_deg,
+    mono_div,
     mono_divides,
+    mono_exponents,
+    mono_from_exponents,
     mono_mul,
     term_times_vector,
     vec_iadd_scaled,
@@ -413,7 +416,7 @@ def _plan_pivots(res: Resolution) -> list:
         raise DomainError(f"the resolution is cut at level {res.length}; "
                           "minimal Betti numbers and minimization need "
                           f"phi_{res.length + 1}")
-    p = res.ring.p
+    p, one = res.ring.p, res.ring.one
     plan: list = []
     for k in range(1, res.length + 1):
         diff = res.diffs[k - 1]
@@ -423,14 +426,14 @@ def _plan_pivots(res: Resolution) -> list:
         pivots: dict = {}
         for cs in by_degree.values():
             # the degree's strand, last column first: each column with a
-            # constant entry (m[0], the degree, is 0), its constant part
+            # constant entry (m == one), its constant part
             # frozen into a row {row of phi_k: value}; dropped before the
             # next degree's strand is built.  The row holds lists, not
             # tuples: CPython keeps freed tuples of fewer than 20 items on
             # free lists that no later stage of another shape reuses
             cols, rows = [], []
             for c in reversed(cs):
-                const = {i: v for (m, i), v in diff[c].items() if not m[0]}
+                const = {i: v for (m, i), v in diff[c].items() if m == one}
                 if const:
                     cols.append(c)
                     rows.append(Column(list(const), list(const.values())))
@@ -564,31 +567,24 @@ def _hilbert_ideal(gens: tuple, nvars: int, memo: dict) -> dict:
         return {0: 1}
     if any(mono_deg(g) == 0 for g in gens):
         return {}
-    pivot_var = None
-    for g in gens:
-        if sum(1 for e in g[1:] if e) > 1:
-            # pivot on a variable of this mixed generator, preferring the one
-            # hitting the most generators; splitting on it always simplifies
-            candidates = [v for v in range(nvars) if g[1 + v]]
-            pivot_var = max(candidates,
-                            key=lambda v: sum(1 for h in gens if h[1 + v]))
-            break
-    if pivot_var is None:
+    exps = [mono_exponents(g) for g in gens]
+    mixed = next((e for e in exps if sum(1 for x in e if x) > 1), None)
+    if mixed is None:
         # pairwise coprime pure powers: product of (1 - t^deg)
         out = {0: 1}
         for g in gens:
             out = _poly1_mul(out, {0: 1, mono_deg(g): -1})
-        memo[gens] = dict(out)
-        return out
-    x = (1,) + tuple(1 if i == pivot_var else 0 for i in range(nvars))
-    plus = _hilbert_ideal(gens + (x,), nvars, memo)
-    quot = _hilbert_ideal(tuple(
-        (g[0] - 1,) + g[1:1 + pivot_var] + (g[1 + pivot_var] - 1,) + g[2 + pivot_var:]
-        if g[1 + pivot_var] else g
-        for g in gens), nvars, memo)
-    out = dict(plus)
-    for d, c in quot.items():
-        out[d + 1] = out.get(d + 1, 0) + c
-    out = {d: c for d, c in out.items() if c}
+    else:
+        # pivot on a variable of the first mixed generator, preferring the
+        # one hitting the most generators; splitting on it always simplifies
+        pivot_var = max((v for v in range(nvars) if mixed[v]),
+                        key=lambda v: sum(1 for h in exps if h[v]))
+        x = mono_from_exponents(int(i == pivot_var) for i in range(nvars))
+        out = _hilbert_ideal(gens + (x,), nvars, memo)  # a fresh dict
+        quot = _hilbert_ideal(tuple(mono_div(g, x) if e[pivot_var] else g
+                                    for g, e in zip(gens, exps)), nvars, memo)
+        for d, c in quot.items():
+            out[d + 1] = out.get(d + 1, 0) + c
+        out = {d: c for d, c in out.items() if c}
     memo[gens] = dict(out)
     return out

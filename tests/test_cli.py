@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import syzkit
-from syzkit import resolution
+from syzkit import cli, resolution
 from syzkit.algebra import Ring
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.cli import (
@@ -394,6 +394,26 @@ def test_main_eliminates_the_strands_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
     out = capsys.readouterr().out
     assert out[out.index("Non-minimal"):] == tables
+
+
+def test_betti_refuses_ungraded_input_before_resolving(tmp_path, capsys,
+                                                       monkeypatch):
+    # the worked example with x^2 replaced by x^80*z is ungraded: --betti
+    # is refused from the parsed input, with no resolve run (seconds at
+    # this K) and no resolution line printed
+    inp = tmp_path / "k80.txt"
+    inp.write_text("ring 32003 w,x,y,z lp\nw*x+w*z+x^80*z-z^2\n"
+                   "w*y-w*z-x*z-y*z-2*z^2\nx*y+z^2\n")
+
+    def no_resolve(*args, **kwargs):
+        raise AssertionError("resolve ran")
+
+    monkeypatch.setattr(cli, "resolve", no_resolve)
+    for betti in ("min", "both", "nonmin"):
+        assert main(["resolve", str(inp), "--betti", betti]) == 2
+        out, err = capsys.readouterr()
+        assert "resolution length" not in out
+        assert err.startswith("error: Betti tables require homogeneous input")
 
 
 def test_main_gen_degenerate_form_exits_2(capsys):

@@ -101,7 +101,7 @@ def _assert_strategies_agree(doc):
     assert out["reduce"] == out["hybrid"] == out["tree"]
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 10))
 def test_rational_normal_curve(n):
     doc = parse_input(rnc_text(n))
     want = rnc_table(n)
@@ -129,7 +129,8 @@ def test_generic_maximal_minors(shape):
         _assert_strategies_agree(doc)
 
 
-@pytest.mark.parametrize("degrees", [(2, 2, 3, 3), (2, 2, 2, 2, 2)],
+@pytest.mark.parametrize("degrees", [(2, 2, 3, 3), (2, 2, 2, 2, 2),
+                                     (2, 2, 2, 2, 2, 2)],
                          ids=lambda degrees: ",".join(map(str, degrees)))
 def test_complete_intersection(degrees):
     ring, gens = gen_random_homogeneous(len(degrees), degrees, P, seed=len(degrees))

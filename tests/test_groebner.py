@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from syzkit.algebra import (Column, DomainError, OpCounters, Ring, Vec,
                             is_homogeneous,
-                            mono_div, mono_divides, mono_lcm, mono_mul,
+                            mono_div, mono_divides, mono_from_exponents,
+                            mono_lcm, mono_mul,
                             term_times_vector,
                             vec_component, vec_iadd_scaled)
 from syzkit.orderings import BaseOrdering, OrderingChain
@@ -357,7 +358,7 @@ def _sorted_monomials_of_degree(nvars, deg, base):
             exps.append(b - prev - 1)
             prev = b
         exps.append(deg + nvars - 2 - prev)
-        out.append((deg,) + tuple(exps))
+        out.append(mono_from_exponents(exps))
     out.sort(key=base.key_func(), reverse=True)
     return out
 

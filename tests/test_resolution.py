@@ -9,7 +9,8 @@ from collections import Counter
 
 import pytest
 
-from syzkit.algebra import (DomainError, OpCounters, Ring, mono_div, mono_mul,
+from syzkit.algebra import (DomainError, OpCounters, Ring, mono_deg, mono_div,
+                            mono_exponents, mono_from_exponents, mono_mul,
                             term_times_vector, vec_iadd_scaled, vec_interned,
                             vec_sub_term)
 from syzkit.orderings import BaseOrdering, OrderingChain
@@ -504,7 +505,7 @@ def test_entry_homogeneity(corpus):
             tw_dst = res.modules[k - 1].twists
             for j, col in enumerate(res.diffs[k - 1]):
                 for (m, comp) in col:
-                    assert m[0] == tw_src[j] - tw_dst[comp]
+                    assert mono_deg(m) == tw_src[j] - tw_dst[comp]
 
 
 def test_resolve_module_input():
@@ -566,7 +567,7 @@ def _tail_above_head(vs, p):
     coefficient 1, but x*s outranks it (x the first variable)."""
     for v in vs:
         m, j = next(iter(v))
-        x = (1, 1) + (0,) * (len(m) - 2)
+        x = mono_from_exponents((1,) + (0,) * (len(mono_exponents(m)) - 1))
         yield {(mono_mul(m, x), j): 1, **v}
 
 
@@ -1041,7 +1042,7 @@ def _linear_change(gens, ring, rng):
         acc: dict = {}
         for (m, comp), c in g.items():
             f = {(ring.one, comp): c}
-            for i, e in enumerate(m[1:]):
+            for i, e in enumerate(mono_exponents(m)):
                 for _ in range(e):
                     image: dict = {}  # x_i * f
                     for j in range(n):

@@ -5,19 +5,16 @@ from .algebra import (
     DomainError,
     OpCounters,
     Ring,
-    monomial_divides,
     term_times_vector,
 )
 from .orderings import BaseOrdering, OrderingChain
 from .groebner import GroebnerBasis, buchberger, divide_with_remainder
-from .linalg import rank as block_rank
 from .frame import FrameLevel, build_frame, lead_syz
 from .lift import (
     SubtreeCache,
     lift_hybrid,
     lift_reduce,
     lift_tree,
-    psi,
 )
 from .resolution import (
     BettiTable,
@@ -39,13 +36,11 @@ _CLI_NAMES = ("InputDocument", "ParseError", "main", "parse_input")
 
 # the names the README lists; ``from syzkit import *`` loads the CLI names
 __all__ = [
-    "DomainError", "OpCounters", "Ring", "monomial_divides",
-    "term_times_vector",
+    "DomainError", "OpCounters", "Ring", "term_times_vector",
     "BaseOrdering", "OrderingChain",
     "GroebnerBasis", "buchberger", "divide_with_remainder",
-    "block_rank",
     "FrameLevel", "build_frame", "lead_syz",
-    "SubtreeCache", "lift_hybrid", "lift_reduce", "lift_tree", "psi",
+    "SubtreeCache", "lift_hybrid", "lift_reduce", "lift_tree",
     "BettiTable", "GradedFreeModule", "Resolution",
     "betti_minimal_from_nonminimal", "betti_nonminimal",
     "hilbert_numerator", "minimize", "resolve",

@@ -235,12 +235,6 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return mono_from_exponents(map(max, a[1:], b[1:]))
 
 
-def monomial_divides(a: ModMono, b: ModMono) -> bool:
-    """Does the module monomial a divide the module monomial b?  Components
-    must match."""
-    return a[1] == b[1] and mono_divides(a[0], b[0])
-
-
 # ---------------------------------------------------------------------------
 # vectors
 

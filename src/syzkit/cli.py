@@ -250,29 +250,16 @@ def _spelling(monos, ring: Ring, base: BaseOrdering):
             [mono_to_string(m, ring) for m in ranked])
 
 
-def _poly_string(poly: dict, rank: dict, spelled: list, p: int) -> str:
-    """The canonical string of poly, from the ranks and spellings of its
-    monomials (:func:`_spelling`)."""
-    if not poly:
-        return "0"
-    terms = sorted([(0, rank[m], c) for m, c in poly.items()])
-    return _polynomials(terms, spelled, p)[0][1]
-
-
-def poly_to_string(poly: dict, ring: Ring, base: BaseOrdering) -> str:
-    """Canonical string: terms descending under the base ordering, symmetric
-    coefficients."""
-    return _poly_string(poly, *_spelling(poly, ring, base), ring.p)
-
-
 def serialize_input(doc: InputDocument) -> str:
-    """The document in the canonical spelling, one generator per line;
-    each distinct monomial of the document is spelled once."""
+    """The document in the canonical spelling, one generator per line (0
+    for an empty one): terms descending under the base ordering, symmetric
+    coefficients; each distinct monomial of the document is spelled once."""
     ring = doc.ring
     polys = [vec_component(g, 0) for g in doc.generators]
     rank, spelled = _spelling({m for f in polys for m in f}, ring, doc.ordering)
     lines = [f"ring {ring.p} {','.join(ring.names)} {doc.ordering.kind}"]
-    lines += [_poly_string(f, rank, spelled, ring.p) for f in polys]
+    lines += [_polynomials(sorted([(0, rank[m], c) for m, c in f.items()]),
+                           spelled, ring.p)[0][1] if f else "0" for f in polys]
     return "\n".join(lines) + "\n"
 
 
@@ -424,8 +411,10 @@ def cmd_resolve(args) -> int:
     # UTF-8 whatever the locale, a leading byte-order mark dropped
     doc = parse_input(data.decode("utf-8-sig"))
     # resolve's own test of gradedness, before it runs
-    if args.betti and not all(is_homogeneous(g) for g in doc.generators):
-        raise DomainError("Betti tables require homogeneous input")
+    if ((args.betti or args.minimize)
+            and not all(is_homogeneous(g) for g in doc.generators)):
+        what = "Betti tables require" if args.betti else "--minimize requires"
+        raise DomainError(f"{what} homogeneous input")
     t0 = time.perf_counter()
     res = resolve(doc.generators, doc.ring, doc.ordering, alg=args.alg,
                   max_length=args.max_length)

@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import (DomainError, Ring, Vec, check_characteristic, mono_deg,
-                      mono_div, mono_exponents, mono_from_exponents, mono_mul)
+from .algebra import (DomainError, Ring, check_characteristic, mono_div,
+                      mono_exponents, mono_from_exponents, mono_mul)
 from . import linalg
 from .orderings import BaseOrdering
 from .groebner import monomials_of_degree
@@ -173,24 +173,6 @@ def _shifted(kernel: list, shift_pos: list, coord: list) -> list:
                 if t >= 0:
                     row[t] = x
             out.append(row)
-    return out
-
-
-def contract(g: Vec, u: dict, p: int, nvars: int, d: int,
-             base: BaseOrdering) -> dict:
-    """Contraction g o f of a homogeneous g of degree e against the form
-    with divided-power coordinates u; maps degree-(d-e) monomials to
-    coefficients.  Empty iff g annihilates f."""
-    e = mono_deg(next(iter(g))[0])
-    if e > d:
-        return {}
-    out: dict = {}
-    for gamma in monomials_of_degree(nvars, d - e, base):
-        total = 0
-        for (alpha, _), c in g.items():
-            total += c * u[mono_mul(alpha, gamma)]
-        if total % p:
-            out[gamma] = total % p
     return out
 
 

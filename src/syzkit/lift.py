@@ -114,16 +114,6 @@ class SubtreeCache:
         self.expansions = 0
 
 
-def psi(v: Vec, G: GroebnerBasis, counters: Optional[OpCounters] = None) -> Vec:
-    """Image of v under the homomorphism sending basis element i to the i-th
-    generator of G."""
-    p = G.ring.p
-    out: Vec = {}
-    for (m, i), c in v.items():
-        vec_iadd_scaled(out, c, term_times_vector(m, G.gens[i]), p, counters)
-    return out
-
-
 def _root_divisor(s: ModMono, G: GroebnerBasis):
     """(i, L/LM(f_i)) for the smallest i with LM(f_i) | L, the head
     L = m LM(f_j) of the image of s = m e_j.

@@ -79,12 +79,6 @@ class BettiTable:
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.data == other.data
 
-    def add(self, other: "BettiTable") -> "BettiTable":
-        data = dict(self.data)
-        for kj, v in other.data.items():
-            data[kj] = data.get(kj, 0) + v
-        return BettiTable(data)
-
     def format(self) -> str:
         """Paper-style layout: columns are levels, rows are j - k, dashes for
         zeros, a totals row at the bottom."""

@@ -14,7 +14,6 @@ from syzkit.algebra import (
     mono_div,
     mono_lcm,
     mono_mul,
-    monomial_divides,
     term_times_vector,
     vec_iadd_scaled,
     vec_normalized,
@@ -116,19 +115,6 @@ def test_mono_basics():
         r.mono([1, 2])
     with pytest.raises(DomainError):
         r.mono([-1, 0, 0])
-
-
-def test_monomial_divides_examples():
-    r = Ring(7, ("x", "y"))
-    x = r.mono([1, 0])
-    x2y = r.mono([2, 1])
-    xy = r.mono([1, 1])
-    m = r.mono([1, 2])
-    assert monomial_divides((x, 0), (x2y, 0))
-    # component mismatch kills divisibility
-    assert not monomial_divides((x, 0), (xy, 1))
-    # reflexivity
-    assert monomial_divides((m, 0), (m, 0))
 
 
 def test_module_lcm_examples():

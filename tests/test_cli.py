@@ -21,7 +21,6 @@ from syzkit.cli import (
     main,
     parse_input,
     parse_polynomial,
-    poly_to_string,
     serialize_input,
     serialize_resolution,
     stats_report,
@@ -31,6 +30,7 @@ from syzkit.orderings import BaseOrdering
 from syzkit.resolution import GradedFreeModule, Resolution, minimize, resolve
 
 from conftest import make_corpus_entry
+from oracles import poly_to_string
 
 SEC5 = """ring 32003 w,x,y,z lp
 w*x+w*z+x^2+2*x*z-z^2
@@ -399,8 +399,8 @@ def test_main_eliminates_the_strands_once(tmp_path, capsys, monkeypatch):
 def test_betti_refuses_ungraded_input_before_resolving(tmp_path, capsys,
                                                        monkeypatch):
     # the worked example with x^2 replaced by x^80*z is ungraded: --betti
-    # is refused from the parsed input, with no resolve run (seconds at
-    # this K) and no resolution line printed
+    # and --minimize are refused from the parsed input, with no resolve run
+    # (seconds at this K) and no resolution line printed
     inp = tmp_path / "k80.txt"
     inp.write_text("ring 32003 w,x,y,z lp\nw*x+w*z+x^80*z-z^2\n"
                    "w*y-w*z-x*z-y*z-2*z^2\nx*y+z^2\n")
@@ -409,11 +409,14 @@ def test_betti_refuses_ungraded_input_before_resolving(tmp_path, capsys,
         raise AssertionError("resolve ran")
 
     monkeypatch.setattr(cli, "resolve", no_resolve)
-    for betti in ("min", "both", "nonmin"):
-        assert main(["resolve", str(inp), "--betti", betti]) == 2
+    for flags, msg in [(["--betti", "min"], "Betti tables require"),
+                       (["--betti", "both"], "Betti tables require"),
+                       (["--betti", "nonmin"], "Betti tables require"),
+                       (["--minimize"], "--minimize requires")]:
+        assert main(["resolve", str(inp), *flags]) == 2
         out, err = capsys.readouterr()
         assert "resolution length" not in out
-        assert err.startswith("error: Betti tables require homogeneous input")
+        assert err.startswith(f"error: {msg} homogeneous input")
 
 
 def test_main_gen_degenerate_form_exits_2(capsys):

@@ -30,7 +30,7 @@ from syzkit.orderings import BaseOrdering
 from syzkit.resolution import (BettiTable, betti_minimal_from_nonminimal,
                                betti_nonminimal, minimize, resolve)
 
-from test_resolution import _linear_change
+from oracles import linear_change
 
 P = 32003
 
@@ -114,7 +114,7 @@ def test_rational_normal_curve_changed_coordinates(n):
     # the seeded linear change of coordinates of the invariance test turns
     # the binomials into dense quadrics with the same minimal table
     doc = parse_input(rnc_text(n))
-    gens = _linear_change(doc.generators, doc.ring, random.Random(n))
+    gens = linear_change(doc.generators, doc.ring, random.Random(n))
     want = rnc_table(n)
     assert minimal_tables(gens, doc.ring, doc.ordering) == (want, want)
 

@@ -10,15 +10,10 @@ from syzkit.algebra import (DomainError, mono_deg, mono_exponents,
                             mono_from_exponents, mono_mul)
 from syzkit.cli import InputDocument, serialize_input
 from syzkit.orderings import BaseOrdering
-from syzkit.examples_gen import (
-    AgrSpec,
-    contract,
-    gen_agr,
-    gen_random_homogeneous,
-)
+from syzkit.examples_gen import AgrSpec, gen_agr, gen_random_homogeneous
 from syzkit.groebner import monomials_of_degree
 
-from test_linalg import ref_span_rows
+from oracles import contract, ref_span_rows
 
 
 def test_spec_validation():

@@ -1,12 +1,10 @@
 import itertools
 import random
-from math import comb
 
 import pytest
 
-from syzkit.algebra import (Ring, mono_deg, mono_div, mono_divides, mono_exponents,
-                            mono_from_exponents, mono_lcm, mono_mul)
-from syzkit.orderings import BaseOrdering, reorder_permutation
+from syzkit.algebra import Ring, mono_deg, mono_divides, mono_mul
+from syzkit.orderings import BaseOrdering
 from syzkit.groebner import buchberger, monomials_of_degree
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.frame import FrameLevel, build_frame, lead_syz
@@ -15,6 +13,8 @@ from syzkit.resolution import BettiTable, betti_nonminimal
 from syzkit.cli import main, parse_input
 
 from conftest import SEC5_TEXT
+from oracles import (all_pairs_betti, all_pairs_level, betti_of,
+                     eliahou_kervaire, is_stable)
 
 
 def test_lead_syz_sec5(sec5):
@@ -46,31 +46,13 @@ def test_lead_syz_is_order_sensitive():
     assert len(lv.terms) == len(lv_rev.terms) == 2
 
 
-def _all_pairs_level(lms):
-    """The leading terms of the all-pairs Schreyer syzygies of ``lms``,
-    (lcm(m_i, m_j)/m_i) e_i for every j < i in the same component,
-    independently minimalized."""
-    pairs = []
-    for i in range(len(lms)):
-        for j in range(i):
-            if lms[i][1] != lms[j][1]:
-                continue
-            lcm = mono_lcm(lms[i][0], lms[j][0])
-            pairs.append((mono_div(lcm, lms[i][0]), i))
-    minimal = []
-    for t in sorted(set(pairs), key=lambda t: (mono_deg(t[0]), t)):
-        if not any(s[1] == t[1] and mono_divides(s[0], t[0]) for s in minimal):
-            minimal.append(t)
-    return minimal
-
-
 def test_lead_syz_brute_force(corpus):
     # the module generated by the frame terms equals the leading module of
     # the all-pairs Schreyer syzygies, independently minimalized
     for entry in corpus[:40]:
         G = entry.gb
         lv = lead_syz(G.lms, entry.base, G.degrees)
-        assert set(_all_pairs_level(G.lms)) == set(lv.terms), f"seed {entry.seed}"
+        assert set(all_pairs_level(G.lms)) == set(lv.terms), f"seed {entry.seed}"
 
 
 def test_frame_minimality_and_degrees(corpus):
@@ -159,16 +141,7 @@ def _frame_betti(G):
     degrees of frame level k."""
     levels = [G.twists, G.degrees]
     levels += [level.degrees for level in build_frame(G)]
-    return _betti_of(levels)
-
-
-def _betti_of(levels):
-    """The Betti table with the degrees ``levels[k]`` at level k."""
-    table: dict = {}
-    for k, degrees in enumerate(levels):
-        for d in degrees:
-            table[(k, d)] = table.get((k, d), 0) + 1
-    return BettiTable(table)
+    return betti_of(levels)
 
 
 def test_frame_betti_sec5(sec5):
@@ -176,67 +149,13 @@ def test_frame_betti_sec5(sec5):
     assert table == BettiTable({(0, 0): 1, (1, 2): 3, (2, 3): 2})
 
 
-def _all_pairs_betti(G):
-    """The non-minimal Betti table of the tower of all-pairs levels over G,
-    built with neither ``lead_syz`` nor ``build_frame``: each level's
-    candidates are formed over the previous level's terms in frame order
-    (the chain's induced order, ``reorder_permutation``), and each term
-    m*e_i has degree deg(m) + the degree of e_i."""
-    levels = [G.twists, G.degrees]
-    chain = G.chain.extend(G.lms)
-    lms, degrees = G.lms, G.degrees
-    while True:
-        terms = _all_pairs_level(lms)
-        if not terms:
-            break
-        terms = [terms[t] for t in reorder_permutation(terms, chain, len(chain))]
-        degrees = [mono_deg(m) + degrees[i] for m, i in terms]
-        levels.append(degrees)
-        chain = chain.extend(terms)
-        lms = terms
-    return _betti_of(levels)
-
-
 def test_frame_betti_equals_nonminimal(corpus):
     # the table of the resolution resolve lifts equals one built level by
     # level from all pairs, which a lead_syz keeping a non-minimal
     # candidate, or losing one, would not give
     for entry in corpus:
-        assert _all_pairs_betti(entry.gb) == betti_nonminimal(
+        assert all_pairs_betti(entry.gb) == betti_nonminimal(
             entry.resolutions["tree"]), f"seed {entry.seed}"
-
-
-def _top(u):
-    """max(u): the largest 1-based index of a variable dividing u."""
-    e = mono_exponents(u)
-    return max(i for i in range(len(e)) if e[i]) + 1
-
-
-def _is_stable(lms):
-    """The monomial ideal generated by ``lms`` is stable for x0 > x1 > ...:
-    x_i * u / x_max(u) lies in it for every generator u and i < max(u)."""
-    for u in lms:
-        top = _top(u)
-        for i in range(top - 1):
-            v = list(mono_exponents(u))
-            v[i] += 1
-            v[top - 1] -= 1
-            if not any(mono_divides(w, mono_from_exponents(v)) for w in lms):
-                return False
-    return True
-
-
-def _eliahou_kervaire(lms):
-    """The Betti table of R/<lms> for a stable monomial ideal with minimal
-    generators ``lms``: beta_{i+1,i+j} = sum over the generators u of
-    degree j of C(max(u) - 1, i)."""
-    table = {(0, 0): 1}
-    for u in lms:
-        top = _top(u)
-        for i in range(top):
-            kj = (i + 1, i + mono_deg(u))
-            table[kj] = table.get(kj, 0) + comb(top - 1, i)
-    return BettiTable(table)
 
 
 def test_frame_of_a_stable_leading_ideal_is_eliahou_kervaire(corpus):
@@ -245,9 +164,9 @@ def test_frame_of_a_stable_leading_ideal_is_eliahou_kervaire(corpus):
     # non-minimal generator, or lost one, would give another table
     def check(G):
         lms = [m for m, _ in G.lms]  # a reduced basis: the minimal generators
-        if not _is_stable(lms):
+        if not is_stable(lms):
             return False
-        assert _frame_betti(G) == _eliahou_kervaire(lms)
+        assert _frame_betti(G) == eliahou_kervaire(lms)
         return True
 
     assert sum(check(entry.gb) for entry in corpus) == 166

@@ -19,10 +19,12 @@ from syzkit.groebner import (
     monomials_of_degree,
 )
 from syzkit.cli import (InputDocument, parse_input, parse_polynomial,
-                        poly_to_string, serialize_input, serialize_resolution)
+                        serialize_input, serialize_resolution)
 from syzkit.resolution import (betti_minimal_from_nonminimal, betti_nonminimal,
                                hilbert_numerator, minimize, resolve)
 from syzkit.examples_gen import AgrSpec, gen_agr
+
+from oracles import poly_to_string
 
 
 # -- reference Buchberger criterion ------------------------------------------

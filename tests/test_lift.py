@@ -26,12 +26,13 @@ from syzkit.lift import (
     lift_hybrid,
     lift_reduce,
     lift_tree,
-    psi,
 )
 from syzkit.cli import parse_input
 from syzkit.resolution import resolve
 from syzkit.examples_gen import AgrSpec, gen_agr
 from syzkit.orderings import BaseOrdering
+
+from oracles import psi
 
 
 def lot_split(g, G):

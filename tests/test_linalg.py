@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from syzkit import linalg
 from syzkit.algebra import Column
 
+from oracles import ref_span_rows
+
 PRIMES = [2, 7, 32003, 2**31 - 1]
 
 
@@ -32,24 +34,6 @@ def ref_rref(mat, p):
         pivcols.append(c)
         r += 1
     return a[:r], pivcols
-
-
-def ref_span_rows(mat, p):
-    """Rows that enlarge the span of the rows before them, by inserting
-    each row into an echelon basis keyed by leading column."""
-    basis, out = {}, []
-    for i, row in enumerate(mat):
-        row = [x % p for x in row]
-        for c in range(len(row)):
-            if row[c] and c in basis:
-                f = row[c]
-                row = [(x - f * y) % p for x, y in zip(row, basis[c])]
-            elif row[c]:
-                inv = pow(row[c], p - 2, p)
-                basis[c] = [x * inv % p for x in row]
-                out.append(i)
-                break
-    return out
 
 
 @st.composite

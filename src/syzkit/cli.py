@@ -65,19 +65,53 @@ class InputDocument:
 
 
 def _tokenizer(names: Sequence[str]):
-    alts = sorted(names, key=len, reverse=True)
+    """One regex for the polynomial lines of a ring with these variables.
+    A monomial token is a product ``name^k*name*...`` with no space: a
+    factor ``name^k`` is one piece of it, and a spelling such as
+    ``x0^2*x1`` is one token however many factors it has."""
+    alts = "|".join(re.escape(n) for n in sorted(names, key=len, reverse=True))
+    factor = f"(?:{alts})(?:\\^\\d+)?"
     pattern = "|".join(
         ["(?P<int>\\d+)",
-         "(?P<var>" + "|".join(re.escape(n) for n in alts) + ")",
+         f"(?P<mono>{factor}(?:\\*{factor})*)",
          "(?P<op>[\\^*+-])",
          "(?P<ws>\\s+)",
          "(?P<bad>.)"])
     return re.compile(pattern)
 
 
-def _add_term(out: Vec, mono, c: int, p: int, table: dict) -> None:
-    """out += c * mono (c nonzero mod p), from the objects of ``table``."""
-    mm = interned_key((mono, 0), table)
+def _int(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's int() digit limit
+        raise ParseError(f"number too long ({len(digits)} digits)",
+                         line, col) from None
+
+
+def _spelling_of(spelled: str, ring: Ring, line: int, col: int,
+                 table: dict) -> tuple:
+    """What a monomial token ``spelled`` at column ``col`` stands for:
+    (exponents, the index of its last variable or None when a '^k' follows
+    that variable, the offset of its last factor's name or exponent, and
+    the document's module monomial, or None when an exponent is out of
+    range)."""
+    exps = [0] * ring.nvars
+    start = 0
+    for piece in spelled.split("*"):
+        name, caret, k = piece.partition("^")
+        last = ring.names.index(name)
+        offset = start + len(name) + 1 if caret else start
+        exps[last] += _int(k, line, col + offset) if caret else 1
+        start += len(piece) + 1
+    try:
+        mm = interned_key((ring.mono(exps), 0), table)
+    except DomainError:  # reported where the term ends, as for any term
+        mm = None
+    return tuple(exps), None if caret else last, offset, mm
+
+
+def _add_term(out: Vec, mm, c: int, p: int, table: dict) -> None:
+    """out += c * mm (c nonzero mod p, mm the table's module monomial)."""
     v = (out.get(mm, 0) + c) % p
     if v:
         out[mm] = table.setdefault(v, v)
@@ -95,48 +129,54 @@ def parse_polynomial(text: str, ring: Ring, line: int = 0) -> Vec:
 def _read_polynomial(text: str, ring: Ring, line: int, tok,
                      table: dict) -> Vec:
     """:func:`parse_polynomial` with the variable list's tokenizer and the
-    canonical table of the document the polynomial belongs to."""
-    var_index = {n: i for i, n in enumerate(ring.names)}
-    terms: list = []  # (signed coefficient, exponent list, end column)
+    canonical table of the document the polynomial belongs to, which also
+    holds what each monomial spelling of the document stands for."""
+    # (signed coefficient, exponents, end column, module monomial or None)
+    terms: list = []
     sign = 1
     coeff = None
-    exps = None
+    exps = None  # the table's tuple while one token spells the monomial
+    mm = None  # that token's module monomial
     last_var = None
     expect_exponent = False
 
     def flush(col):
-        nonlocal sign, coeff, exps, last_var
-        terms.append((sign * (1 if coeff is None else coeff),
-                      exps or [0] * ring.nvars, col))
-        sign, coeff, exps, last_var = 1, None, None, None
+        nonlocal sign, coeff, exps, mm, last_var
+        terms.append((sign * (1 if coeff is None else coeff), exps, col, mm))
+        sign, coeff, exps, mm, last_var = 1, None, None, None, None
 
     col = 0
     for m in tok.finditer(text):
         col = m.start() + 1
         kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        if kind == "int":
-            try:
-                val = int(m.group())
-            except ValueError:  # beyond the interpreter's int() digit limit
-                raise ParseError(f"number too long ({len(m.group())} digits)",
-                                 line, col) from None
+        if kind == "mono":
             if expect_exponent:
+                raise ParseError("expected an exponent after '^'", line, col)
+            spelled = m.group()
+            hit = table.get(spelled)
+            if hit is None:
+                hit = table[spelled] = _spelling_of(spelled, ring, line, col,
+                                                    table)
+            e, last_var, offset, one = hit
+            col += offset
+            if exps is None:
+                exps, mm = e, one
+            else:
+                exps, mm = [x + y for x, y in zip(exps, e)], None
+        elif kind == "int":
+            val = _int(m.group(), line, col)
+            if expect_exponent:
+                exps = list(exps)
                 exps[last_var] += val - 1  # the variable itself contributed 1
+                mm = None
                 expect_exponent = False
                 last_var = None
             else:
                 coeff = val if coeff is None else coeff * val
-        elif kind == "var":
-            if expect_exponent:
-                raise ParseError("expected an exponent after '^'", line, col)
-            if exps is None:
-                exps = [0] * ring.nvars
-            last_var = var_index[m.group()]
-            exps[last_var] += 1
+        elif kind == "ws":
+            continue
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
         else:  # operator
             op = m.group()
             if expect_exponent:
@@ -160,15 +200,17 @@ def _read_polynomial(text: str, ring: Ring, line: int, tok,
     if not terms:
         raise ParseError("empty polynomial", line, col)
     out: Vec = {}
-    for c, e, end in terms:
+    for c, e, end, key in terms:
         c %= ring.p
         if not c:
             continue
-        try:
-            mono = ring.mono(e)
-        except DomainError as err:  # an exponent above MAX_EXPONENT
-            raise ParseError(str(err), line, end)
-        _add_term(out, mono, c, ring.p, table)
+        if key is None:
+            try:
+                mono = ring.mono(e or [0] * ring.nvars)
+            except DomainError as err:  # an exponent above MAX_EXPONENT
+                raise ParseError(str(err), line, end)
+            key = interned_key((mono, 0), table)
+        _add_term(out, key, c, ring.p, table)
     return out
 
 

@@ -7,7 +7,10 @@ coordinates u_beta = sum_i a_i^beta (the coefficient of x^beta in f divided
 by the multinomial coefficient).  In these coordinates the degree-e
 catalecticant is Cat_e[gamma, alpha] = u_{alpha+gamma}; its kernel is the
 degree-e piece of the annihilator ideal, and the ideal is generated in
-degrees <= d+1.
+degrees <= d+1.  Cat_{d-e} is Cat_e transposed, so h_e = rank Cat_e =
+h_{d-e}.  When Cat_e is tall (|R_{d-e}| > |R_e|) the rank of the short
+Cat_{d-e} comes first: if it is |R_e|, Ann_e = 0 and no kernel is
+computed.
 
 Minimal generators come degree by degree, for e = 1..d+1.  In degree e <= d
 they are the vectors g_j of the canonical kernel basis of Cat_e that do not
@@ -35,14 +38,26 @@ nonzero divided-power form of positive degree.  Then for every w,
 c_u (x_w o f) = x_w x_u o F = c_w (x_u o f): all first partials of f are
 proportional, and h_1, the dimension of their span, is at most 1.  So for
 h_1 >= 2 no such F exists and R_1 * Ann_d = R_{d+1}.
+
+Only the pivot columns of the shifts are read, and the span is often full,
+with a pivot in every column and no new generator.  A full span is
+certified before all of it is eliminated: a subset of the rows, one
+leading at each column first, is brought to echelon form, and if it has a
+pivot in every column, so has the whole span.  For the pivot columns of a
+subspace are the leading columns of its nonzero vectors (each such vector
+is a combination of echelon rows, and leads where the first of them
+does), so a subset's pivot columns are among the whole span's.  When the
+subset misses a column, all the rows are eliminated, as without the
+certificate: the subset changes the cost, never the generators.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import compress
+from operator import mul
 
-from .algebra import (DomainError, Ring, check_characteristic, mono_div,
-                      mono_exponents, mono_from_exponents, mono_mul)
+from .algebra import DomainError, Ring, check_characteristic, mono_exponents
 from . import linalg
 from .orderings import BaseOrdering
 from .groebner import monomials_of_degree
@@ -99,29 +114,34 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
     base = BaseOrdering("dp", nv)
     rng = random.Random(spec.seed)
     monos = {e: monomials_of_degree(nv, e, base) for e in range(d + 1)}
-    variables = [mono_from_exponents(int(w == v) for w in range(nv))
-                 for v in range(nv)]
-    # each monomial of positive degree as (v, m / x_v), x_v its first variable
-    factor = {m: next((v, mono_div(m, variables[v]))
-                      for v, x in enumerate(mono_exponents(m)) if x)
-              for e in range(1, d + 1) for m in monos[e]}
+    # the code of x^beta is sum_v beta_v radix^v: exponents stay below the
+    # radix up to degree d + 1, so code(alpha + gamma) = code(alpha) + code(gamma)
+    weights = [(d + 2) ** v for v in range(nv)]
+    code = {m: sum(map(mul, mono_exponents(m), weights))
+            for ms in monos.values() for m in ms}
     for _ in range(MAX_RETRIES):
         forms = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(nv - 1)]
                  for _ in range(spec.s)]
         coeffs = list(zip(*forms))  # coeffs[v][i] = a_{i,v}
-        # at[m][i] = m(a_i), so u_beta = sum_i at[x^beta][i]
-        at = {monos[0][0]: [1] * spec.s}
+        # at[code(m)][i] = m(a_i) for |m| < d, from m / x_v and x_v its
+        # first variable, so that u_beta = sum_i x^beta(a_i)
+        at = {0: [1] * spec.s}
+        u = {monos[0][0]: spec.s % p}
         for e in range(1, d + 1):
             for m in monos[e]:
-                v, rest = factor[m]
-                at[m] = [x * a % p for x, a in zip(at[rest], coeffs[v])]
-        u = {m: sum(values) % p for m, values in at.items()}
+                v = next(compress(range(nv), mono_exponents(m)))
+                row, a = at[code[m] - weights[v]], coeffs[v]
+                if e < d:
+                    at[code[m]] = row = [x * y % p for x, y in zip(row, a)]
+                    u[m] = sum(row) % p
+                else:
+                    u[m] = sum(map(mul, row, a)) % p
         if any(u[m] for m in monos[d]):
             break
     else:
         raise DomainError("degenerate apolar form after retries")
 
-    index = {e: {m: i for i, m in enumerate(ms)} for e, ms in monos.items()}
+    u_at = {code[m]: u[m] for m in monos[d]}  # u by code, |beta| = d
     generators: list = []
     hilbert = [1]
     kernel_prev: list = []  # Ann_0 = 0
@@ -130,50 +150,78 @@ def gen_agr(spec: AgrSpec) -> AgrIdeal:
             if hilbert[1] >= 2:
                 break  # R_1 * Ann_d = R_{d+1}, see the module docstring
             monos[e] = monomials_of_degree(nv, e, base)
-            index[e] = {m: i for i, m in enumerate(monos[e])}
+            code.update((m, sum(map(mul, mono_exponents(m), weights)))
+                        for m in monos[e])
         cols = monos[e]
         keys = [(m, 0) for m in cols]  # every generator's terms share them
-        # shift_pos[v][i] is the index of x_v * m_i, m_i in monos[e - 1]
-        shift_pos = [[index[e][mono_mul(m, x)] for m in monos[e - 1]]
-                     for x in variables]
         if e <= d:
-            cat = [{i: u[mono_mul(alpha, gamma)] for i, alpha in enumerate(cols)}
-                   for gamma in monos[d - e]]
-            kernel, free = linalg.kernel_basis(cat, len(cols), p)
+            alphas = [code[m] for m in cols]
+            gammas = [code[m] for m in monos[d - e]]
+            if len(gammas) > len(alphas) and linalg.rank(
+                    [dict(enumerate([u_at[a + g] for g in gammas]))
+                     for a in alphas], p) == len(alphas):
+                kernel, free = [], []  # Cat_{d-e}, Cat_e transposed, has full rank
+            else:
+                cat = [dict(enumerate([u_at[g + a] for a in alphas]))
+                       for g in gammas]
+                kernel, free = linalg.kernel_basis(cat, len(cols), p)
             hilbert.append(len(cols) - len(free))
-            # R_1 * Ann_{e-1} in the free coordinates of Ann_e, reversed
-            coord = [-1] * len(cols)
+            # R_1 * Ann_{e-1} in the free coordinates of Ann_e, reversed; a
+            # pivot column of Cat_e is dropped
+            ncols = len(free)
+            coord = [ncols] * len(cols)
             for k, f in enumerate(reversed(free)):
                 coord[f] = k
-            shifts = _shifted(kernel_prev, shift_pos, coord)
-            trailing = {len(free) - 1 - c for _, c in linalg.echelon(shifts, p)}
+        else:
+            ncols, coord = len(cols), range(len(cols))
+        # to[v][i] is the column of x_v * m_i, m_i in monos[e - 1]
+        index = {code[m]: i for i, m in enumerate(cols)}
+        to = [[coord[index[code[m] + w]] for m in monos[e - 1]] for w in weights]
+        pivcols = _span_columns(kernel_prev, to, ncols, p)
+        if e <= d:
             generators += [{keys[i]: x for i, x in kernel[j].items()}
-                           for j in range(len(free)) if j not in trailing]
+                           for j in range(ncols) if ncols - 1 - j not in pivcols]
             kernel_prev = kernel
         else:
             # everything annihilates: new generators complement R_1 * Ann_d
-            span = _shifted(kernel_prev, shift_pos, list(range(len(cols))))
-            pivcols = {c for _, c in linalg.echelon(span, p)}
             generators += [{mm: 1} for ci, mm in enumerate(keys)
                            if ci not in pivcols]
     return AgrIdeal(spec, ring, generators, hilbert, forms, u)
 
 
-def _shifted(kernel: list, shift_pos: list, coord: list) -> list:
-    """The rows x_v * g as {column: value}, one block per variable v and in
-    it one row per row g of ``kernel``.  ``shift_pos[v][i]`` is the index
-    of x_v * m_i, and the coefficient of monomial j goes to column
-    ``coord[j]``, or is dropped where that is negative."""
-    out = []
-    for pos in shift_pos:
-        for g in kernel:
-            row = {}
-            for i, x in g.items():
-                t = coord[pos[i]]
-                if t >= 0:
-                    row[t] = x
-            out.append(row)
-    return out
+SPARE_ROWS = 8  # rows beyond one per column in a span's certificate
+
+
+def _span_columns(kernel: list, to: list, ncols: int, p: int) -> set:
+    """The pivot columns of the span of the rows x_v * g, g in ``kernel``,
+    whose monomial i goes to column ``to[v][i]``, or is dropped where that
+    is ``ncols``.  A subset of the rows comes first: the first row leading
+    at each column, then the second, and so on, column by column,
+    ``ncols + SPARE_ROWS`` rows in all.  If it has a pivot in every column,
+    so has the whole span (see the module docstring); otherwise all the
+    rows are eliminated."""
+    rows = [(t, g) for t in to for g in kernel]
+    seen: dict = {}  # leading column -> rows leading there so far
+    ranked = []
+    for i, (t, g) in enumerate(rows):
+        c = min(map(t.__getitem__, g), default=ncols)
+        if c < ncols:
+            k = seen[c] = seen.get(c, 0) + 1
+            ranked.append((k, c, i))
+    ranked.sort()
+    if len(ranked) > ncols + SPARE_ROWS:
+        subset = sorted(i for _, _, i in ranked[:ncols + SPARE_ROWS])
+        if len(linalg.echelon([_shift(*rows[i], ncols) for i in subset],
+                              p)) == ncols:
+            return set(range(ncols))
+    return {c for _, c in linalg.echelon([_shift(t, g, ncols) for t, g in rows],
+                                         p)}
+
+
+def _shift(to: list, g: dict, ncols: int) -> dict:
+    """The row {column: value} of x_v * g, its monomial i at column to[i],
+    dropped where that is ncols."""
+    return {t: x for i, x in g.items() if (t := to[i]) < ncols}
 
 
 def gen_random_homogeneous(n_vars: int, degrees, p: int, seed: int):

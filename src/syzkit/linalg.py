@@ -19,10 +19,16 @@ it: the first pivot that updates it packs it, reduced mod p, and it stays
 packed.  A pivot row is never copied: its scaled tail, the part right of
 its column, packed, is all of it that outlives its column.  The loop
 yields each pivot with its tail as its column is done; :func:`echelon`
-and :func:`rank` keep no tail, :func:`rref` keeps each once.  The reduced
-form is read off the echelon rows one row at a time: a pivot row is
-cleared at each later pivot column, first column first, by that pivot's
-echelon row (:func:`_rref_row`), so a row nobody asks for costs nothing.
+and :func:`rank` keep no tail, :func:`rref` keeps each once.  A tail is
+packed only where it is read: when other rows lead in the pivot's
+column, as it clears them, or for :func:`rref`, which reduces by every
+tail.  A pivot alone in its bucket clears no row, so :func:`echelon` and
+:func:`rank` yield it with no tail.  Their pivots do not change: the
+pivot rule reads only which unused rows lead in a column, and a tail no
+row is cleared by changes no row.  The reduced form is read off the
+echelon rows one row at a time: a pivot row is cleared at each later
+pivot column, first column first, by that pivot's echelon row
+(:func:`_rref_row`), so a row nobody asks for costs nothing.
 
 A packed row is one Python int with the value of column j in the 64-bit
 slot ``top - j`` counted from the least significant end, ``top`` being
@@ -78,13 +84,15 @@ def _layout(rows: list, p: int) -> tuple:
     return top, 0 if limit > top else limit
 
 
-def _eliminate(rows: list, p: int) -> Iterator[tuple]:
+def _eliminate(rows: list, p: int, tails: bool) -> Iterator[tuple]:
     """Forward elimination: yield each pivot (row, column, tail) in column
     order as soon as its column is cleared, ``tail`` the pivot row right of
     its column scaled to 1 there, packed in the slots below
-    ``top - column``.  Nothing here keeps a tail once it is yielded.
-    ``rows`` is not modified: a row may be any read-only mapping (see the
-    module docstring)."""
+    ``top - column``.  The tail is packed only where it is read: when
+    another row leads in the pivot's column, or for every pivot if
+    ``tails``; otherwise it is None.  Nothing here keeps a tail once it is
+    yielded.  ``rows`` is not modified: a row may be any read-only mapping
+    (see the module docstring)."""
     if p >= 1 << 31:
         raise ValueError("linalg needs p < 2^31")
     w = SLOT_BITS
@@ -109,10 +117,13 @@ def _eliminate(rows: list, p: int) -> Iterator[tuple]:
         if not bucket:
             continue
         r = min(bucket)
+        v = form[r]
+        form[r] = None  # the pivot row lives on as its tail, if at all
+        if not tails and len(bucket) == 1:
+            yield r, c, None
+            continue
         s = top - c  # columns right of c, slots below the leading one
         below = (1 << (w * s)) - 1
-        v = form[r]
-        form[r] = None  # the pivot row lives on as its tail
         if v is rows[r]:
             inv = pow(v[c], p - 2, p)
             tail = _pack(((j, x * inv) for j, x in v.items()), top, s, p)
@@ -187,12 +198,12 @@ def echelon(rows: list, p: int) -> list:
     """The pivots (row, column) of the rows {column: value} over F_p, in
     column order.  The pivot rows are the rows that enlarge the span of
     the rows above them."""
-    return [(r, c) for r, c, _ in _eliminate(rows, p)]
+    return [(r, c) for r, c, _ in _eliminate(rows, p, False)]
 
 
 def rank(rows: list, p: int) -> int:
     """Rank over F_p of the rows {column: value}."""
-    return len(echelon(rows, p))
+    return sum(1 for _ in _eliminate(rows, p, False))
 
 
 def rref(rows: list, p: int, keep: Optional[Callable[[int], bool]] = None):
@@ -200,7 +211,7 @@ def rref(rows: list, p: int, keep: Optional[Callable[[int], bool]] = None):
     nonzero rows, each in ascending column order, and their pivot columns.
     With ``keep``, a predicate on pivot columns, only the rows whose pivot
     column it accepts, and no other row is reduced."""
-    tails = {c: tail for _, c, tail in _eliminate(rows, p)}
+    tails = {c: tail for _, c, tail in _eliminate(rows, p, True)}
     pivcols = list(tails)
     kept = [c for c in pivcols if keep is None or keep(c)]
     form = _layout(rows, p) + (tails,)

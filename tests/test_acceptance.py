@@ -234,6 +234,9 @@ def test_acceptance_07_agr_tables():
 
 
 def test_acceptance_08_agr_family_formula():
+    # the family formula holds for s >= 28 (seed 0 matches it at every s
+    # from 28 to 42); at s = 26 and 27, 28 - s quadrics appear and it does
+    # not apply (ROADMAP item 10)
     def expected(s):
         a = max(0, 189 - 6 * s)       # 6*(31.5 - s)
         b = max(0, 15 * (36 - s))

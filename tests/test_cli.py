@@ -712,11 +712,13 @@ print("numpy" in sys.modules)
 def test_import_loads_no_dataclass_machinery():
     # the record classes are plain classes, so importing the package and its
     # command line loads neither dataclasses nor the inspect, ast and dis
-    # modules it pulls in (about 1 MB of resident memory per process)
+    # modules it pulls in (about 1 MB of resident memory per process).  The
+    # baseline is the interpreter's own modules before the import: a .pth
+    # file run at start-up may load inspect, and that is not syzkit's doing
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(syzkit.__file__)))
-    code = ("import sys, syzkit, syzkit.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys; bare = set(sys.modules); import syzkit, syzkit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))")
     run = subprocess.run([sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -750,3 +752,20 @@ def test_input_roundtrip_corpus(corpus):
     for e in corpus:
         doc = InputDocument(e.ring, e.base, e.gens)
         assert parse_input(serialize_input(doc)).generators == doc.generators
+
+
+@pytest.mark.parametrize("spec", [(5, 4, 12), (6, 5, 42)])
+def test_spelled_monomials_parse_as_their_factors(spec):
+    # a canonical monomial such as x0^2*x1 is one token, read once per
+    # document; the same document with a space around each '*' and '^'
+    # (one token per variable, exponents read one by one) and with every
+    # power written out (x0*x0*x1, one token) gives the same generators
+    ideal = gen_agr(AgrSpec(*spec, p=10007, seed=0))
+    text = serialize_input(InputDocument(
+        ideal.ring, BaseOrdering("dp", ideal.ring.nvars), ideal.generators))
+    spaced = text.replace("*", " * ").replace("^", " ^ ")
+    expanded = re.sub(r"(x\d+)\^(\d+)",
+                      lambda m: "*".join([m[1]] * int(m[2])), text)
+    assert spaced != text != expanded
+    for variant in (spaced, expanded):
+        assert parse_input(variant).generators == ideal.generators

@@ -249,3 +249,29 @@ def test_single_power_keeps_top_degree_generators(n, d, p, seed):
     rank, dim = _top_span_rank(ideal)
     top = [g for g in ideal.generators if mono_deg(next(iter(g))[0]) == d + 1]
     assert 0 < len(top) == dim - rank
+
+
+@pytest.mark.parametrize("n,d,s,sizes", [
+    # the spans of degrees 4 and 5 are full: each is certified by a subset
+    # of ncols + 8 rows (203 + 8, 461 + 8) where eliminating every shift
+    # took 392 + 1,421 = 1,813 rows
+    (6, 5, 42, [0, 0, 0, 211, 469]),
+    # the degree-4 span has rank 194 < 203: its subset finds no pivot in
+    # some column, and all 392 rows are eliminated, which gives the nine
+    # quartic generators
+    (6, 5, 30, [0, 0, 0, 211, 392, 469]),
+])
+def test_gen_agr_certifies_full_spans(monkeypatch, n, d, s, sizes):
+    # the rows gen_agr hands to linalg.echelon, call by call
+    calls = []
+    echelon = linalg.echelon
+
+    def counting(rows, p):
+        calls.append(len(rows))
+        return echelon(rows, p)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    ideal = gen_agr(AgrSpec(n, d, s, 10007, 0))
+    assert calls == sizes
+    quartics = [g for g in ideal.generators if mono_deg(next(iter(g))[0]) == 4]
+    assert len(quartics) == (9 if s == 30 else 0)

@@ -166,14 +166,16 @@ def test_column_longer_than_chunk(p, density):
 
 
 def _count_forms(monkeypatch):
-    """Count the rows and pivot tails the kernel packs."""
-    counts = {"packed": 0}
-    real = linalg._pack
+    """Count the rows and pivot tails the kernel packs from a mapping
+    (``packed``) and from slots (``repacked``)."""
+    counts = {"packed": 0, "repacked": 0}
+    for key, name in (("packed", "_pack"), ("repacked", "_repack")):
+        real = getattr(linalg, name)
 
-    def wrapper(*args):
-        counts["packed"] += 1
-        return real(*args)
-    monkeypatch.setattr(linalg, "_pack", wrapper)
+        def wrapper(*args, real=real, key=key):
+            counts[key] += 1
+            return real(*args)
+        monkeypatch.setattr(linalg, name, wrapper)
     return counts
 
 
@@ -257,3 +259,58 @@ def test_rank_holds_a_dense_strand_once():
         tracemalloc.stop()
     assert r == 280 and rows == before
     assert peak < 1.2e6, peak
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_echelon_packs_no_unread_tail(p, monkeypatch):
+    # a permuted identity with sparse entries right of each row's 1: every
+    # row leads at its own column, so every bucket holds its pivot alone,
+    # no row is ever updated, and no pivot tail is read but by rref
+    rng = random.Random(p)
+    n = 60
+    perm = rng.sample(range(n), n)
+    mat = []
+    for c in perm:
+        row = [0] * n
+        row[c] = rng.randrange(1, p)
+        for j in rng.sample(range(c + 1, n), min(3, n - 1 - c)):
+            row[j] = rng.randrange(1, p)
+        mat.append(row)
+    counts = _count_forms(monkeypatch)
+    assert linalg.echelon(as_rows(mat), p) == sorted(enumerate(perm),
+                                                    key=lambda rc: rc[1])
+    assert linalg.rank(as_rows(mat), p) == n
+    assert counts == {"packed": 0, "repacked": 0}
+    ref_rows, ref_piv = ref_rref(mat, p)
+    r, pivcols = linalg.rref(as_rows(mat), p)
+    assert ([as_dense(row, n) for row in r], pivcols) == (ref_rows, ref_piv)
+    assert counts["packed"] == n  # each tail once, as rref reads them all
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(p, matrix as nested lists) over p in {7, 2^31 - 1}, up to 12 x 12,
+    each entry nonzero with a drawn probability."""
+    p = draw(st.sampled_from([7, 2**31 - 1]))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    mat = [[draw(st.integers(1, p - 1))
+            if draw(st.floats(0, 1)) < density else 0
+            for _ in range(cols)] for _ in range(rows)]
+    return p, mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_echelon_pivots_are_the_ones_rref_implies(case):
+    # row r is the pivot of column c exactly when c is the one pivot column
+    # that the rref of rows 0..r has and the rref of rows 0..r-1 has not
+    p, mat = case
+    implied, seen = [], set()
+    for r in range(len(mat)):
+        cols = set(linalg.rref(as_rows(mat[:r + 1]), p)[1])
+        assert len(cols - seen) <= 1
+        implied += [(r, c) for c in cols - seen]
+        seen = cols
+    assert linalg.echelon(as_rows(mat), p) == sorted(implied,
+                                                    key=lambda rc: rc[1])
